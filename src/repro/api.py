@@ -29,7 +29,7 @@ The surface, by layer:
   (:class:`LocalSubprocessTransport` for same-host isolation,
   :class:`SSHTransport` for remote hosts parsed from
   :func:`parse_hosts` / :class:`HostSpec` specs), with heartbeat-based
-  hang detection, worker quarantine, and straggler re-dispatch; the pool
+  hang detection, worker quarantine, and re-dispatch of lost cells; the pool
   is elastic (``listen=`` admits ``workers join`` processes mid-sweep,
   leases survive connection blips, ``spill_dir=`` resumes restarted
   sweeps) and batches frames (``batch_size=``);

@@ -96,13 +96,11 @@ class Link:
         packet.enqueued_at = now
         if not self.qdisc.enqueue(packet, now):
             self.packets_dropped += 1
-            self.monitor.on_drop(now)
             if self.drop_probe is not None:
                 self.drop_probe(now)
             if self.drop_recycler is not None:
                 self.drop_recycler(packet)
             return False
-        self.monitor.on_enqueue(now, self.qdisc.backlog_bytes)
         if not self._busy:
             self._try_transmit()
         return True
@@ -143,7 +141,7 @@ class Link:
                     self._retry_token = self.sim.at(max(ready, now + 1e-6), self._try_transmit)
             return
         wait = now - packet.enqueued_at
-        self.monitor.on_dequeue(now, wait, self.qdisc.backlog_bytes)
+        self.monitor.on_dequeue(now, wait)
         for hook in self._transmit_hooks:
             hook(packet, now)
         self._busy = True
@@ -203,7 +201,7 @@ class Link:
                         self._retry_token = sim.at(max(ready, now + 1e-6), self._try_transmit)
             else:
                 wait = now - nxt.enqueued_at
-                self.monitor.on_dequeue(now, wait, qdisc.backlog_bytes)
+                self.monitor.on_dequeue(now, wait)
                 for hook in self._transmit_hooks:
                     hook(nxt, now)
                 self._busy = True

@@ -1,6 +1,7 @@
 """Discrete-event simulation core.
 
-The simulator is a classic calendar queue built on :mod:`heapq`.  Every
+The pending-event set is a binary min-heap (:mod:`heapq`) ordered by
+``(time, seq)`` — O(log n) push and pop, not a calendar queue.  Every
 component (links, transports, Bundler control planes, workload generators)
 schedules callbacks on a shared :class:`Simulator` instance.  Simulated time
 is a float number of seconds.

@@ -85,34 +85,21 @@ class TimeSeries:
 
 
 class QueueMonitor:
-    """Records queueing delay and backlog at a link's queue.
+    """Records queueing delay at a link's queue.
 
     The queueing delay of a packet is measured when it begins transmission:
-    ``dequeue_time - enqueue_time``.  Backlog is sampled (in bytes) whenever
-    it changes.
+    ``dequeue_time - enqueue_time``.  Packet and drop counts live on the
+    :class:`~repro.net.link.Link` itself (``packets_sent``,
+    ``packets_dropped``); backlog over time is a probe series.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.delay = TimeSeries()
-        self.backlog = TimeSeries()
-        self.drops = 0
-        self.enqueues = 0
-        self.dequeues = 0
 
-    def on_enqueue(self, now: float, backlog_bytes: int) -> None:
-        self.enqueues += 1
-        if self.enabled:
-            self.backlog.add(now, backlog_bytes)
-
-    def on_dequeue(self, now: float, wait: float, backlog_bytes: int) -> None:
-        self.dequeues += 1
+    def on_dequeue(self, now: float, wait: float) -> None:
         if self.enabled:
             self.delay.add(now, wait)
-            self.backlog.add(now, backlog_bytes)
-
-    def on_drop(self, now: float) -> None:
-        self.drops += 1
 
     def mean_delay(self) -> Optional[float]:
         return self.delay.mean()

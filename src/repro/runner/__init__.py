@@ -22,7 +22,7 @@ missing.  The pieces:
 * :mod:`repro.runner.distributed` — the cross-host dispatcher:
   :class:`DistributedBackend` fanning work out to per-host worker
   processes over a :class:`WorkerTransport` (local subprocesses or SSH),
-  with heartbeats, worker quarantine, and straggler re-dispatch;
+  with heartbeats, worker quarantine, and re-dispatch of lost cells;
 * :mod:`repro.runner.worker` — the remote worker entrypoint
   (``python -m repro.runner.worker``) those transports launch;
 * :mod:`repro.runner.wire` — the length-prefixed JSON framing the

@@ -36,35 +36,36 @@ accounting kept) rather than written off; if it reconnects within
 ``lease_timeout_s`` presenting its lease, the new connection is
 transplanted onto the existing worker state and the worker resumes.
 Results it produced before the blip are accepted and deduplicated (the
-determinism contract makes any duplicate byte-identical).  Only workers
-that misbehave — protocol mismatch, malformed frames, hangs — are
-quarantined; workers that exit or time their lease out are *departed*,
-with their statistics frozen at departure time into
-``SweepOutcome.worker_stats`` (marked ``departed: true``).
+determinism contract makes any duplicate byte-identical).
 
-Work flows in **batches** (``batch_size``): an idle worker receives up to
+A worker's whole life is one state machine (:data:`_LIFECYCLE`):
+``starting → idle ⇄ busy``, ``→ suspended`` while its connection is
+down, and one retirement path (:meth:`_Scheduler._retire`) into a
+terminal state — *quarantined* for workers that misbehave (protocol
+mismatch, malformed frames, hangs, a dead process) or *departed* for
+workers that leave or time their lease out.  Either way the worker's
+statistics freeze at that instant into ``SweepOutcome.worker_stats``
+(marked ``departed: true``) and its in-flight cells re-queue to healthy
+workers; ``max_attempts`` bounds re-dispatch, so a cell that kills every
+worker it touches becomes an error outcome, not a loop.
+
+Work flows in **batches**: an idle worker receives
 ``min(batch_size, ceil(pending / idle_workers))`` cells in one
-``work_batch`` frame and answers with one ``outcome_batch``, amortizing
-frame overhead on large grids; single cells still use the v1-shaped
-``work``/``outcome`` frames.  With ``spill_dir`` set, workers persist
-each successful outcome to that directory before sending it
-(:mod:`repro.runner.spill`), and :meth:`DistributedBackend.execute`
-harvests matching spills *before* dispatching — a scheduler restarted
-after a crash resumes the sweep from spilled results instead of
-re-executing them.
+``work_batch`` frame and answers with one ``outcome_batch``.  A batch of
+one is the same frame shape, not a special case.  With ``spill_dir``
+set, workers persist each successful outcome to that directory before
+sending it (:mod:`repro.runner.spill`), and
+:meth:`DistributedBackend.execute` harvests matching spills *before*
+dispatching — a scheduler restarted after a crash resumes the sweep from
+spilled results instead of re-executing them.
 
-Further fault tolerance (unchanged from the static pool):
+What the scheduler checks, and when:
 
 * **hello handshake** — a worker that cannot import the experiments, or
   speaks a different :data:`~repro.runner.wire.PROTOCOL_VERSION`, is
-  quarantined before it is ever handed work;
-* **heartbeats** — workers beat while a cell runs; a worker silent past
+  quarantined (launched) or refused (joined) before it is handed work;
+* **heartbeats** — workers beat while a batch runs; a worker silent past
   ``worker_timeout_s`` is presumed hung, killed, and quarantined;
-* **re-route** — cells from a lost worker re-queue to healthy workers
-  (``max_attempts`` bounds re-dispatch so a cell that kills every worker
-  it touches becomes an error outcome, not a loop);
-* **straggler re-dispatch** — once the queue drains, idle workers
-  speculatively duplicate the longest-running in-flight cells;
 * **partial-sweep resume** — scenario failures and gave-up cells travel
   as error *outcomes*; the engine caches every completed cell before
   surfacing failures, so a re-run resumes from cache.
@@ -79,6 +80,7 @@ a plan passed as ``chaos=`` ships to every worker in its welcome frame.
 
 from __future__ import annotations
 
+import itertools
 import os
 import queue
 import shlex
@@ -88,7 +90,7 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, BinaryIO, Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple, Union
 
 from repro.runner.backends import (
@@ -211,24 +213,16 @@ class LocalSubprocessTransport:
 
     The child inherits this interpreter and the current ``sys.path`` via
     ``PYTHONPATH``, so an uninstalled source checkout works unchanged.
-    ``extra_env`` merges over the inherited environment — the test suite
-    uses it to inject the worker's fault hooks.
     """
 
     name = "local-subprocess"
 
-    def __init__(
-        self,
-        python: Optional[str] = None,
-        extra_env: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def __init__(self, python: Optional[str] = None) -> None:
         self.python = python or sys.executable
-        self.extra_env = dict(extra_env or {})
 
     def launch(self, host: HostSpec, *, heartbeat_s: float) -> subprocess.Popen:
         env = os.environ.copy()
         env["PYTHONPATH"] = inherited_pythonpath()
-        env.update(self.extra_env)
         return subprocess.Popen(
             _worker_argv(self.python, heartbeat_s),
             stdin=subprocess.PIPE,
@@ -309,18 +303,39 @@ def _parse_listen(value: Union[bool, int, str, Tuple[str, int]]) -> Tuple[str, i
     return (host.strip("[]") or "127.0.0.1", port)
 
 
+def _hello_refusal(hello: Mapping[str, Any]) -> Optional[str]:
+    """Why a worker's hello bars it from the pool, or None if it may enter.
+
+    The one hello check for launched and joined workers alike.
+    """
+    protocol = hello.get("protocol")
+    if protocol != PROTOCOL_VERSION:
+        return f"protocol mismatch (worker {protocol!r}, scheduler {PROTOCOL_VERSION})"
+    return None
+
+
 @dataclass
 class _Tracked:
     """Scheduler-side state of one work item."""
 
     item: WorkItem
     attempts: int = 0
-    #: Worker ids currently executing this item (>1 only for speculative
-    #: straggler copies).
-    assigned: Set[str] = field(default_factory=set)
-    dispatched_at: float = 0.0
+    #: Id of the worker executing this item; None while queued or finished.
+    owner: Optional[str] = None
     done: bool = False
 
+
+#: The worker lifecycle: each state and the states it may move to.  A
+#: worker is *live* until it reaches a state with no way out, and
+#: *active* (holding a connection) in every live state but ``suspended``.
+_LIFECYCLE: Dict[str, Tuple[str, ...]] = {
+    "starting": ("idle", "quarantined", "departed"),
+    "idle": ("busy", "suspended", "quarantined", "departed"),
+    "busy": ("idle", "suspended", "quarantined", "departed"),
+    "suspended": ("idle", "quarantined", "departed"),
+    "quarantined": (),
+    "departed": (),
+}
 
 #: Inbox entries: (worker or None for joins, connection id, message).
 _InboxEntry = Tuple[Optional["_WorkerHandle"], int, Dict[str, Any]]
@@ -350,8 +365,7 @@ class _WorkerHandle:
         self.site = site
         self.lease = lease
         self.proc: Optional[subprocess.Popen] = None
-        self.state = "starting"  # starting -> idle <-> busy
-        # terminal: quarantined, departed; recoverable: suspended
+        self.state = "starting"  # see _LIFECYCLE
         self.items: List[_Tracked] = []
         #: Every index ever dispatched here — outcomes for these are valid
         #: even after a suspend/resume or a quarantine race.
@@ -363,8 +377,7 @@ class _WorkerHandle:
         self.completed = 0
         self.batches = 0
         self.resumes = 0
-        self.quarantine_reason = ""
-        self.departed_reason = ""
+        self.retired_reason = ""
         self.conn_id = 0
         self._inbox = inbox
         self._writer: Optional[BinaryIO] = None
@@ -409,11 +422,22 @@ class _WorkerHandle:
 
     @property
     def live(self) -> bool:
-        return self.state not in ("quarantined", "departed")
+        return bool(_LIFECYCLE[self.state])
 
     @property
     def active(self) -> bool:
-        return self.state in ("starting", "idle", "busy")
+        return self.live and self.state != "suspended"
+
+    def enter(self, state: str) -> bool:
+        """Move to ``state`` if the lifecycle allows it from here.
+
+        Returns False, changing nothing, otherwise — which is what makes
+        retiring or suspending a worker twice a no-op.
+        """
+        if state not in _LIFECYCLE[self.state]:
+            return False
+        self.state = state
+        return True
 
     def send(self, message: Dict[str, Any]) -> None:
         if self._writer is None:
@@ -487,13 +511,12 @@ class DistributedBackend:
         heartbeat_s: float = 1.0,
         worker_timeout_s: float = 60.0,
         hello_timeout_s: float = 30.0,
-        straggler_s: Optional[float] = 30.0,
         max_attempts: int = 3,
         poll_s: float = 0.05,
         batch_size: int = 1,
         listen: Union[bool, int, str, Tuple[str, int], None] = None,
         join_grace_s: float = 10.0,
-        lease_timeout_s: Optional[float] = 30.0,
+        lease_timeout_s: float = 30.0,
         spill_dir: Optional[str] = None,
         chaos: Optional[Mapping[str, Any]] = None,
     ) -> None:
@@ -508,7 +531,6 @@ class DistributedBackend:
         self.heartbeat_s = heartbeat_s
         self.worker_timeout_s = worker_timeout_s
         self.hello_timeout_s = hello_timeout_s
-        self.straggler_s = straggler_s
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.max_attempts = max_attempts
@@ -547,6 +569,8 @@ class DistributedBackend:
         #: plugs the caller's callback in here).
         self.on_progress = None
         self._telemetry: Dict[str, Any] = {}
+        #: Numbers this backend's sweeps; part of every lease token.
+        self._sweep_ids = itertools.count(1)
 
     @property
     def workers(self) -> int:
@@ -609,19 +633,22 @@ class _Scheduler:
         self.inbox: "queue.Queue[_InboxEntry]" = queue.Queue()
         self.workers: List[_WorkerHandle] = []
         self.requeued = 0
-        self.quarantined = 0
-        self.speculative = 0
         self.gave_up = 0
         self.duplicate_outcomes = 0
         self.joined = 0
         self.lease_resumes = 0
         self.suspended = 0
-        self.departed = 0
+        #: Workers retired so far, by terminal state.
+        self.retired = {"quarantined": 0, "departed": 0}
         self.spill_harvested = 0
-        #: Stats of workers that died or left, frozen at departure time
-        #: (a live-computed view would drop them or keep their clocks
-        #: ticking); merged into telemetry() under the same ids.
+        #: Stats of retired workers, frozen at that instant (a
+        #: live-computed view would keep their clocks ticking); merged
+        #: into telemetry() under the same ids.
         self.departed_stats: Dict[str, Dict[str, Any]] = {}
+        # A listening backend outlives one sweep, so a worker suspended at
+        # the end of the last one may redial into this one: its token must
+        # not equal any lease minted here.
+        self._lease_prefix = f"lease-{os.getpid():x}-{next(backend._sweep_ids)}"
         self._pool_empty_since: Optional[float] = None
         self._accept_stop: Optional[threading.Event] = None
         self._accept_thread: Optional[threading.Thread] = None
@@ -629,17 +656,16 @@ class _Scheduler:
     # -- lifecycle ------------------------------------------------------
 
     def _new_lease(self, site: int) -> str:
-        # Uniqueness within this scheduler is all that matters: the lease
-        # is an identity token for resume, not a secret.
-        return f"lease-{os.getpid():x}-{site}"
+        # An identity token for resume, not a secret.
+        return f"{self._lease_prefix}-{site}"
 
     def _launch_workers(self) -> None:
         backend = self.backend
         for host in backend.hosts:
             for _ in range(host.slots):
                 # The slot counter is global, not per-HostSpec: every
-                # worker needs a unique id (ids key telemetry and the
-                # assigned-worker sets).
+                # worker needs a unique id (ids key telemetry and cell
+                # ownership).
                 site = len(self.workers)
                 worker_id = f"{host.host}/{site}"
                 try:
@@ -707,12 +733,10 @@ class _Scheduler:
         if self._accept_stop is not None:
             self._accept_stop.set()
         for worker in self.workers:
-            if worker.state in ("quarantined", "departed"):
-                continue
-            if worker.state == "suspended":
+            if worker.active:
+                worker.shutdown()
+            elif worker.live:
                 worker.suspend_connection()  # idempotent socket close
-                continue
-            worker.shutdown()
         # Joins still parked in the inbox would leave their workers
         # blocked on a welcome that will never come.
         while True:
@@ -741,17 +765,16 @@ class _Scheduler:
             **({"batches": w.batches} if w.batches else {}),
             **({"lease_resumes": w.resumes} if w.resumes else {}),
             **(
-                {"quarantine_reason": w.quarantine_reason}
-                if w.quarantine_reason
+                {"quarantine_reason": w.retired_reason}
+                if w.state == "quarantined"
+                else {}
+            ),
+            **(
+                {"departed": True, "departed_reason": w.retired_reason}
+                if not w.live
                 else {}
             ),
         }
-
-    def _freeze_stats(self, w: _WorkerHandle, reason: str) -> None:
-        stats = self._worker_stats(w, time.monotonic())
-        stats["departed"] = True
-        stats["departed_reason"] = reason
-        self.departed_stats[w.id] = stats
 
     def telemetry(self) -> Dict[str, Any]:
         now = time.monotonic()
@@ -768,14 +791,13 @@ class _Scheduler:
             "items": len(self.items),
             "batch_size": self.backend.batch_size,
             "requeued": self.requeued,
-            "quarantined": self.quarantined,
-            "speculative": self.speculative,
+            "quarantined": self.retired["quarantined"],
             "gave_up": self.gave_up,
             "duplicate_outcomes": self.duplicate_outcomes,
             "joined": self.joined,
             "lease_resumes": self.lease_resumes,
             "suspended": self.suspended,
-            "departed": self.departed,
+            "departed": self.retired["departed"],
             "spill_harvested": self.spill_harvested,
             **(
                 {"endpoint": list(self.backend.endpoint)}
@@ -845,9 +867,10 @@ class _Scheduler:
         self._emit("gave-up", tracked=tracked, detail=reason)
 
     def _requeue(self, tracked: _Tracked, worker: _WorkerHandle, reason: str) -> None:
-        tracked.assigned.discard(worker.id)
-        if tracked.done or tracked.assigned:
-            return  # finished, or a speculative copy is still running
+        if tracked.owner == worker.id:
+            tracked.owner = None
+        if tracked.done or tracked.owner is not None:
+            return  # finished, or re-dispatched elsewhere since
         if tracked.attempts >= self.backend.max_attempts:
             self._give_up(
                 tracked,
@@ -864,36 +887,27 @@ class _Scheduler:
         for tracked in items:
             self._requeue(tracked, worker, reason)
 
-    def _quarantine(self, worker: _WorkerHandle, reason: str) -> None:
-        if not worker.live:
-            return
-        worker.state = "quarantined"
-        worker.quarantine_reason = reason
-        self.quarantined += 1
-        worker.kill()
-        self._freeze_stats(worker, reason)
-        self._emit("quarantined", worker=worker, detail=reason)
-        self._release_items(worker, f"worker {worker.id} {reason}")
+    def _retire(self, worker: _WorkerHandle, terminal_state: str, reason: str) -> None:
+        """Take a worker out of the pool for good.
 
-    def _depart(self, worker: _WorkerHandle, reason: str) -> None:
-        """Retire a worker that died or left — a fact of pool life, not a
-        fault: stats freeze at this instant (``departed: true``) and its
-        in-flight cells re-queue without the quarantine stigma."""
-        if not worker.live:
+        ``quarantined`` is for misbehaviour (protocol mismatch, malformed
+        frames, hangs, a dead process); ``departed`` for pool life (a
+        ``leave``, an expired lease).  Both freeze the worker's stats at
+        this instant (``departed: true``) and re-queue its cells.
+        """
+        if not worker.enter(terminal_state):
             return
-        worker.state = "departed"
-        worker.departed_reason = reason
-        self.departed += 1
+        worker.retired_reason = reason
+        self.retired[terminal_state] += 1
         worker.kill()
-        self._freeze_stats(worker, reason)
-        self._emit("departed", worker=worker, detail=reason)
+        self.departed_stats[worker.id] = self._worker_stats(worker, time.monotonic())
+        self._emit(terminal_state, worker=worker, detail=reason)
         self._release_items(worker, f"worker {worker.id} {reason}")
 
     def _suspend(self, worker: _WorkerHandle, reason: str) -> None:
         """Connection lost, lease kept: hold the identity for a reconnect."""
-        if worker.state in ("quarantined", "departed", "suspended"):
+        if not worker.enter("suspended"):
             return
-        worker.state = "suspended"
         worker.suspended_at = time.monotonic()
         worker.suspend_connection()
         self.suspended += 1
@@ -903,10 +917,10 @@ class _Scheduler:
     def _connection_lost(self, worker: _WorkerHandle, reason: str) -> None:
         """Route a dead connection: lease-capable workers suspend, launched
         (pipe) workers are gone for good."""
-        if worker.is_socket and self.backend.lease_timeout_s:
+        if worker.is_socket:
             self._suspend(worker, reason)
         else:
-            self._quarantine(worker, reason)
+            self._retire(worker, "quarantined", reason)
 
     # -- message handling ----------------------------------------------
 
@@ -934,17 +948,10 @@ class _Scheduler:
         sock: socket.socket = message["sock"]
         reader: BinaryIO = message["reader"]
         writer: BinaryIO = message["writer"]
-        protocol = hello.get("protocol")
-        if protocol != PROTOCOL_VERSION:
+        refusal = _hello_refusal(hello)
+        if refusal:
             try:
-                write_message(
-                    writer,
-                    {
-                        "type": "error",
-                        "error": f"protocol mismatch (worker {protocol!r}, "
-                        f"scheduler {PROTOCOL_VERSION})",
-                    },
-                )
+                write_message(writer, {"type": "error", "error": refusal})
             except (OSError, ValueError):
                 pass
             # Close the makefile wrappers too: each holds a reference on
@@ -970,12 +977,11 @@ class _Scheduler:
                     # the outage stays re-queued; results the worker
                     # still holds are valid via past_indices.  If the
                     # redial won the race against the old connection's
-                    # EOF, in-flight cells were never released — do it
-                    # now: the restarted serve loop has no memory of them.
-                    self._release_items(worker, f"worker {worker.id} reconnected")
+                    # EOF, the worker was never suspended — do it now:
+                    # the restarted serve loop has no memory of its cells.
+                    self._suspend(worker, "reconnected before the old connection closed")
                     worker.attach_socket(sock, reader, writer)
-                    worker.state = "idle"
-                    worker.suspended_at = 0.0
+                    worker.enter("idle")
                     worker.last_seen = time.monotonic()
                     worker.resumes += 1
                     self.lease_resumes += 1
@@ -994,7 +1000,7 @@ class _Scheduler:
             lease=self._new_lease(site),
         )
         worker.attach_socket(sock, reader, writer)
-        worker.state = "idle"  # hello already verified in the handshake
+        worker.enter("idle")
         self.workers.append(worker)
         self.joined += 1
         if self._welcome(worker):
@@ -1006,10 +1012,10 @@ class _Scheduler:
             return  # a transplanted-away connection's reader winding down
         worker.last_seen = time.monotonic()
         if kind == "_eof":
-            if worker.state in ("quarantined", "departed", "suspended"):
+            if not worker.active:
                 return
             if worker.is_socket:
-                self._connection_lost(worker, "disconnected (connection closed)")
+                self._suspend(worker, "disconnected (connection closed)")
             else:
                 # Pipe EOF can arrive before the child is reapable; give it
                 # a beat so the quarantine reason carries the real code.
@@ -1019,32 +1025,27 @@ class _Scheduler:
                         code = worker.proc.wait(timeout=5.0)
                     except subprocess.TimeoutExpired:
                         code = worker.proc.poll()
-                self._quarantine(worker, f"exited (code {code})")
+                self._retire(worker, "quarantined", f"exited (code {code})")
         elif kind == "_wire_error":
             self._connection_lost(worker, f"wire error: {message.get('error')}")
         elif kind == "hello":
-            protocol = message.get("protocol")
-            if protocol != PROTOCOL_VERSION:
-                self._quarantine(
-                    worker,
-                    f"protocol mismatch (worker {protocol!r}, scheduler {PROTOCOL_VERSION})",
-                )
+            refusal = _hello_refusal(message)
+            if refusal:
+                self._retire(worker, "quarantined", refusal)
             elif worker.state == "starting":
-                worker.state = "idle"
+                worker.enter("idle")
                 self._welcome(worker)
         elif kind == "heartbeat" or kind == "pong":
             pass  # last_seen already updated
-        elif kind == "outcome":
-            self._handle_outcome(worker, message.get("outcome") or {})
         elif kind == "outcome_batch":
             for raw in message.get("outcomes") or []:
                 self._handle_outcome(worker, raw)
         elif kind == "leave":
-            self._depart(worker, "left the pool")
+            self._retire(worker, "departed", "left the pool")
         elif kind == "error":
-            self._quarantine(worker, f"worker-reported error: {message.get('error')}")
+            self._retire(worker, "quarantined", f"worker-reported error: {message.get('error')}")
         else:
-            self._quarantine(worker, f"unknown message type {kind!r}")
+            self._retire(worker, "quarantined", f"unknown message type {kind!r}")
 
     def _handle_outcome(self, worker: _WorkerHandle, raw: Dict[str, Any]) -> None:
         try:
@@ -1058,15 +1059,16 @@ class _Scheduler:
                 telemetry=raw.get("telemetry"),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            self._quarantine(worker, f"malformed outcome frame: {exc}")
+            self._retire(worker, "quarantined", f"malformed outcome frame: {exc}")
             return
         target = self.tracked.get(outcome.index)
         # past_indices — not the current assignment — decides legitimacy:
         # a lease-resumed worker may deliver results for cells re-queued
         # (or even re-completed elsewhere) during its outage.
         if target is None or outcome.index not in worker.past_indices:
-            self._quarantine(
-                worker, f"returned outcome for unassigned index {outcome.index}"
+            self._retire(
+                worker, "quarantined",
+                f"returned outcome for unassigned index {outcome.index}",
             )
             return
         if target in worker.items:
@@ -1074,9 +1076,10 @@ class _Scheduler:
         # A quarantined worker's last outcome may still arrive through the
         # inbox; record the (deterministic) result but keep it quarantined.
         if worker.state == "busy" and not worker.items:
-            worker.state = "idle"
+            worker.enter("idle")
         worker.completed += 1
-        target.assigned.discard(worker.id)
+        if target.owner == worker.id:
+            target.owner = None
         if target.done:
             self.duplicate_outcomes += 1  # lost a race; result identical
             return
@@ -1090,11 +1093,11 @@ class _Scheduler:
         batch: List[_Tracked] = []
         while self.pending and len(batch) < want:
             candidate = self.pending.popleft()
-            if not candidate.done and not candidate.assigned:
+            if not candidate.done and candidate.owner is None:
                 batch.append(candidate)
         return batch
 
-    def _dispatch(self, worker: _WorkerHandle, batch: List[_Tracked], *, speculative: bool) -> None:
+    def _dispatch(self, worker: _WorkerHandle, batch: List[_Tracked]) -> None:
         payload = [
             {
                 "index": t.item.index,
@@ -1104,24 +1107,17 @@ class _Scheduler:
             }
             for t in batch
         ]
-        # Single cells keep the v1-shaped frame: zero overhead for small
-        # grids, and tools speaking one-at-a-time (doctor) stay trivial.
-        if len(payload) == 1:
-            message: Dict[str, Any] = {"type": "work", "item": payload[0]}
-        else:
-            message = {"type": "work_batch", "items": payload}
         try:
-            worker.send(message)
+            worker.send({"type": "work_batch", "items": payload})
         except (OSError, ValueError):
             self._connection_lost(worker, "dispatch write failed (broken pipe)")
             for tracked in batch:
-                if not tracked.done and not tracked.assigned:
-                    # _connection_lost only releases worker.items, which
-                    # does not yet include this batch — requeue ourselves.
-                    self._requeue(tracked, worker, "dispatch write failed")
+                # _connection_lost only releases worker.items, which does
+                # not yet include this batch — requeue ourselves.
+                self._requeue(tracked, worker, "dispatch write failed")
             return
         now = time.monotonic()
-        worker.state = "busy"
+        worker.enter("busy")
         worker.items.extend(batch)
         # A worker can sit idle (silent) far longer than worker_timeout_s;
         # restart its liveness clock now or the next timeout check would
@@ -1131,11 +1127,8 @@ class _Scheduler:
         worker.batches += 1
         for tracked in batch:
             tracked.attempts += 1
-            tracked.assigned.add(worker.id)
-            tracked.dispatched_at = now
+            tracked.owner = worker.id
             worker.past_indices.add(tracked.item.index)
-        if speculative:
-            self.speculative += len(batch)
 
     def _fill_idle_workers(self) -> None:
         idle = [w for w in self.workers if w.state == "idle"]
@@ -1153,31 +1146,7 @@ class _Scheduler:
                 batch = self._next_batch(fair)
                 if not batch:
                     break
-                self._dispatch(worker, batch, speculative=False)
-        if self.pending:
-            return
-        # Straggler re-dispatch: duplicate the longest-running in-flight
-        # cells onto workers that would otherwise sit idle.
-        straggler_s = self.backend.straggler_s
-        if straggler_s is None:
-            return
-        now = time.monotonic()
-        idle = [w for w in self.workers if w.state == "idle"]
-        if not idle:
-            return
-        in_flight = sorted(
-            (
-                t
-                for t in self.tracked.values()
-                if not t.done
-                and len(t.assigned) == 1
-                and now - t.dispatched_at > straggler_s
-                and t.attempts < self.backend.max_attempts
-            ),
-            key=lambda t: t.dispatched_at,
-        )
-        for worker, tracked in zip(idle, in_flight, strict=False):  # truncation intended: one speculative copy per idle worker
-            self._dispatch(worker, [tracked], speculative=True)
+                self._dispatch(worker, batch)
 
     def _check_timeouts(self) -> None:
         now = time.monotonic()
@@ -1185,31 +1154,33 @@ class _Scheduler:
         for worker in self.workers:
             if worker.state == "starting":
                 if now - worker.launched_at > self.backend.hello_timeout_s:
-                    self._quarantine(
-                        worker,
+                    self._retire(
+                        worker, "quarantined",
                         f"no hello within {self.backend.hello_timeout_s:.0f}s",
                     )
             elif worker.state == "busy":
                 if now - worker.last_seen > self.backend.worker_timeout_s:
-                    self._quarantine(
-                        worker,
+                    self._retire(
+                        worker, "quarantined",
                         f"silent for {now - worker.last_seen:.1f}s (presumed hung)",
                     )
             elif worker.state == "suspended":
-                if lease_timeout_s and now - worker.suspended_at > lease_timeout_s:
-                    self._depart(
-                        worker,
+                if now - worker.suspended_at > lease_timeout_s:
+                    self._retire(
+                        worker, "departed",
                         f"lease expired ({lease_timeout_s:.0f}s without reconnect)",
                     )
 
     # -- main loop ------------------------------------------------------
 
-    def _drain_inbox(self) -> None:
+    def _drain_inbox(self, wait_s: float = 0.0) -> None:
+        """Handle everything queued, waiting up to ``wait_s`` for the first."""
         while True:
             try:
-                worker, conn, message = self.inbox.get_nowait()
+                worker, conn, message = self.inbox.get(block=wait_s > 0, timeout=wait_s)
             except queue.Empty:
                 break
+            wait_s = 0.0
             if worker is None:
                 self._handle_join(message)
             else:
@@ -1222,10 +1193,7 @@ class _Scheduler:
         neither counts as exhaustion by itself; a listening pool with no
         members gets ``join_grace_s`` before the sweep gives up.
         """
-        if any(w.active for w in self.workers):
-            self._pool_empty_since = None
-            return False
-        if any(w.state == "suspended" for w in self.workers):
+        if any(w.live for w in self.workers):
             self._pool_empty_since = None
             return False
         if self.backend._listen_sock is None:
@@ -1259,17 +1227,8 @@ class _Scheduler:
                         )
                 break
             self._fill_idle_workers()
-            try:
-                worker, conn, message = self.inbox.get(timeout=self.backend.poll_s)
-            except queue.Empty:
-                pass
-            else:
-                if worker is None:
-                    self._handle_join(message)
-                else:
-                    self._handle(worker, conn, message)
-                # Drain whatever else already arrived before re-checking
-                # timeouts; keeps big sweeps from being poll-bound.
-                self._drain_inbox()
+            # Draining whatever else already arrived before re-checking
+            # timeouts keeps big sweeps from being poll-bound.
+            self._drain_inbox(self.backend.poll_s)
             self._check_timeouts()
         return [self.outcomes[item.index] for item in self.items]

@@ -15,10 +15,10 @@ same transport the sweep would use and checks, in order:
    hostname, and registered-scenario count (a worker seeing fewer
    scenarios than the scheduler would cache-miss every cell it runs);
 4. **calibration** (skippable with ``--no-calibrate``) — one tiny pinned
-   cell (:data:`CALIBRATION_ITEM`) runs end to end on the worker, and the
-   outcome frame's telemetry reports the host's measured events/sec — a
-   like-for-like throughput number for sizing ``--hosts`` slot counts
-   across a heterogeneous fleet.
+   cell (:data:`CALIBRATION_ITEM`, sent as a batch of one) runs end to
+   end on the worker, and the outcome's telemetry reports the host's
+   measured events/sec — a like-for-like throughput number for sizing
+   ``--hosts`` slot counts across a heterogeneous fleet.
 
 Probing is parallel (one thread per host) and side-effect free: the probe
 worker is shut down as soon as the checks finish.  Any unhealthy host
@@ -204,7 +204,7 @@ def probe_host(
         if calibrate:
             calibrate_at = time.monotonic()
             try:
-                write_message(proc.stdin, {"type": "work", "item": CALIBRATION_ITEM})
+                write_message(proc.stdin, {"type": "work_batch", "items": [CALIBRATION_ITEM]})
             except (OSError, ValueError) as exc:
                 health.failure = "calibrate"
                 health.error = f"could not send calibration cell: {exc}"
@@ -226,11 +226,11 @@ def probe_host(
                     health.failure = "calibrate"
                     health.error = "worker hung up during the calibration cell"
                     return health
-                if message.get("type") == "outcome":
+                if message.get("type") == "outcome_batch":
                     break
                 # Heartbeats tick while the cell runs; skip them.
             health.calibrate_s = time.monotonic() - calibrate_at
-            outcome = message.get("outcome") or {}
+            outcome = (message.get("outcomes") or [{}])[0]
             if outcome.get("error"):
                 health.failure = "calibrate"
                 health.error = (

@@ -40,7 +40,9 @@ from typing import Any, BinaryIO, Dict, Optional
 #: scheduler refuses workers whose hello carries a different version.
 #: v2: welcome/lease handshake, work_batch/outcome_batch frames, join and
 #: leave messages for the elastic pool.
-PROTOCOL_VERSION = 2
+#: v3: a batch of N >= 1 is the only work/result frame; the single-cell
+#: work/outcome frames left the vocabulary.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's JSON payload.  Far above any real
 #: WorkOutcome (metrics are flat scalar dicts); its job is to turn a

@@ -27,15 +27,15 @@ Either way the conversation is the length-prefixed JSON protocol of
   plan (:mod:`repro.testing.chaos`) which the worker activates — in-band
   delivery is how fault-injection tests reach launched workers without
   touching the transport;
-* for ``{"type": "work", "item": {...}}`` it resolves the scenario, runs
-  it via :func:`repro.runner.backends.execute_item` — which validates
-  fresh metrics against the scenario's
-  :class:`~repro.runner.schema.MetricSchema` — and replies
-  ``{"type": "outcome", "outcome": {...}}``; for ``{"type":
-  "work_batch", "items": [...]}`` it executes the batch in order and
-  replies a single ``{"type": "outcome_batch", "outcomes": [...]}``.
+* for ``{"type": "work_batch", "items": [{...}, ...]}`` — one cell or
+  many, the only work frame — it resolves each scenario, runs it via
+  :func:`repro.runner.backends.execute_item` (which validates fresh
+  metrics against the scenario's
+  :class:`~repro.runner.schema.MetricSchema`), and replies a single
+  ``{"type": "outcome_batch", "outcomes": [{...}, ...]}`` in item order.
   Failures travel *inside* outcomes (``error`` carries the traceback),
-  never as a dead pipe;
+  never as a dead pipe; a frame type the worker does not know is
+  answered with an ``error`` frame and the worker keeps serving;
 * with a spill directory configured, every successful outcome is written
   there (:mod:`repro.runner.spill`) *before* it is sent — crash
   insurance a restarted scheduler harvests;
@@ -52,13 +52,9 @@ the worker's lifetime, so a scenario that prints cannot corrupt the frame
 stream.  The worker never touches the result cache — outcomes flow back to
 the scheduling host, which owns the single shared ``.repro-cache/``.
 
-Fault injection (tests only): ``REPRO_WORKER_CRASH_AFTER=N`` makes the
-worker serve ``N`` items normally and then die via ``os._exit`` on the
-next one *without replying* — the harness for the scheduler's quarantine
-and re-dispatch paths.  ``REPRO_WORKER_STARTUP_DELAY_S=X`` sleeps before
-the hello, simulating a slow host so tests can pin dispatch order.
-Frame-precise fault schedules use :mod:`repro.testing.chaos` instead,
-activated via the welcome frame or ``REPRO_CHAOS_PLAN``.
+Fault injection (tests and CI drills) has one path: a
+:mod:`repro.testing.chaos` fault plan, activated via the welcome frame
+or ``REPRO_CHAOS_PLAN``, consulted by the wire layer at every frame.
 """
 
 from __future__ import annotations
@@ -77,20 +73,10 @@ from repro.runner.backends import WorkItem, execute_item
 from repro.runner.spill import write_spill
 from repro.runner.wire import PROTOCOL_VERSION, WireError, read_message, write_message
 
-#: Environment variable: serve this many items, then crash (no reply) on
-#: the next.  Unset or non-integer disables the hook.
-CRASH_AFTER_ENV = "REPRO_WORKER_CRASH_AFTER"
-
-#: Environment variable: sleep this many seconds before the hello
-#: handshake (a simulated slow host).  Unset or non-numeric disables it.
-STARTUP_DELAY_ENV = "REPRO_WORKER_STARTUP_DELAY_S"
-
-#: Exit code of an injected crash, distinct from real failure codes.
-CRASH_EXIT_CODE = 117
-
 
 class _Heartbeat:
-    """Daemon thread beating ``{"type": "heartbeat"}`` while a cell runs."""
+    """Daemon thread beating ``{"type": "heartbeat"}`` while a batch runs
+    (a non-positive interval beats never)."""
 
     def __init__(self, send, interval_s: float) -> None:
         self._send = send
@@ -106,22 +92,14 @@ class _Heartbeat:
                 return  # peer hung up; the main loop will notice on its own
 
     def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
+        if self._interval_s > 0:
+            self._thread.start()
         return self
 
     def __exit__(self, *exc) -> None:
         self._stop.set()
-        self._thread.join(timeout=2.0)
-
-
-def _crash_after() -> Optional[int]:
-    raw = os.environ.get(CRASH_AFTER_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return None
+        if self._thread.is_alive():
+            self._thread.join(timeout=2.0)
 
 
 def _maybe_activate_env_chaos() -> None:
@@ -175,12 +153,6 @@ def serve(
     state = state if state is not None else {}
     if spill_dir:
         state["spill_dir"] = spill_dir
-    try:
-        delay_s = float(os.environ.get(STARTUP_DELAY_ENV) or 0.0)
-    except ValueError:
-        delay_s = 0.0
-    if delay_s > 0:
-        time.sleep(delay_s)
     _maybe_activate_env_chaos()
     registry = load_builtin_scenarios()
     send_lock = threading.Lock()
@@ -192,8 +164,6 @@ def serve(
     def run_item(raw: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """Execute one wire-form item; None (plus an error frame) if malformed."""
         nonlocal served
-        if crash_after is not None and served >= crash_after:
-            os._exit(CRASH_EXIT_CODE)
         try:
             item = WorkItem(
                 index=raw["index"],
@@ -235,7 +205,6 @@ def serve(
     except (OSError, ValueError):
         state["exit_reason"] = "conn_lost"
         return 1
-    crash_after = _crash_after()
     served = 0
     try:
         while True:
@@ -261,32 +230,18 @@ def serve(
             if kind == "ping":
                 send({"type": "pong"})
                 continue
-            if kind == "work":
-                raws = [message.get("item") or {}]
-            elif kind == "work_batch":
-                raws = list(message.get("items") or [])
-            else:
+            if kind != "work_batch":
                 send({"type": "error", "error": f"unknown message type {kind!r}"})
                 continue
             outcomes = []
-            if heartbeat_s > 0:
-                with _Heartbeat(send, heartbeat_s):
-                    for raw in raws:
-                        outcome = run_item(raw)
-                        if outcome is not None:
-                            outcomes.append(outcome)
-            else:
-                for raw in raws:
+            with _Heartbeat(send, heartbeat_s):
+                for raw in message.get("items") or []:
                     outcome = run_item(raw)
                     if outcome is not None:
                         outcomes.append(outcome)
-            if kind == "work":
-                if outcomes:
-                    send({"type": "outcome", "outcome": outcomes[0]})
-            else:
-                # One reply per batch regardless of size: the framing
-                # amortization the batch exists for.
-                send({"type": "outcome_batch", "outcomes": outcomes})
+            # One reply per batch regardless of size: the framing
+            # amortization the batch exists for.
+            send({"type": "outcome_batch", "outcomes": outcomes})
             if leave_after and served >= leave_after:
                 send({"type": "leave"})
                 state["exit_reason"] = "leave"

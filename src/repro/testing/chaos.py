@@ -22,9 +22,10 @@ How a plan reaches a worker:
 
 Determinism contract: a rule fires as a function of ``(plan seed, site,
 rule index, per-rule matching-frame counter)`` only.  Frame counters tick
-per *matching message type*, so pin rules to specific types (``outcome``,
-``outcome_batch``, ``work_batch``) — ``heartbeat`` counts depend on wall
-time and make ``nth`` matching timing-sensitive again.
+per *matching message type*, so pin rules to specific types
+(``work_batch``, ``outcome_batch`` — the only work and result frames,
+whatever the batch size) — ``heartbeat`` counts depend on wall time and
+make ``nth`` matching timing-sensitive again.
 
 Faults are injected, never simulated: a ``disconnect`` really severs the
 connection (the peer sees EOF; a leased worker redials), a ``truncate``
@@ -53,8 +54,7 @@ CHAOS_PLAN_ENV = "REPRO_CHAOS_PLAN"
 #: (default ``worker``); part of the per-site RNG derivation.
 CHAOS_SITE_ENV = "REPRO_CHAOS_SITE"
 
-#: Exit code of an injected ``kill``, distinct from real failure codes
-#: and from the legacy ``REPRO_WORKER_CRASH_AFTER`` hook's 117.
+#: Exit code of an injected ``kill``, distinct from real failure codes.
 KILL_EXIT_CODE = 118
 
 #: Frame-level actions operate on one encoded frame; a connection-level
@@ -365,8 +365,6 @@ class _PlanLibrary:
             rules=(
                 FaultRule(action="kill", point="send", message_type="outcome_batch",
                           nth=1, workers=(worker,)),
-                FaultRule(action="kill", point="send", message_type="outcome",
-                          nth=1, workers=(worker,)),
             ),
         )
 
@@ -391,7 +389,6 @@ class _PlanLibrary:
             seed=seed,
             rules=(
                 FaultRule(action="kill", point="send", message_type="outcome_batch", nth=1),
-                FaultRule(action="kill", point="send", message_type="outcome", nth=1),
             ),
         )
 
@@ -406,8 +403,6 @@ class _PlanLibrary:
             rules=(
                 FaultRule(action="disconnect", point="send", message_type="outcome_batch",
                           nth=nth, workers=tuple(workers) if workers else None),
-                FaultRule(action="disconnect", point="send", message_type="outcome",
-                          nth=nth, workers=tuple(workers) if workers else None),
             ),
         )
 
@@ -421,8 +416,6 @@ class _PlanLibrary:
             seed=seed,
             rules=(
                 FaultRule(action="truncate", point="send", message_type="outcome_batch",
-                          nth=nth, workers=tuple(workers) if workers else None),
-                FaultRule(action="truncate", point="send", message_type="outcome",
                           nth=nth, workers=tuple(workers) if workers else None),
             ),
         )

@@ -10,12 +10,14 @@ CI's docs job runs exactly this file.  Two invariants:
   here, not three PRs later.
 """
 
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.runner.cli import render_scenarios_markdown
+from repro.runner.distributed import DistributedBackend
 from repro.runner.registry import load_builtin_scenarios
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -68,3 +70,18 @@ def test_readme_mentions_docs_tree():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     for page in ("docs/architecture.md", "docs/runner.md", "docs/distributed.md", "docs/api.md"):
         assert page in readme, f"README no longer links {page}"
+
+
+def test_distributed_md_knob_list_matches_the_constructor():
+    # The "Tuning knobs" sentence must name exactly the keyword options
+    # DistributedBackend takes, in order — a knob added, removed or
+    # renamed without touching the page fails here.
+    text = (DOCS / "distributed.md").read_text(encoding="utf-8")
+    sentence = text.split("Tuning knobs on `DistributedBackend`:", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"`(\w+)` \(", sentence)
+    options = [
+        name
+        for name, param in inspect.signature(DistributedBackend.__init__).parameters.items()
+        if param.kind is inspect.Parameter.KEYWORD_ONLY
+    ]
+    assert documented == options

@@ -71,18 +71,17 @@ class TestTimeSeries:
 class TestMonitors:
     def test_queue_monitor_counts(self):
         m = QueueMonitor()
-        m.on_enqueue(0.0, 1500)
-        m.on_dequeue(0.1, 0.1, 0)
-        m.on_drop(0.2)
-        assert m.enqueues == 1 and m.dequeues == 1 and m.drops == 1
-        assert m.mean_delay() == pytest.approx(0.1)
+        m.on_dequeue(0.1, 0.1)
+        m.on_dequeue(0.2, 0.3)
+        assert len(m.delay) == 2
+        assert m.mean_delay() == pytest.approx(0.2)
+        assert m.max_delay() == pytest.approx(0.3)
 
-    def test_disabled_monitor_still_counts(self):
+    def test_disabled_monitor_records_nothing(self):
         m = QueueMonitor(enabled=False)
-        m.on_enqueue(0.0, 1500)
-        m.on_dequeue(0.1, 0.1, 0)
+        m.on_dequeue(0.1, 0.1)
         assert len(m.delay) == 0
-        assert m.dequeues == 1
+        assert m.mean_delay() is None
 
     def test_rate_monitor_bins(self):
         m = RateMonitor(bin_width=1.0)

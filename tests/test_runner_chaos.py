@@ -27,16 +27,18 @@ CI feeds the *files* through ``REPRO_CHAOS_PLAN=@...``, so drift between
 the two would quietly change what CI tests.
 """
 
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.runner import worker as worker_mod
 from repro.runner.cache import ResultCache
-from repro.runner.distributed import DistributedBackend, LocalSubprocessTransport
+from repro.runner.distributed import DistributedBackend
 from repro.runner.engine import run_sweep
 from repro.runner.spec import SweepSpec
-from repro.runner.worker import STARTUP_DELAY_ENV
+from repro.runner.wire import PROTOCOL_VERSION, chaos_session, read_message, write_message
 from repro.testing import chaos
 from repro.testing.chaos import (
     KILL_EXIT_CODE,
@@ -83,13 +85,13 @@ class TestFaultRule:
 
 class TestFaultSession:
     def test_nth_counts_per_message_type(self):
-        plan = FaultPlan(rules=(FaultRule(action="drop", message_type="outcome", nth=2),))
+        plan = FaultPlan(rules=(FaultRule(action="drop", message_type="outcome_batch", nth=2),))
         session = plan.session()
-        # Heartbeats between outcomes must not advance the outcome counter.
-        assert session.on_send({"type": "outcome"}, b"a") == [b"a"]
+        # Heartbeats between results must not advance the result counter.
+        assert session.on_send({"type": "outcome_batch"}, b"a") == [b"a"]
         assert session.on_send({"type": "heartbeat"}, b"h") == [b"h"]
-        assert session.on_send({"type": "outcome"}, b"b") == []  # the 2nd
-        assert session.on_send({"type": "outcome"}, b"c") == [b"c"]  # count=1 spent
+        assert session.on_send({"type": "outcome_batch"}, b"b") == []  # the 2nd
+        assert session.on_send({"type": "outcome_batch"}, b"c") == [b"c"]  # count=1 spent
 
     def test_send_semantics(self):
         session = FaultPlan(rules=(
@@ -102,14 +104,14 @@ class TestFaultSession:
 
     def test_disconnect_raises_connection_error(self):
         session = FaultPlan(rules=(
-            FaultRule(action="disconnect", message_type="outcome", nth=1),
+            FaultRule(action="disconnect", message_type="outcome_batch", nth=1),
         )).session()
-        assert session.on_send({"type": "work"}, b"w") == [b"w"]
+        assert session.on_send({"type": "work_batch"}, b"w") == [b"w"]
         with pytest.raises(ChaosDisconnect):
-            session.on_send({"type": "outcome"}, b"o")
+            session.on_send({"type": "outcome_batch"}, b"o")
         # count=1: the session survives and the rule is spent.
-        assert session.on_send({"type": "outcome"}, b"o") == [b"o"]
-        assert session.log == [("disconnect", "send", "outcome", 1)]
+        assert session.on_send({"type": "outcome_batch"}, b"o") == [b"o"]
+        assert session.log == [("disconnect", "send", "outcome_batch", 1)]
 
     def test_recv_drop(self):
         session = FaultPlan(rules=(
@@ -181,6 +183,49 @@ class TestActivation:
         assert chaos.activate_from_env() is None
 
 
+class TestResultFramePlans:
+    """One result-frame shape, so one rule per fault and one ``nth`` count."""
+
+    def teardown_method(self):
+        chaos.deactivate()
+
+    @pytest.mark.parametrize("plan", [
+        chaos.PLANS.kill_worker_mid_batch(0),
+        chaos.PLANS.kill_all_before_reply(),
+        chaos.PLANS.sever_on_result(2),
+        chaos.PLANS.truncate_result(2),
+    ], ids=lambda plan: plan.rules[0].action)
+    def test_one_rule_per_fault(self, plan):
+        assert [rule.message_type for rule in plan.rules] == ["outcome_batch"]
+
+    def test_sever_fires_on_second_result_frame_of_uneven_batches(self):
+        # Fair batching hands a worker one cell, then several.  When a
+        # batch of one travelled as its own frame type, the per-type nth
+        # counter never reached 2 and the fault silently did not fire.
+        cells = [{"index": i, "scenario": "no_such_scenario", "params": {}, "seed": 0}
+                 for i in range(3)]
+        stdin, stdout = io.BytesIO(), io.BytesIO()
+        for frame in (
+            {"type": "welcome", "protocol": PROTOCOL_VERSION, "lease": "l", "worker": 0,
+             "chaos": chaos.PLANS.sever_on_result(nth=2).to_dict()},
+            {"type": "work_batch", "items": cells[:1]},
+            {"type": "work_batch", "items": cells[1:]},
+            {"type": "shutdown"},
+        ):
+            write_message(stdin, frame)
+        stdin.seek(0)
+        state = {}
+        assert worker_mod.serve(stdin, stdout, state=state) == 1
+        assert state["exit_reason"] == "conn_lost"
+        assert chaos_session().log == [("disconnect", "send", "outcome_batch", 2)]
+        stdout.seek(0)
+        replies = []
+        while (reply := read_message(stdout)) is not None:
+            replies.append(reply)
+        assert [r["type"] for r in replies] == ["hello", "outcome_batch"]
+        assert [o["index"] for o in replies[1]["outcomes"]] == [0]
+
+
 class TestPinnedPlanFixtures:
     """The committed CI plans must match the library builders exactly."""
 
@@ -212,19 +257,10 @@ def _grid_specs():
     ).expand()
 
 
-class _SlowSecondTransport(LocalSubprocessTransport):
-    """Delays every launch after the first, so the chaos-targeted worker 0
-    is guaranteed a share of the grid before the pool drains it."""
-
-    def __init__(self, delay_s=1.5):
-        super().__init__()
-        self._first = True
-        self._delay_s = delay_s
-
-    def launch(self, host, *, heartbeat_s):
-        self.extra_env = {} if self._first else {STARTUP_DELAY_ENV: str(self._delay_s)}
-        self._first = False
-        return super().launch(host, heartbeat_s=heartbeat_s)
+#: Worker 1 sits on its first work frame for 1.5 s, so the chaos-targeted
+#: worker 0 is guaranteed a share of the grid before the pool drains it.
+_SLOW_SECOND = FaultRule(action="delay", point="recv", message_type="work_batch",
+                         nth=1, delay_s=1.5, workers=(1,))
 
 
 def _backend(**kwargs):
@@ -241,9 +277,8 @@ class TestChaosAcceptance:
         serial = run_sweep(specs, cache=ResultCache(str(tmp_path / "ser")), backend="serial")
         plan = chaos.PLANS.kill_worker_mid_batch(0)
         backend = _backend(
-            transport=_SlowSecondTransport(),
             batch_size=2,
-            chaos=plan.to_dict(),
+            chaos=FaultPlan(seed=plan.seed, rules=plan.rules + (_SLOW_SECOND,)),
         )
         dist = run_sweep(specs, cache=ResultCache(str(tmp_path / "dist")), backend=backend)
         assert [r.canonical() for r in serial.results] == [

@@ -13,8 +13,8 @@ The acceptance gates for the cross-host backend:
 
 Everything runs over :class:`LocalSubprocessTransport` — same scheduler,
 same wire protocol, same worker entrypoint as SSH, minus the network.
-Worker crashes are injected via the worker's ``REPRO_WORKER_CRASH_AFTER``
-environment hook.
+Worker crashes are injected as :mod:`repro.testing.chaos` fault plans,
+delivered in-band via ``chaos=``.
 """
 
 import pytest
@@ -30,7 +30,7 @@ from repro.runner.distributed import (
 )
 from repro.runner.engine import run_sweep
 from repro.runner.spec import SweepSpec
-from repro.runner.worker import CRASH_AFTER_ENV, STARTUP_DELAY_ENV
+from repro.testing.chaos import FaultPlan, FaultRule
 
 pytestmark = pytest.mark.distributed
 
@@ -50,33 +50,23 @@ def _backend(hosts="localhost:2", transport=None, **kwargs):
     return DistributedBackend(hosts, transport, **kwargs)
 
 
-class _CrashingTransport(LocalSubprocessTransport):
-    """Injects the worker crash hook into the first ``crash_count`` launches.
+def _crash_plan(doomed=None, crash_after=0, delay_healthy=()):
+    """A fault plan that crashes workers on receipt of a work frame.
 
-    Crashing workers serve ``crash_after`` items and then die *without
-    replying* to the next one — the in-flight-cell re-route path.  When
-    ``delay_healthy_s`` is set, healthy workers hello late (the worker's
-    simulated-slow-host hook), guaranteeing the crashing worker is
-    dispatched work first — without it, a fast healthy worker can drain a
-    small grid before the doomed worker ever greets, and the test would
-    race.
+    Workers at the ``doomed`` registration indices (None = every worker)
+    serve ``crash_after`` single-cell batches and then die *without
+    replying* to the next one — the in-flight-cell re-route path.  Workers
+    at the ``delay_healthy`` indices sit on their first work frame for
+    1.5 s before running it, guaranteeing the doomed worker is dispatched
+    work too — without it, a fast healthy worker can drain a small grid
+    before the doomed worker ever greets, and the test would race.
     """
-
-    def __init__(self, crash_count=1, crash_after=0, delay_healthy_s=0.0):
-        super().__init__()
-        self._remaining = crash_count
-        self._crash_after = crash_after
-        self._delay_healthy_s = delay_healthy_s
-
-    def launch(self, host, *, heartbeat_s):
-        if self._remaining > 0:
-            self._remaining -= 1
-            self.extra_env = {CRASH_AFTER_ENV: str(self._crash_after)}
-        elif self._delay_healthy_s > 0:
-            self.extra_env = {STARTUP_DELAY_ENV: str(self._delay_healthy_s)}
-        else:
-            self.extra_env = {}
-        return super().launch(host, heartbeat_s=heartbeat_s)
+    rules = [FaultRule(action="kill", point="recv", message_type="work_batch",
+                       nth=crash_after + 1, workers=doomed)]
+    if delay_healthy:
+        rules.append(FaultRule(action="delay", point="recv", message_type="work_batch",
+                               nth=1, delay_s=1.5, workers=delay_healthy))
+    return FaultPlan(rules=tuple(rules))
 
 
 class TestHostSpecs:
@@ -204,7 +194,7 @@ class TestFaultTolerance:
         specs = _grid_specs()
         serial = run_sweep(specs, cache=ResultCache(str(tmp_path / "ser")), backend="serial")
         backend = _backend(
-            transport=_CrashingTransport(crash_count=1, delay_healthy_s=1.5),
+            chaos=_crash_plan(doomed=(0,), delay_healthy=(1,)),
             worker_timeout_s=20,
         )
         dist = run_sweep(specs, cache=ResultCache(str(tmp_path / "dist")), backend=backend)
@@ -224,7 +214,7 @@ class TestFaultTolerance:
         specs = _grid_specs()
         serial = run_sweep(specs, cache=ResultCache(str(tmp_path / "ser")), backend="serial")
         backend = _backend(
-            transport=_CrashingTransport(crash_count=1, crash_after=1, delay_healthy_s=1.5),
+            chaos=_crash_plan(doomed=(0,), crash_after=1, delay_healthy=(1,)),
             worker_timeout_s=20,
         )
         dist = run_sweep(specs, cache=ResultCache(str(tmp_path / "dist")), backend=backend)
@@ -239,7 +229,7 @@ class TestFaultTolerance:
         specs = _grid_specs()
         cache = ResultCache(str(tmp_path / "c"))
         backend = _backend(
-            transport=_CrashingTransport(crash_count=99),
+            chaos=_crash_plan(),
             max_attempts=2,
             worker_timeout_s=20,
         )
@@ -248,17 +238,6 @@ class TestFaultTolerance:
         recovered = run_sweep(specs, cache=cache, backend=_backend())
         assert len(recovered.results) == len(specs)
         assert recovered.misses == len(specs) - recovered.hits
-
-    def test_straggler_redispatch_duplicates_are_harmless(self, tmp_path):
-        # An aggressive straggler threshold forces speculative duplicates
-        # of healthy in-flight cells; determinism makes either copy right.
-        specs = _grid_specs()
-        serial = run_sweep(specs, cache=ResultCache(str(tmp_path / "ser")), backend="serial")
-        backend = _backend("localhost:3", straggler_s=0.0)
-        dist = run_sweep(specs, cache=ResultCache(str(tmp_path / "d")), backend=backend)
-        assert [r.canonical() for r in serial.results] == [
-            r.canonical() for r in dist.results
-        ]
 
 
 class TestEngineIntegration:

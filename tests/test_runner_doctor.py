@@ -8,8 +8,15 @@ from repro.runner.cli import main
 from repro.runner.distributed import LocalSubprocessTransport
 from repro.runner.doctor import probe_host, probe_hosts, HostSpec
 from repro.runner.wire import PROTOCOL_VERSION
+from repro.testing.chaos import CHAOS_PLAN_ENV, FaultPlan, FaultRule
 
 pytestmark = pytest.mark.distributed
+
+#: A simulated slow host: the worker sits on its hello for 30 s.  Probe
+#: workers inherit the environment, so the plan reaches them that way.
+_SLOW_HELLO = FaultPlan(rules=(
+    FaultRule(action="delay", point="send", message_type="hello", delay_s=30.0),
+)).to_json()
 
 
 class TestProbeHost:
@@ -47,12 +54,10 @@ class TestProbeHost:
         assert health.failure == "calibrate"
         assert "not done within" in health.error
 
-    def test_hello_timeout_marks_unhealthy(self):
-        transport = LocalSubprocessTransport(
-            extra_env={"REPRO_WORKER_STARTUP_DELAY_S": "30"}
-        )
+    def test_hello_timeout_marks_unhealthy(self, monkeypatch):
+        monkeypatch.setenv(CHAOS_PLAN_ENV, _SLOW_HELLO)
         health = probe_host(
-            HostSpec("localhost"), transport, hello_timeout_s=0.5
+            HostSpec("localhost"), LocalSubprocessTransport(), hello_timeout_s=0.5
         )
         assert not health.healthy
         assert health.failure == "hello"
@@ -125,7 +130,7 @@ class TestDoctorCli:
         assert lines and lines[0].rstrip().endswith("-")
 
     def test_doctor_unhealthy_exit_nonzero(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKER_STARTUP_DELAY_S", "30")
+        monkeypatch.setenv(CHAOS_PLAN_ENV, _SLOW_HELLO)
         code = main(["workers", "doctor", "--hosts", "localhost",
                      "--hello-timeout", "0.5"])
         assert code == 1

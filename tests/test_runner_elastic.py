@@ -54,7 +54,6 @@ def _backend(**kwargs):
     kwargs.setdefault("lease_timeout_s", 10.0)
     kwargs.setdefault("heartbeat_s", 0.0)
     kwargs.setdefault("worker_timeout_s", 10.0)
-    kwargs.setdefault("straggler_s", None)
     kwargs.setdefault("poll_s", 0.005)
     return DistributedBackend((), **kwargs)
 
@@ -93,13 +92,11 @@ class ScriptedWorker:
         return message
 
     def take_work(self):
-        """Read frames until a work/work_batch arrives; return its items."""
+        """Read frames until a work_batch arrives; return its items."""
         while True:
             message = self.read()
             assert message is not None, "connection closed while awaiting work"
             kind = message.get("type")
-            if kind == "work":
-                return [message["item"]]
             if kind == "work_batch":
                 return message["items"]
             if kind == "ping":
@@ -115,10 +112,7 @@ class ScriptedWorker:
              "elapsed_s": 0.0, "error": None}
             for item in items
         ]
-        if len(outcomes) == 1:
-            self.send({"type": "outcome", "outcome": outcomes[0]})
-        else:
-            self.send({"type": "outcome_batch", "outcomes": outcomes})
+        self.send({"type": "outcome_batch", "outcomes": outcomes})
 
     def serve_until_shutdown(self):
         while True:
@@ -126,8 +120,8 @@ class ScriptedWorker:
             if message is None:
                 return
             kind = message.get("type")
-            if kind in ("work", "work_batch"):
-                self.reply(message["items"] if kind == "work_batch" else [message["item"]])
+            if kind == "work_batch":
+                self.reply(message["items"])
             elif kind == "ping":
                 self.send({"type": "pong"})
             elif kind == "shutdown":
@@ -222,11 +216,16 @@ class TestElasticJoin:
         backend = _backend(join_grace_s=5.0)
         try:
             sweep = _Sweep(backend, items)
-            stranger = ScriptedWorker(backend.endpoint, protocol=PROTOCOL_VERSION + 1)
-            error = stranger.expect("error")
-            assert "protocol mismatch" in error["error"]
-            assert stranger.read() is None  # scheduler hung up
-            stranger.close()
+            # A worker from the future, and a v2 worker from before the
+            # single-cell frames left the vocabulary: same refusal.
+            for protocol in (PROTOCOL_VERSION + 1, 2):
+                stranger = ScriptedWorker(backend.endpoint, protocol=protocol)
+                error = stranger.expect("error")
+                assert error["error"] == (
+                    f"protocol mismatch (worker {protocol}, scheduler {PROTOCOL_VERSION})"
+                )
+                assert stranger.read() is None  # scheduler hung up
+                stranger.close()
             # The pool is unharmed: a conforming worker completes the sweep.
             worker = ScriptedWorker(backend.endpoint)
             worker.expect("welcome")
@@ -306,6 +305,35 @@ class TestLeaveAndLeases:
             worker.serve_until_shutdown()
             _assert_complete(sweep.finish(), items)
             assert backend.telemetry()["lease_resumes"] == 0
+        finally:
+            backend.close()
+
+    def test_stale_lease_from_previous_sweep_is_not_transplanted(self):
+        # A listening backend outlives one sweep.  A worker left over from
+        # sweep 1 that redials into sweep 2 must not be mistaken for sweep
+        # 2's worker at the same site: lease tokens differ per sweep.
+        backend = _backend()
+        try:
+            sweep = _Sweep(backend, _items(2))
+            veteran = ScriptedWorker(backend.endpoint, host="veteran")
+            old_lease = veteran.expect("welcome")["lease"]
+            veteran.serve_until_shutdown()
+            veteran.close()
+            sweep.finish()
+
+            items = _items(4)
+            sweep = _Sweep(backend, items)
+            newcomer = ScriptedWorker(backend.endpoint, host="newcomer")
+            new_lease = newcomer.expect("welcome")["lease"]
+            assert new_lease != old_lease  # both are site 0 of their sweep
+            redial = ScriptedWorker(backend.endpoint, lease=old_lease, host="veteran")
+            assert redial.expect("welcome")["lease"] not in (old_lease, new_lease)
+            threading.Thread(target=redial.serve_until_shutdown, daemon=True).start()
+            newcomer.serve_until_shutdown()
+            _assert_complete(sweep.finish(), items)
+            telemetry = backend.telemetry()
+            assert telemetry["lease_resumes"] == 0
+            assert telemetry["joined"] == 2
         finally:
             backend.close()
 

@@ -72,7 +72,6 @@ def _play_schedule(seed):
         lease_timeout_s=0.25,
         heartbeat_s=0.0,
         worker_timeout_s=20.0,
-        straggler_s=None,
         poll_s=0.005,
         batch_size=rng.randint(1, 8),
         max_attempts=64,

@@ -163,9 +163,7 @@ class TestTraceSweepParity:
         from repro.runner.distributed import DistributedBackend, LocalSubprocessTransport
 
         cache = ResultCache(str(tmp_path / "cache"))
-        backend = DistributedBackend(
-            "localhost:2", LocalSubprocessTransport(), straggler_s=None
-        )
+        backend = DistributedBackend("localhost:2", LocalSubprocessTransport())
         cold = run_sweep(self._specs(), cache=cache, backend=backend)
         assert cold.misses == 2
         warm = run_sweep(self._specs(), cache=cache, backend=SerialBackend())

@@ -3,7 +3,7 @@
 The framing layer is exercised over in-memory streams; the worker's
 protocol loop is driven through :func:`repro.runner.worker.serve` with
 ``BytesIO`` stand-ins for stdin/stdout, so a full request/response cycle —
-hello, ping, work, outcome, shutdown — runs in-process and fast.
+hello, ping, work_batch, outcome_batch, shutdown — runs in-process and fast.
 """
 
 import io
@@ -30,7 +30,7 @@ def _roundtrip(message):
 
 class TestFraming:
     def test_roundtrip(self):
-        message = {"type": "work", "item": {"index": 3, "params": {"rate": 24.0}}}
+        message = {"type": "work_batch", "items": [{"index": 3, "params": {"rate": 24.0}}]}
         assert _roundtrip(message) == message
 
     def test_unicode_roundtrip(self):
@@ -118,33 +118,33 @@ class TestWorkerProtocol:
     def test_work_produces_validated_outcome(self):
         code, replies = _drive_worker(
             {
-                "type": "work",
-                "item": {
+                "type": "work_batch",
+                "items": [{
                     "index": 5,
                     "scenario": "ablation_pi_gains",
                     "params": {"alpha": 5.0, "beta": 10.0},
                     "seed": 0,
-                },
+                }],
             },
             {"type": "shutdown"},
         )
         assert code == 0
-        outcome = replies[1]
-        assert outcome["type"] == "outcome"
-        assert outcome["outcome"]["index"] == 5
-        assert outcome["outcome"]["error"] is None
-        assert outcome["outcome"]["payload"]["metrics"]["settled"] in (True, False)
+        assert replies[1]["type"] == "outcome_batch"
+        (outcome,) = replies[1]["outcomes"]  # a batch of one is still a batch
+        assert outcome["index"] == 5
+        assert outcome["error"] is None
+        assert outcome["payload"]["metrics"]["settled"] in (True, False)
 
     def test_scenario_failure_travels_as_outcome_not_crash(self):
         code, replies = _drive_worker(
             {
-                "type": "work",
-                "item": {"index": 0, "scenario": "no_such_scenario", "params": {}, "seed": 1},
+                "type": "work_batch",
+                "items": [{"index": 0, "scenario": "no_such_scenario", "params": {}, "seed": 1}],
             },
             {"type": "shutdown"},
         )
         assert code == 0  # the worker survives to serve the next item
-        outcome = replies[1]["outcome"]
+        (outcome,) = replies[1]["outcomes"]
         assert outcome["payload"] is None
         assert "no_such_scenario" in outcome["error"]
 
@@ -152,14 +152,29 @@ class TestWorkerProtocol:
         # A skewed scheduler sending an item without index/scenario must
         # get an error frame back, not a dead pipe.
         code, replies = _drive_worker(
-            {"type": "work", "item": {}},
+            {"type": "work_batch", "items": [{}]},
             {"type": "ping"},
             {"type": "shutdown"},
         )
         assert code == 0
         assert replies[1]["type"] == "error"
         assert "malformed work item" in replies[1]["error"]
-        assert replies[2]["type"] == "pong"  # still serving afterwards
+        assert replies[2] == {"type": "outcome_batch", "outcomes": []}
+        assert replies[3]["type"] == "pong"  # still serving afterwards
+
+    def test_v2_single_cell_work_frame_gets_typed_error(self):
+        # "work" left the vocabulary in v3: a v2 scheduler's single-cell
+        # frame is answered with an error frame, never a crash or a hang,
+        # and the worker keeps serving.
+        code, replies = _drive_worker(
+            {"type": "work",
+             "item": {"index": 0, "scenario": "ablation_pi_gains", "params": {}, "seed": 1}},
+            {"type": "ping"},
+            {"type": "shutdown"},
+        )
+        assert code == 0
+        assert [r["type"] for r in replies] == ["hello", "error", "pong"]
+        assert "unknown message type 'work'" in replies[1]["error"]
 
     def test_unknown_message_type_reported_not_fatal(self):
         code, replies = _drive_worker({"type": "dance"}, {"type": "shutdown"})

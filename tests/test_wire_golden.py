@@ -1,4 +1,4 @@
-"""Golden wire conversations: the v2 protocol's shape, pinned to disk.
+"""Golden wire conversations: the protocol's shape, pinned to disk.
 
 Each golden under ``tests/golden/wire/`` is one complete scheduler↔worker
 conversation — the frames a scheduler sends and the (normalized) frames
@@ -70,8 +70,6 @@ def _normalize(frame):
             out[key] = "<payload>"
         elif key == "telemetry" and value is not None:
             out[key] = "<telemetry>"
-        elif key == "outcome":
-            out[key] = _normalize(value)
         elif key == "outcomes":
             out[key] = [_normalize(o) for o in value]
         else:
@@ -143,12 +141,13 @@ class TestGoldenConversations:
 
     def test_work_batch(self):
         # A mixed batch: one real cell, one failing cell — a single
-        # outcome_batch reply carrying both, order preserved.
+        # outcome_batch reply carrying both, order preserved.  Then a
+        # batch of one: the same frame shape, not a special case.
         scheduler = [
             {"type": "welcome", "protocol": PROTOCOL_VERSION,
              "lease": "lease-golden-0", "worker": 0},
             {"type": "work_batch", "items": [_REAL_ITEM, _ERROR_ITEM]},
-            {"type": "work", "item": _ERROR_ITEM},
+            {"type": "work_batch", "items": [_ERROR_ITEM]},
             {"type": "shutdown"},
         ]
         _check("work_batch", scheduler, _converse(scheduler))
@@ -161,7 +160,7 @@ class TestGoldenConversations:
         scheduler = [
             {"type": "welcome", "protocol": PROTOCOL_VERSION,
              "lease": "lease-golden-0", "worker": 0, "spill_dir": "<spill_dir>"},
-            {"type": "work", "item": _REAL_ITEM},
+            {"type": "work_batch", "items": [_REAL_ITEM]},
             {"type": "shutdown"},
         ]
         live = [dict(f, spill_dir=spill_dir) if "spill_dir" in f else f
@@ -183,7 +182,7 @@ class TestGoldenConversations:
             scheduler = [
                 {"type": "welcome", "protocol": PROTOCOL_VERSION,
                  "lease": "lease-golden-0", "worker": 0, "chaos": _INERT_PLAN},
-                {"type": "work", "item": _ERROR_ITEM},
+                {"type": "work_batch", "items": [_ERROR_ITEM]},
                 {"type": "shutdown"},
             ]
             worker_frames = _converse(scheduler)
