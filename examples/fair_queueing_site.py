@@ -14,7 +14,7 @@ Run with::
 from repro.core import BundlerConfig, install_bundler
 from repro.net import Simulator
 from repro.net.topology import build_site_to_site
-from repro.net.trace import percentile
+from repro.net.trace import QueueMonitor, RateMonitor, percentile
 from repro.transport.flow import TcpFlow
 from repro.workload.generators import ClosedLoopProbes
 
@@ -22,6 +22,10 @@ from repro.workload.generators import ClosedLoopProbes
 def run(with_bundler: bool) -> dict:
     sim = Simulator()
     topo = build_site_to_site(sim, bottleneck_mbps=24.0, rtt_ms=50.0, num_servers=3, num_clients=1)
+    # Links measure nothing on their own: attach a tap to each series we read.
+    bottleneck_queue = QueueMonitor(topo.bottleneck_link)
+    sendbox_queue = QueueMonitor(topo.sendbox_link)
+    bottleneck_rate = RateMonitor(topo.bottleneck_link)
     if with_bundler:
         install_bundler(topo, BundlerConfig(sendbox_cc="copa", scheduler="sfq",
                                             initial_rate_bps=12e6))
@@ -37,10 +41,10 @@ def run(with_bundler: bool) -> dict:
         flow.stop()
     probe_rtts = [r * 1e3 for r in probes.all_rtts()]
     return {
-        "bottleneck_queue_ms": (topo.bottleneck_link.monitor.delay.between(5, 20).mean() or 0) * 1e3,
-        "sendbox_queue_ms": (topo.sendbox_link.monitor.delay.between(5, 20).mean() or 0) * 1e3,
+        "bottleneck_queue_ms": (bottleneck_queue.delay.between(5, 20).mean() or 0) * 1e3,
+        "sendbox_queue_ms": (sendbox_queue.delay.between(5, 20).mean() or 0) * 1e3,
         "probe_median_rtt_ms": percentile(probe_rtts, 50) if probe_rtts else float("nan"),
-        "bulk_throughput_mbps": topo.bottleneck_link.rate_monitor.mean_bps(5, 20) / 1e6,
+        "bulk_throughput_mbps": bottleneck_rate.mean_bps(5, 20) / 1e6,
     }
 
 

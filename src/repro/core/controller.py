@@ -92,7 +92,6 @@ class BundleController:
         )
         self.mode = BundlerMode.DELAY_CONTROL
         self._base_rate = self.rate_cc.initial_rate_bps()
-        self.rate_history = TimeSeries()
         self.mode_history = TimeSeries()
         self.mode_changes = 0
 
@@ -141,7 +140,6 @@ class BundleController:
             rate = self._base_rate + self._pulse_offset(now)
 
         rate = min(max(rate, self.config.min_rate_bps), self.max_rate_bps)
-        self.rate_history.add(now, rate)
         self.mode_history.add(now, self._mode_code(self.mode))
         return rate
 

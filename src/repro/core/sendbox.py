@@ -42,7 +42,6 @@ from repro.net.node import Router
 from repro.net.packet import Packet, PacketFactory
 from repro.net.simulator import Simulator
 from repro.net.topology import SiteToSite
-from repro.net.trace import TimeSeries
 from repro.qdisc import make_qdisc
 from repro.qdisc.tbf import TokenBucketQdisc
 
@@ -107,7 +106,6 @@ class Sendbox:
         edge_router.register_agent(config.sendbox_control_port, self)
 
         self.bundles: Dict[int, SendBundleState] = {}
-        self.queue_delay_history = TimeSeries()
         self._control_timer = sim.every(config.control_interval_s, self._control_tick)
 
     # -- per-bundle state ---------------------------------------------------------
@@ -176,7 +174,6 @@ class Sendbox:
     def _control_tick(self) -> None:
         now = self.sim.now
         queue_delay = self.tbf.queue_delay_estimate(now)
-        self.queue_delay_history.add(now, queue_delay)
         for state in self.bundles.values():
             measurement = state.measurement.current_measurement(now)
             rate = state.controller.tick(now, measurement, queue_delay)

@@ -25,7 +25,6 @@ from repro.experiments.scenarios import (
     ScenarioResult,
     policy_metrics,
     run_scenario,
-    run_scenarios,
     scenario_metrics,
 )
 from repro.experiments.ablations import pi_settle_time
@@ -34,13 +33,11 @@ from repro.experiments.estimate_accuracy import EstimateTrace, run_estimate_swee
 from repro.experiments.cross_traffic import (
     PhasedConfig,
     run_elastic_cross_point,
-    run_elastic_cross_sweep,
     run_phased_cross_traffic,
     run_short_cross_point,
-    run_short_cross_traffic_sweep,
 )
 from repro.experiments.competing_bundles import run_competing_bundles
-from repro.experiments.multipath_sweep import run_multipath_point, run_multipath_sweep, separation_ratio
+from repro.experiments.multipath_sweep import run_multipath_point
 from repro.experiments.trace_replay import run_trace_replay
 from repro.experiments.internet_paths import (
     DEFAULT_REGIONS,
@@ -53,7 +50,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "run_scenario",
-    "run_scenarios",
     "scenario_metrics",
     "policy_metrics",
     "pi_settle_time",
@@ -65,14 +61,10 @@ __all__ = [
     "PhasedConfig",
     "run_phased_cross_traffic",
     "run_short_cross_point",
-    "run_short_cross_traffic_sweep",
     "run_elastic_cross_point",
-    "run_elastic_cross_sweep",
     "run_competing_bundles",
     "run_multipath_point",
-    "run_multipath_sweep",
     "run_trace_replay",
-    "separation_ratio",
     "DEFAULT_REGIONS",
     "run_region",
     "run_internet_paths_study",

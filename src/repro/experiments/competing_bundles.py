@@ -19,6 +19,7 @@ from repro.core.sendbox import Sendbox
 from repro.metrics.fct import FctAnalysis
 from repro.net.simulator import Simulator
 from repro.net.topology import build_competing_bundles
+from repro.net.trace import QueueMonitor
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
@@ -66,6 +67,7 @@ def run_competing_bundles(
         rtt_ms=rtt_ms,
         servers_per_bundle=[6] * len(load_split),
     )
+    bottleneck_queue = QueueMonitor(topo.shared_bottleneck)
     config = BundlerConfig(
         sendbox_cc=sendbox_cc,
         scheduler="sfq",
@@ -120,7 +122,7 @@ def run_competing_bundles(
         load_split=load_split,
         with_bundler=with_bundler,
         per_bundle_fct=analyses,
-        bottleneck_mean_queue_delay_s=topo.shared_bottleneck.monitor.mean_delay() or 0.0,
+        bottleneck_mean_queue_delay_s=bottleneck_queue.mean_delay() or 0.0,
         bottleneck_drops=topo.shared_bottleneck.packets_dropped,
     )
 

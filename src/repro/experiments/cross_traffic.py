@@ -3,14 +3,15 @@
 * :func:`run_phased_cross_traffic` (Figure 10): three consecutive phases —
   no cross traffic, buffer-filling (backlogged Cubic) cross traffic, then
   non-buffer-filling (heavy-tailed request) cross traffic — while the bundle
-  carries the standard workload.  The result records per-phase throughput,
-  in-network queueing delay, short-flow slowdowns, and the time Bundler
-  spent in pass-through mode (the grey shading in the paper's figure).
-* :func:`run_short_cross_traffic_sweep` (Figure 11): the bundle offers a
-  fixed load while finite, mostly-short cross traffic sweeps its offered
-  load upward; compares Status Quo and Bundler FCTs.
-* :func:`run_elastic_cross_sweep` (Figure 12): the bundle carries a fixed
-  number of backlogged flows against a varying number of competing
+  carries the standard workload.  The result records per-phase in-network
+  queueing delay, short-flow slowdowns, and the time Bundler spent in
+  pass-through mode (the grey shading in the paper's figure).
+* :func:`run_short_cross_point` (Figure 11): the bundle offers a fixed load
+  against finite, mostly-short cross traffic at one offered load, with or
+  without Bundler; the figure's sweep is a ``SweepSpec`` over the
+  registered scenario.
+* :func:`run_elastic_cross_point` (Figure 12): the bundle carries a fixed
+  number of backlogged flows against a given number of competing
   buffer-filling flows; reports the bundle's throughput share (the paper
   measures a 12–22% throughput reduction versus its fair share).
 """
@@ -25,11 +26,10 @@ from repro.core.controller import BundlerMode
 from repro.metrics.fct import FctAnalysis, filter_by_time
 from repro.net.simulator import Simulator
 from repro.net.topology import SiteToSite, build_site_to_site
-from repro.net.trace import TimeSeries
+from repro.net.trace import QueueMonitor, TimeSeries
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
-from repro.runner.spec import expand_grid
 from repro.transport.flow import FlowRecord
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import mbps_to_bps, ms_to_s
@@ -43,8 +43,6 @@ class PhasedCrossTrafficResult:
     phase_boundaries: Sequence[float]
     records: List[FlowRecord]
     bottleneck_queue_delay: TimeSeries
-    bundle_throughput: TimeSeries
-    mode_history: Optional[TimeSeries]
     pass_through_seconds: float
     config: "PhasedConfig"
 
@@ -94,6 +92,7 @@ def run_phased_cross_traffic(config: Optional[PhasedConfig] = None) -> PhasedCro
         num_clients=1,
         num_cross_pairs=max(config.cross_bulk_flows, 2),
     )
+    bottleneck_queue = QueueMonitor(topo.bottleneck_link)
     pair = None
     if config.with_bundler:
         pair = install_bundler(
@@ -142,20 +141,16 @@ def run_phased_cross_traffic(config: Optional[PhasedConfig] = None) -> PhasedCro
 
     sim.run(until=total + 3.0)
 
-    mode_history = None
     pass_seconds = 0.0
     if pair is not None:
         state = pair.sendbox.bundles.get(0)
         if state is not None:
-            mode_history = state.controller.mode_history
             pass_seconds = state.controller.time_in_mode(BundlerMode.PASS_THROUGH, total)
 
     return PhasedCrossTrafficResult(
         phase_boundaries=(0.0, config.phase_duration_s, 2 * config.phase_duration_s, total),
         records=workload.records(include_incomplete=True),
-        bottleneck_queue_delay=topo.bottleneck_link.monitor.delay,
-        bundle_throughput=topo.sendbox_link.rate_monitor.series_bps(),
-        mode_history=mode_history,
+        bottleneck_queue_delay=bottleneck_queue.delay,
         pass_through_seconds=pass_seconds,
         config=config,
     )
@@ -241,33 +236,6 @@ def run_short_cross_point(
         p99_slowdown=analysis.percentile_slowdown(99) if len(analysis) else None,
         completed=len(analysis),
     )
-
-
-def run_short_cross_traffic_sweep(
-    *,
-    bottleneck_mbps: float = 24.0,
-    rtt_ms: float = 50.0,
-    bundle_load_fraction: float = 0.5,
-    cross_load_fractions: Sequence[float] = (0.125, 0.25, 0.375),
-    modes: Sequence[str] = ("status_quo", "bundler"),
-    duration_s: float = 15.0,
-    seed: int = 1,
-    sendbox_cc: str = "copa",
-) -> List[CrossSweepPoint]:
-    """Figure 11: bundle FCTs versus increasing short-flow cross-traffic load."""
-    cells = expand_grid({"mode": modes, "cross_load_fraction": cross_load_fractions})
-    return [
-        run_short_cross_point(
-            bottleneck_mbps=bottleneck_mbps,
-            rtt_ms=rtt_ms,
-            bundle_load_fraction=bundle_load_fraction,
-            duration_s=duration_s,
-            seed=seed,
-            sendbox_cc=sendbox_cc,
-            **cell,
-        )
-        for cell in cells
-    ]
 
 
 @dataclass
@@ -359,33 +327,6 @@ def run_elastic_cross_point(
         cross_throughput_mbps=cross_mbps,
         fair_share_mbps=fair,
     )
-
-
-def run_elastic_cross_sweep(
-    *,
-    bottleneck_mbps: float = 24.0,
-    rtt_ms: float = 50.0,
-    bundle_flows: int = 5,
-    competing_flow_counts: Sequence[int] = (2, 5, 10),
-    modes: Sequence[str] = ("status_quo", "bundler"),
-    duration_s: float = 30.0,
-    warmup_s: float = 0.0,
-    sendbox_cc: str = "copa",
-) -> List[ElasticSweepPoint]:
-    """Figure 12: bundle throughput against persistent buffer-filling cross flows."""
-    cells = expand_grid({"mode": modes, "competing_flows": competing_flow_counts})
-    return [
-        run_elastic_cross_point(
-            bottleneck_mbps=bottleneck_mbps,
-            rtt_ms=rtt_ms,
-            bundle_flows=bundle_flows,
-            duration_s=duration_s,
-            warmup_s=warmup_s,
-            sendbox_cc=sendbox_cc,
-            **cell,
-        )
-        for cell in cells
-    ]
 
 
 # ---------------------------------------------------------------------------

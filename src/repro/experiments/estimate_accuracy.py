@@ -22,7 +22,7 @@ from repro.core import BundlerConfig, install_bundler
 from repro.cc import make_window_cc
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
-from repro.net.trace import TimeSeries, percentile
+from repro.net.trace import QueueMonitor, RateMonitor, TimeSeries, percentile
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
@@ -79,6 +79,8 @@ def run_estimate_trace(
         num_servers=max(num_flows, 1),
         num_clients=1,
     )
+    bottleneck_queue = QueueMonitor(topo.bottleneck_link)
+    bottleneck_rate = RateMonitor(topo.bottleneck_link)
     pair = install_bundler(
         topo,
         BundlerConfig(sendbox_cc=sendbox_cc, scheduler="fifo", enable_nimbus=False),
@@ -99,7 +101,6 @@ def run_estimate_trace(
     estimated_rate = TimeSeries()
     actual_rtt = TimeSeries()
     base_rtt = ms_to_s(rtt_ms)
-    bottleneck = topo.bottleneck_link
 
     def sample() -> None:
         now = sim.now
@@ -113,7 +114,7 @@ def run_estimate_trace(
         estimated_rate.add(now, measurement.recv_rate)
         # Ground truth: base propagation RTT plus the bottleneck's current
         # queueing delay (most recent dequeue's wait).
-        queue_delay = bottleneck.monitor.delay.value_at(now) or 0.0
+        queue_delay = bottleneck_queue.delay.value_at(now) or 0.0
         actual_rtt.add(now, base_rtt + queue_delay)
 
     sim.every(sample_interval_s, sample)
@@ -121,7 +122,7 @@ def run_estimate_trace(
     for flow in flows:
         flow.stop()
 
-    actual_rate = bottleneck.rate_monitor.series_bps()
+    actual_rate = bottleneck_rate.series_bps()
     return EstimateTrace(
         bottleneck_mbps=bottleneck_mbps,
         rtt_ms=rtt_ms,

@@ -12,7 +12,7 @@ threshold robust.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core import BundlerConfig, install_bundler
 from repro.core.controller import BundlerMode
@@ -21,7 +21,6 @@ from repro.net.topology import build_site_to_site
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
-from repro.runner.spec import expand_grid
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import mbps_to_bps
 from repro.workload.generators import RequestWorkload
@@ -108,23 +107,6 @@ def run_multipath_point(
     )
 
 
-def run_multipath_sweep(
-    path_counts: Sequence[int] = (1, 2, 4),
-    bottleneck_mbps_values: Sequence[float] = (12.0, 24.0),
-    rtt_ms_values: Sequence[float] = (20.0, 50.0),
-    **kwargs,
-) -> List[MultipathPoint]:
-    """The §7.6 sweep over path count, bandwidth and RTT (scaled down)."""
-    cells = expand_grid(
-        {
-            "num_paths": path_counts,
-            "bottleneck_mbps": bottleneck_mbps_values,
-            "rtt_ms": rtt_ms_values,
-        }
-    )
-    return [run_multipath_point(**cell, **kwargs) for cell in cells]
-
-
 @register_scenario(
     "fig07_multipath",
     figure="Figure 7 / §7.6",
@@ -167,20 +149,3 @@ def _multipath_scenario(*, seed: int, **params):
         "detector_triggered": point.detector_triggered,
         "final_mode": point.final_mode,
     }
-
-
-def separation_ratio(points: Sequence[MultipathPoint]) -> float:
-    """Ratio of the minimum multipath fraction to the maximum single-path fraction.
-
-    The paper reports roughly two orders of magnitude; anything comfortably
-    above 1.0 means a fixed threshold separates the two regimes.
-    """
-    single = [p.out_of_order_fraction for p in points if p.num_paths == 1]
-    multi = [p.out_of_order_fraction for p in points if p.num_paths > 1]
-    if not single or not multi:
-        raise ValueError("need both single-path and multi-path points")
-    max_single = max(single)
-    min_multi = min(multi)
-    if max_single == 0:
-        return float("inf")
-    return min_multi / max_single

@@ -16,7 +16,7 @@ from repro.core import BundlerConfig, install_bundler
 from repro.cc import make_window_cc
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
-from repro.net.trace import TimeSeries
+from repro.net.trace import QueueMonitor, TimeSeries
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
@@ -30,7 +30,6 @@ class QueueShiftResult:
     with_bundler: bool
     bottleneck_delay: TimeSeries
     sendbox_delay: TimeSeries
-    throughput: TimeSeries
     bottleneck_drops: int
 
     def mean_bottleneck_delay(self, start: float = 5.0, end: Optional[float] = None) -> float:
@@ -61,6 +60,8 @@ def run_queue_shift(
         num_servers=max(num_flows, 1),
         num_clients=1,
     )
+    bottleneck_queue = QueueMonitor(topo.bottleneck_link)
+    sendbox_queue = QueueMonitor(topo.sendbox_link)
     if with_bundler:
         install_bundler(
             topo,
@@ -87,9 +88,8 @@ def run_queue_shift(
         flow.stop()
     return QueueShiftResult(
         with_bundler=with_bundler,
-        bottleneck_delay=topo.bottleneck_link.monitor.delay,
-        sendbox_delay=topo.sendbox_link.monitor.delay,
-        throughput=topo.bottleneck_link.rate_monitor.series_bps(),
+        bottleneck_delay=bottleneck_queue.delay,
+        sendbox_delay=sendbox_queue.delay,
         bottleneck_drops=topo.bottleneck_link.packets_dropped,
     )
 

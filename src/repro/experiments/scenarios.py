@@ -34,7 +34,6 @@ from repro.cc import make_window_cc
 from repro.metrics.fct import FctAnalysis
 from repro.net.simulator import Simulator
 from repro.net.topology import SiteToSite, build_site_to_site
-from repro.net.trace import TimeSeries
 from repro.qdisc.sfq import SfqQdisc
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
@@ -105,13 +104,8 @@ class ScenarioResult:
     config: ScenarioConfig
     records: List[FlowRecord]
     requests_issued: int
-    bottleneck_queue_delay: TimeSeries
-    sendbox_queue_delay: TimeSeries
-    bottleneck_throughput: TimeSeries
     bottleneck_drops: int
     sendbox_drops: int
-    bundler_mode_history: Optional[TimeSeries] = None
-    bundler_rate_history: Optional[TimeSeries] = None
     bundler_min_rtt: Optional[float] = None
     out_of_order_fraction: Optional[float] = None
 
@@ -174,9 +168,6 @@ def _bundler_config(config: ScenarioConfig) -> BundlerConfig:
 
 def _endhost_cc_factory(config: ScenarioConfig) -> Callable[[], object]:
     if config.mode == "proxy":
-        window = idealized_proxy_window(
-            mbps_to_bps(config.bottleneck_mbps), ms_to_s(config.rtt_ms)
-        )
         return lambda: idealized_proxy_window(
             mbps_to_bps(config.bottleneck_mbps), ms_to_s(config.rtt_ms)
         )
@@ -217,15 +208,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     # workload duration so their completions are recorded.
     sim.run(until=config.duration_s + 5.0)
 
-    mode_history = None
-    rate_history = None
     min_rtt = None
     ooo_fraction = None
     if bundler_pair is not None:
         state = bundler_pair.sendbox.bundles.get(0)
         if state is not None:
-            mode_history = state.controller.mode_history
-            rate_history = state.controller.rate_history
             min_rtt = state.measurement.min_rtt
             ooo_fraction = state.measurement.out_of_order_fraction()
 
@@ -233,24 +220,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         config=config,
         records=workload.records(include_incomplete=True),
         requests_issued=workload.requests_issued,
-        bottleneck_queue_delay=topo.bottleneck_links[0].monitor.delay,
-        sendbox_queue_delay=topo.sendbox_link.monitor.delay,
-        bottleneck_throughput=topo.bottleneck_links[0].rate_monitor.series_bps(),
         bottleneck_drops=sum(l.packets_dropped for l in topo.bottleneck_links),
         sendbox_drops=topo.sendbox_link.packets_dropped,
-        bundler_mode_history=mode_history,
-        bundler_rate_history=rate_history,
         bundler_min_rtt=min_rtt,
         out_of_order_fraction=ooo_fraction,
     )
-
-
-def run_scenarios(configs: List[ScenarioConfig]) -> Dict[str, ScenarioResult]:
-    """Run several configurations and key the results by mode name."""
-    results: Dict[str, ScenarioResult] = {}
-    for config in configs:
-        results[config.mode] = run_scenario(config)
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ emulation and Linux networking stack.  It provides:
 * :mod:`repro.net.packet` — the packet model (header fields used by the
   epoch-boundary hash, sizes, flow identifiers).
 * :mod:`repro.net.link` — rate/propagation-delay links with pluggable
-  queueing disciplines and per-queue monitoring.
+  queueing disciplines.
 * :mod:`repro.net.node` — hosts, routers (with static and ECMP routing) and
   generic middlebox hooks.
 * :mod:`repro.net.topology` — canonical topologies used by the evaluation
   (site-to-site dumbbell, multipath, multi-site).
-* :mod:`repro.net.trace` — queue-delay and throughput monitors.
+* :mod:`repro.net.trace` — queue-delay and throughput taps a reader
+  attaches to the links it measures.
 """
 
 from repro.net.simulator import Simulator

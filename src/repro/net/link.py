@@ -30,7 +30,6 @@ from typing import Callable, List, Optional
 
 from repro.net.packet import Packet
 from repro.net.simulator import CancelToken, Simulator
-from repro.net.trace import QueueMonitor, RateMonitor
 
 
 class Link:
@@ -43,9 +42,6 @@ class Link:
         rate_bps: float,
         delay: float,
         qdisc,
-        *,
-        monitor: Optional[QueueMonitor] = None,
-        rate_monitor: Optional[RateMonitor] = None,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
@@ -57,8 +53,6 @@ class Link:
         self.delay = delay
         self.qdisc = qdisc
         self.dst_node = None
-        self.monitor = monitor or QueueMonitor(enabled=False)
-        self.rate_monitor = rate_monitor or RateMonitor()
         self._busy = False
         self._retry_token: Optional[CancelToken] = None
         self._transmit_hooks: List[Callable[[Packet, float], None]] = []
@@ -70,6 +64,10 @@ class Link:
         #: drop instant when an arrival is rejected at enqueue — a pure
         #: observer, set by the probe layer at ``observe_link`` time.
         self.drop_probe: Optional[Callable[[float], None]] = None
+        #: Optional results-side tap (:class:`repro.net.trace.RateMonitor`):
+        #: called with ``(finish instant, size)`` when a packet completes
+        #: serialization.  Set by the tap's constructor, never by users.
+        self.finish_tap: Optional[Callable[[float, int], None]] = None
         self.bytes_sent = 0
         self.packets_sent = 0
         self.packets_dropped = 0
@@ -84,7 +82,9 @@ class Link:
         """Register a callback invoked when a packet begins transmission.
 
         The Bundler sendbox uses this to record ``t_sent`` for epoch boundary
-        packets at the moment they leave the shaping queue (§4.5 / Figure 4).
+        packets at the moment they leave the shaping queue (§4.5 / Figure 4);
+        :class:`~repro.net.trace.QueueMonitor` uses it to read each packet's
+        queueing delay.
         """
         self._transmit_hooks.append(hook)
 
@@ -140,8 +140,6 @@ class Link:
                     # otherwise livelock the event loop.
                     self._retry_token = self.sim.at(max(ready, now + 1e-6), self._try_transmit)
             return
-        wait = now - packet.enqueued_at
-        self.monitor.on_dequeue(now, wait)
         for hook in self._transmit_hooks:
             hook(packet, now)
         self._busy = True
@@ -182,7 +180,8 @@ class Link:
             size = packet.size
             self.bytes_sent += size
             self.packets_sent += 1
-            self.rate_monitor.on_delivery(now, size)
+            if self.finish_tap is not None:
+                self.finish_tap(now, size)
             dst = self.dst_node
             deliver_entry = None
             if dst is not None:
@@ -200,8 +199,6 @@ class Link:
                     if ready is not None:
                         self._retry_token = sim.at(max(ready, now + 1e-6), self._try_transmit)
             else:
-                wait = now - nxt.enqueued_at
-                self.monitor.on_dequeue(now, wait)
                 for hook in self._transmit_hooks:
                     hook(nxt, now)
                 self._busy = True

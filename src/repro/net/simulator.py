@@ -16,7 +16,7 @@ Three scheduling idioms are supported:
   :meth:`Simulator.at`, which allocate and return a :class:`CancelToken`;
 * recurring timers via :meth:`Simulator.every`, a single self-rescheduling
   tick object — this is how the sendbox control plane gets invoked every
-  10 ms (§6.2) and how monitors sample queue state.
+  10 ms (§6.2) and how probes sample queue state.
 
 Heap entries are plain ``(time, seq, token, fn, args)`` tuples: the
 monotonically increasing ``seq`` both breaks ties (events scheduled for the

@@ -12,9 +12,9 @@ paths (§5.2/§7.6), attachment points for un-bundled cross traffic (§7.3),
 and pluggable qdiscs at the sendbox egress and at the bottleneck (so the
 same topology expresses Status Quo, In-Network FQ, and Bundler runs).
 
-:func:`build_competing_bundles` builds the two-site-A variant of Figure 13
-and :func:`build_multi_region` the five-destination cloud deployment used to
-emulate the real-Internet-paths study (§8 / Figure 16).
+:func:`build_competing_bundles` builds the two-site-A variant of Figure 13.
+No link is measured until the code that reads a series attaches a tap
+(:mod:`repro.net.trace`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.net.link import Link
 from repro.net.node import Host, Router
 from repro.net.packet import PacketFactory
 from repro.net.simulator import Simulator
-from repro.net.trace import QueueMonitor
 from repro.qdisc.base import Qdisc
 from repro.qdisc.fifo import FifoQdisc
 from repro.util.units import mbps_to_bps, ms_to_s
@@ -88,7 +87,6 @@ def build_site_to_site(
     path_delay_ms: Optional[Sequence[float]] = None,
     path_split_mode: str = "flow",
     bottleneck_buffer_packets: Optional[int] = None,
-    monitor_queues: bool = True,
 ) -> SiteToSite:
     """Build the canonical site-to-site dumbbell.
 
@@ -158,7 +156,6 @@ def build_site_to_site(
         rate_bps=mbps_to_bps(egress_mbps),
         delay=0.0,
         qdisc=sendbox_qdisc if sendbox_qdisc is not None else FifoQdisc(limit_packets=100_000),
-        monitor=QueueMonitor(enabled=monitor_queues),
     ).connect(wan_router)
 
     # -- WAN bottleneck path(s) --------------------------------------------
@@ -174,7 +171,6 @@ def build_site_to_site(
             rate_bps=per_path_rate,
             delay=ms_to_s(delays_ms[i]),
             qdisc=bottleneck_qdisc_factory(),
-            monitor=QueueMonitor(enabled=monitor_queues),
         ).connect(site_b_edge)
         bottleneck_links.append(link)
 
@@ -263,7 +259,6 @@ def build_competing_bundles(
     servers_per_bundle: Sequence[int] = (8, 8),
     sendbox_qdiscs: Optional[Sequence[Optional[Qdisc]]] = None,
     bottleneck_buffer_packets: Optional[int] = None,
-    monitor_queues: bool = True,
 ) -> CompetingBundlesTopology:
     """Build the Figure 13 scenario: multiple bundles sharing a bottleneck.
 
@@ -294,7 +289,6 @@ def build_competing_bundles(
         rate_bps=bottleneck_bps,
         delay=one_way,
         qdisc=FifoQdisc(limit_packets=bottleneck_buffer_packets),
-        monitor=QueueMonitor(enabled=monitor_queues),
     ).connect(wan_out)
 
     bundles: List[SiteToSite] = []
@@ -319,7 +313,6 @@ def build_competing_bundles(
             rate_bps=mbps_to_bps(bottleneck_mbps * 10.0),
             delay=0.0,
             qdisc=sendbox_qdisc if sendbox_qdisc is not None else FifoQdisc(limit_packets=100_000),
-            monitor=QueueMonitor(enabled=monitor_queues),
         ).connect(wan_in)
 
         client = clients[0]
@@ -364,54 +357,4 @@ def build_competing_bundles(
         bundles=bundles,
         shared_bottleneck=shared_bottleneck,
         wan_router=wan_in,
-    )
-
-
-@dataclass
-class MultiRegionTopology:
-    """One sending site with bundles to several receiving regions (Figure 16)."""
-
-    sim: Simulator
-    packet_factory: PacketFactory
-    regions: List[SiteToSite]
-    cloud_egress: Router
-
-
-def build_multi_region(
-    sim: Simulator,
-    *,
-    regions_rtt_ms: Sequence[float] = (30.0, 100.0, 110.0, 25.0, 150.0),
-    egress_limit_mbps: float = 48.0,
-    servers_per_region: int = 4,
-    sendbox_qdiscs: Optional[Sequence[Optional[Qdisc]]] = None,
-    monitor_queues: bool = True,
-) -> MultiRegionTopology:
-    """Emulate the §8 deployment: one cloud site sending to several regions.
-
-    Each region gets its own bundle whose bottleneck is a per-region
-    rate-limited path (standing in for the cloud provider's egress rate
-    limiter, the suspected bottleneck in the paper's real-world study), with
-    a region-specific base RTT.
-    """
-    if sendbox_qdiscs is None:
-        sendbox_qdiscs = [None] * len(regions_rtt_ms)
-    if len(sendbox_qdiscs) != len(regions_rtt_ms):
-        raise ValueError("sendbox_qdiscs must have one entry per region")
-
-    factory = PacketFactory()
-    cloud_egress = Router(sim, "cloud_egress")
-    regions: List[SiteToSite] = []
-    for idx, rtt_ms in enumerate(regions_rtt_ms):
-        region = build_site_to_site(
-            sim,
-            bottleneck_mbps=egress_limit_mbps,
-            rtt_ms=rtt_ms,
-            num_servers=servers_per_region,
-            num_clients=1,
-            sendbox_qdisc=sendbox_qdiscs[idx],
-            monitor_queues=monitor_queues,
-        )
-        regions.append(region)
-    return MultiRegionTopology(
-        sim=sim, packet_factory=factory, regions=regions, cloud_egress=cloud_egress
     )

@@ -1,21 +1,28 @@
-"""Measurement and tracing helpers.
+"""Results-side taps and the series they fill.
 
-The evaluation needs three kinds of ground truth from the network:
+A :class:`~repro.net.link.Link` measures nothing on its own.  The code that
+reads a series attaches the tap that fills it, before the run:
 
-* per-queue delay over time (Figure 2, Figure 7, Figure 10);
-* per-link throughput over time (Figure 10, Figure 12);
-* distributions of scalar samples (estimate-vs-actual differences in
-  Figures 5 and 6, RTT distributions in Figure 16).
+* :class:`QueueMonitor` — per-packet queueing delay at one link (Figure 2,
+  the Figures 5-6 ground truth, Figure 10, Figure 13);
+* :class:`RateMonitor` — delivered bytes binned into a throughput series
+  (the Figures 5-6 receive-rate ground truth).
 
-:class:`TimeSeries` is a plain container of (time, value) samples with
-summary helpers; :class:`QueueMonitor` and :class:`RateMonitor` attach to a
-:class:`~repro.net.link.Link` and populate time series as packets move.
+Both are exact and unbounded, and what they record feeds metrics and
+therefore result bytes — unlike the bounded, decimated probe series of
+:mod:`repro.obs.probe`, which only ever ride the telemetry envelope.
+:class:`TimeSeries` is the plain (time, value) container they fill;
+:func:`percentile` summarizes scalar samples.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
+
+if TYPE_CHECKING:
+    from repro.net.link import Link
+    from repro.net.packet import Packet
 
 
 class TimeSeries:
@@ -51,15 +58,6 @@ class TimeSeries:
             return None
         return sum(self.values) / len(self.values)
 
-    def max(self) -> Optional[float]:
-        return max(self.values) if self.values else None
-
-    def min(self) -> Optional[float]:
-        return min(self.values) if self.values else None
-
-    def last(self) -> Optional[float]:
-        return self.values[-1] if self.values else None
-
     def value_at(self, time: float) -> Optional[float]:
         """Most recent value at or before ``time`` (step interpolation)."""
         idx = bisect.bisect_right(self.times, time) - 1
@@ -67,65 +65,47 @@ class TimeSeries:
             return None
         return self.values[idx]
 
-    def resample(self, interval: float, start: float = 0.0, end: Optional[float] = None) -> "TimeSeries":
-        """Step-resample onto a regular grid (useful for comparing series)."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        out = TimeSeries()
-        if not self.times:
-            return out
-        stop = end if end is not None else self.times[-1]
-        t = start
-        while t <= stop + 1e-12:
-            v = self.value_at(t)
-            if v is not None:
-                out.add(t, v)
-            t += interval
-        return out
-
 
 class QueueMonitor:
-    """Records queueing delay at a link's queue.
+    """Tap recording each packet's queueing delay at ``link``.
 
-    The queueing delay of a packet is measured when it begins transmission:
-    ``dequeue_time - enqueue_time``.  Packet and drop counts live on the
-    :class:`~repro.net.link.Link` itself (``packets_sent``,
-    ``packets_dropped``); backlog over time is a probe series.
+    The delay is measured when the packet begins transmission
+    (``dequeue_time - enqueue_time``), so time held back by a shaping qdisc
+    counts.  Packet and drop counts live on the link itself
+    (``packets_sent``, ``packets_dropped``); backlog over time is a probe
+    series.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self, link: Link) -> None:
         self.delay = TimeSeries()
+        link.add_transmit_hook(self._on_transmit)
 
-    def on_dequeue(self, now: float, wait: float) -> None:
-        if self.enabled:
-            self.delay.add(now, wait)
+    def _on_transmit(self, packet: Packet, now: float) -> None:
+        self.delay.add(now, now - packet.enqueued_at)
 
     def mean_delay(self) -> Optional[float]:
         return self.delay.mean()
 
-    def max_delay(self) -> Optional[float]:
-        return self.delay.max()
-
 
 class RateMonitor:
-    """Bins delivered bytes into fixed intervals to produce a throughput series."""
+    """Tap binning the bytes ``link`` delivers into a throughput series.
 
-    def __init__(self, bin_width: float = 0.1) -> None:
+    A packet is counted at the instant its serialization *finishes*: a
+    packet straddling a bin boundary belongs to the later bin.
+    """
+
+    def __init__(self, link: Link, bin_width: float = 0.1) -> None:
         if bin_width <= 0:
             raise ValueError("bin_width must be positive")
         self.bin_width = bin_width
         self._bins: List[float] = []
-        self.total_bytes = 0
-        self.total_packets = 0
+        link.finish_tap = self._on_finish
 
-    def on_delivery(self, now: float, size_bytes: int) -> None:
+    def _on_finish(self, now: float, size_bytes: int) -> None:
         idx = int(now / self.bin_width)
         while len(self._bins) <= idx:
             self._bins.append(0.0)
         self._bins[idx] += size_bytes
-        self.total_bytes += size_bytes
-        self.total_packets += 1
 
     def series_bps(self) -> TimeSeries:
         """Throughput (bits/second) per bin, timestamped at the bin start."""
@@ -161,12 +141,3 @@ def percentile(samples: Sequence[float], pct: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = rank - lo
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
-def cdf(samples: Iterable[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF points as (value, cumulative_probability)."""
-    ordered = sorted(samples)
-    n = len(ordered)
-    if n == 0:
-        return []
-    return [(value, (i + 1) / n) for i, value in enumerate(ordered)]

@@ -14,7 +14,7 @@ Every queueing discipline exposes the same small interface to the link:
 * ``len(qdisc)`` and :attr:`Qdisc.backlog_bytes` — queue occupancy.
   ``backlog_bytes``/``backlog_packets`` are plain integer attributes kept
   by the bookkeeping helpers below, so reading them is always O(1) — links
-  and monitors read them per packet.
+  read them per packet and probes on every tick.
 
 Limits may be expressed in packets (``limit_packets``) or bytes
 (``limit_bytes``); both default to "unlimited", and concrete disciplines

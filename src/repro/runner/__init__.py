@@ -39,8 +39,13 @@ missing.  The pieces:
 * :mod:`repro.runner.result` — the pure :class:`RunResult` record consumed
   by :func:`repro.metrics.reporting.format_run_results`;
 * :mod:`repro.runner.cli` — the ``repro-runner`` / ``python -m
-  repro.runner`` command line (``list``, ``run``, ``sweep``, ``report``
-  [``--aggregate``], ``gc``).
+  repro.runner`` command line (``list``, ``run``, ``sweep``, ``report``,
+  ``trace``, ``trace-export``, ``workers``, ``perf``, ``profile``, ``gc``,
+  ``lint``).
+
+This package re-exports nothing: the public facade is :mod:`repro.api`, and
+in-repo code imports the submodule it needs, so importing one small
+submodule (say :mod:`repro.runner.wire`) never drags in the scheduler.
 
 Paper figures map to registered scenarios as follows:
 
@@ -73,139 +78,3 @@ Quick start::
     python -m repro.runner report --aggregate
     python -m repro.runner gc --max-age-days 30
 """
-
-from repro.runner.aggregate import (
-    AggregateCell,
-    MetricAggregate,
-    aggregate_outcome,
-    aggregate_results,
-    find_cell,
-    find_cells,
-)
-from repro.runner.backends import (
-    BACKENDS,
-    BACKEND_CHOICES,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    ProgressEvent,
-    SerialBackend,
-    WorkItem,
-    WorkOutcome,
-    make_backend,
-)
-from repro.runner.distributed import (
-    DistributedBackend,
-    HostSpec,
-    LocalSubprocessTransport,
-    SSHTransport,
-    WorkerTransport,
-    parse_hosts,
-)
-from repro.runner.cache import (
-    DEFAULT_CACHE_DIR,
-    MANIFEST_NAME,
-    CacheStats,
-    GcStats,
-    ResultCache,
-)
-from repro.runner.engine import (
-    CellOutcome,
-    SweepOutcome,
-    effective_seed,
-    execute_run,
-    resolve_cell,
-    run_spec,
-    run_sweep,
-)
-from repro.runner.export import (
-    EXPORT_FORMATS,
-    LongTable,
-    aggregates_long_table,
-    export_aggregates,
-    export_runs,
-    runs_long_table,
-)
-from repro.runner.params import (
-    PARAM_KINDS,
-    ParamSpace,
-    ParamSpec,
-    ParamValidationError,
-)
-from repro.runner.registry import (
-    REGISTRY,
-    Scenario,
-    ScenarioRegistry,
-    load_builtin_scenarios,
-    register_scenario,
-)
-from repro.runner.result import RunResult, run_key
-from repro.runner.schema import (
-    METRIC_DIRECTIONS,
-    METRIC_KINDS,
-    MetricSchema,
-    MetricSpec,
-    MetricValidationError,
-)
-from repro.runner.spec import RunSpec, SweepSpec, expand_grid, expand_zip
-
-__all__ = [
-    "AggregateCell",
-    "MetricAggregate",
-    "aggregate_outcome",
-    "aggregate_results",
-    "find_cell",
-    "find_cells",
-    "BACKENDS",
-    "BACKEND_CHOICES",
-    "DistributedBackend",
-    "ExecutionBackend",
-    "HostSpec",
-    "LocalSubprocessTransport",
-    "ProcessPoolBackend",
-    "ProgressEvent",
-    "SSHTransport",
-    "SerialBackend",
-    "WorkItem",
-    "WorkOutcome",
-    "WorkerTransport",
-    "make_backend",
-    "parse_hosts",
-    "DEFAULT_CACHE_DIR",
-    "MANIFEST_NAME",
-    "CacheStats",
-    "GcStats",
-    "ResultCache",
-    "CellOutcome",
-    "SweepOutcome",
-    "effective_seed",
-    "execute_run",
-    "resolve_cell",
-    "run_spec",
-    "run_sweep",
-    "EXPORT_FORMATS",
-    "LongTable",
-    "aggregates_long_table",
-    "export_aggregates",
-    "export_runs",
-    "runs_long_table",
-    "PARAM_KINDS",
-    "ParamSpace",
-    "ParamSpec",
-    "ParamValidationError",
-    "REGISTRY",
-    "Scenario",
-    "ScenarioRegistry",
-    "load_builtin_scenarios",
-    "register_scenario",
-    "RunResult",
-    "run_key",
-    "METRIC_DIRECTIONS",
-    "METRIC_KINDS",
-    "MetricSchema",
-    "MetricSpec",
-    "MetricValidationError",
-    "RunSpec",
-    "SweepSpec",
-    "expand_grid",
-    "expand_zip",
-]

@@ -9,7 +9,7 @@ load); cross-traffic experiments sweep the offered load (Figure 11).
 from __future__ import annotations
 
 import random
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 
 def arrival_rate_for_load(offered_load_bps: float, mean_flow_size_bytes: float) -> float:
@@ -34,7 +34,13 @@ class PoissonArrivals:
         """Draw the time until the next arrival (seconds)."""
         return self.rng.expovariate(self.rate_per_s)
 
-    def arrival_times(self, *, count: int = None, horizon_s: float = None, start: float = 0.0) -> List[float]:
+    def arrival_times(
+        self,
+        *,
+        count: Optional[int] = None,
+        horizon_s: Optional[float] = None,
+        start: float = 0.0,
+    ) -> List[float]:
         """Generate arrival times, bounded by a count and/or a time horizon."""
         if count is None and horizon_s is None:
             raise ValueError("must bound by count or horizon")

@@ -11,6 +11,7 @@ from repro.core.controller import BundleController, BundlerMode
 from repro.net.packet import PacketFactory
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
+from repro.net.trace import QueueMonitor, RateMonitor
 from repro.transport.flow import TcpFlow
 
 
@@ -69,7 +70,7 @@ class TestBundleController:
                               recv_rate=20e6, acked_bytes=30_000)
         rate = ctl.tick(0.0, m, 0.0)
         assert ctl.config.min_rate_bps <= rate <= 240e6
-        assert len(ctl.rate_history) == 1
+        assert len(ctl.mode_history) == 1
 
     def test_multipath_disables_rate_control(self):
         ctl = self._controller(multipath_min_samples=10)
@@ -109,6 +110,9 @@ class TestBundlerPairIntegration:
             **config_overrides,
         )
         pair = install_bundler(topo, config)
+        self.bottleneck_queue = QueueMonitor(topo.bottleneck_link)
+        self.sendbox_queue = QueueMonitor(topo.sendbox_link)
+        self.bottleneck_rate = RateMonitor(topo.bottleneck_link)
         flows = [
             TcpFlow(sim, topo.packet_factory, server, topo.clients[0], size_bytes=None,
                     cc=make_window_cc("cubic")).start()
@@ -126,18 +130,18 @@ class TestBundlerPairIntegration:
         assert state.acks_received > 10
         assert state.measurement.min_rtt == pytest.approx(0.04, rel=0.15)
         assert state.measurement.total_acked_bytes > 100_000
-        assert len(state.controller.rate_history) > 100
+        assert len(state.controller.mode_history) > 100
 
     def test_queue_shifts_from_bottleneck_to_sendbox(self):
         topo, pair = self._run_pair(duration=12.0)
-        bottleneck_late = topo.bottleneck_link.monitor.delay.between(6.0, 12.0).mean() or 0.0
-        sendbox_late = topo.sendbox_link.monitor.delay.between(6.0, 12.0).mean() or 0.0
+        bottleneck_late = self.bottleneck_queue.delay.between(6.0, 12.0).mean() or 0.0
+        sendbox_late = self.sendbox_queue.delay.between(6.0, 12.0).mean() or 0.0
         assert sendbox_late > bottleneck_late
         assert bottleneck_late < 0.020  # small standing queue in the network
 
     def test_bottleneck_stays_utilized(self):
         topo, pair = self._run_pair(duration=12.0)
-        throughput = topo.bottleneck_link.rate_monitor.mean_bps(6.0, 12.0)
+        throughput = self.bottleneck_rate.mean_bps(6.0, 12.0)
         assert throughput > 0.7 * 12e6
 
     def test_epoch_size_updates_propagate_to_receivebox(self):

@@ -57,9 +57,9 @@ class TestRunScenario:
         assert bu.completion_fraction() > 0.8
         assert sq.fct_analysis().median_slowdown() >= 1.0
         assert bu.fct_analysis().median_slowdown() >= 1.0
-        # The Bundler run exposes controller telemetry; Status Quo does not.
-        assert bu.bundler_rate_history is not None
-        assert sq.bundler_rate_history is None
+        # The Bundler run exposes the sendbox's measurements; Status Quo does not.
+        assert bu.bundler_min_rtt is not None
+        assert sq.bundler_min_rtt is None
 
     def test_same_seed_same_workload(self):
         a = run_scenario(self._tiny("status_quo"))

@@ -1,4 +1,4 @@
-"""Wire-format and worker-protocol tests (no subprocesses).
+"""Wire-format and worker-protocol tests (in-process, bar one import check).
 
 The framing layer is exercised over in-memory streams; the worker's
 protocol loop is driven through :func:`repro.runner.worker.serve` with
@@ -7,6 +7,9 @@ hello, ping, work_batch, outcome_batch, shutdown — runs in-process and fast.
 """
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +22,23 @@ from repro.runner.wire import (
     read_message,
     write_message,
 )
+
+
+def test_importing_wire_does_not_import_the_scheduler():
+    # ``repro.runner`` re-exports nothing, so the 155-line framing module
+    # must not pay for ``distributed`` (or anything else in the package).
+    # Needs a fresh interpreter: this process imported the scheduler long ago.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = (
+        "import sys; import repro.runner.wire; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['repro.runner', 'repro.runner.wire']"
 
 
 def _roundtrip(message):

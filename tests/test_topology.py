@@ -5,7 +5,6 @@ import pytest
 from repro.net.simulator import Simulator
 from repro.net.topology import (
     build_competing_bundles,
-    build_multi_region,
     build_site_to_site,
 )
 from repro.transport.flow import TcpFlow
@@ -72,17 +71,6 @@ def test_competing_bundles_topology():
     assert topo.bundles[0].bottleneck_links[0] is topo.bundles[1].bottleneck_links[0]
     flow = TcpFlow(sim, topo.packet_factory, topo.bundles[1].servers[0],
                    topo.bundles[1].clients[0], size_bytes=15_000)
-    flow.start()
-    sim.run(until=3.0)
-    assert flow.completed
-
-
-def test_multi_region_topology():
-    sim = Simulator()
-    topo = build_multi_region(sim, regions_rtt_ms=(30.0, 100.0), servers_per_region=2)
-    assert len(topo.regions) == 2
-    flow = TcpFlow(sim, topo.regions[1].packet_factory, topo.regions[1].servers[0],
-                   topo.regions[1].clients[0], size_bytes=10_000)
     flow.start()
     sim.run(until=3.0)
     assert flow.completed
