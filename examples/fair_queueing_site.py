@@ -16,7 +16,7 @@ from repro.net import Simulator
 from repro.net.topology import build_site_to_site
 from repro.net.trace import QueueMonitor, RateMonitor, percentile
 from repro.transport.flow import TcpFlow
-from repro.workload.generators import ClosedLoopProbes
+from repro.traffic.sources import ClosedLoopProbes
 
 
 def run(with_bundler: bool) -> dict:

@@ -16,8 +16,10 @@ evaluate it:
 * :mod:`repro.core` — the Bundler sendbox/receivebox pair: epoch-based
   measurement, the inner control loop, cross-traffic and multipath
   fallbacks.
-* :mod:`repro.workload` — heavy-tailed request workloads and traffic
-  generators.
+* :mod:`repro.traffic` — everything that offers load: the trace format,
+  deterministic generators, trace replay (including the §7.1 request
+  load) and the two closed-loop sources (backlogged flows, probes).
+  :mod:`repro.workload` holds only the request-size CDF.
 * :mod:`repro.metrics` — flow-completion-time / slowdown / latency analysis.
 * :mod:`repro.experiments` — scenario builders and runners reproducing every
   figure in the paper's evaluation.

@@ -19,7 +19,7 @@ from repro.analysis.rules import Finding, get_rule, rule
 
 #: Packages whose code runs inside the simulation (or generates its inputs)
 #: and therefore must be bit-deterministic.
-SIM_PACKAGES = frozenset({"net", "core", "transport", "qdisc", "traffic"})
+SIM_PACKAGES = frozenset({"net", "core", "transport", "qdisc", "traffic", "workload"})
 
 #: Dotted call names that read ambient entropy or wall clocks.  Resolved
 #: through each module's import aliases, so ``from time import time`` and

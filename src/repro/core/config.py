@@ -11,7 +11,7 @@ evaluation setup (§6, §7.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 
 @dataclass

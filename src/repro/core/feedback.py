@@ -15,7 +15,6 @@ delays and can be lost or reordered like any other packet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.net.packet import Packet, PacketFactory
 

@@ -15,7 +15,7 @@ all without modifying packets or keeping per-flow state:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.bundle import BundleClassifier

@@ -13,12 +13,20 @@ them so the claims are regression-checked like any figure:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.core.passthrough import PiQueueController
 from repro.net.simulator import Simulator
 from repro.experiments.scenarios import (
+    BOTTLENECK_MBPS,
+    DURATION_S,
+    NUM_SERVERS,
+    RTT_MS,
     SCENARIO_METRICS,
+    SCENARIO_PARAMS,
+    SENDBOX_CC,
+    WARMUP_S,
     ScenarioConfig,
     run_scenario,
     scenario_metrics,
@@ -39,25 +47,16 @@ from repro.runner.schema import MetricSchema, MetricSpec
         ParamSpec("epoch_rtt_fraction", kind="float", default=0.25, unit="fraction",
                   minimum=0.01, maximum=4.0,
                   description="epoch sampling period as a fraction of the RTT"),
-        ParamSpec("bottleneck_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-                  description="bottleneck link rate"),
-        ParamSpec("rtt_ms", kind="float", default=50.0, unit="ms", minimum=1.0,
-                  description="base round-trip time"),
+        BOTTLENECK_MBPS,
+        RTT_MS,
         ParamSpec("load_fraction", kind="float", default=0.875, unit="fraction",
                   minimum=0.05, maximum=1.45,
                   description="offered load as a fraction of the bottleneck rate"),
-        ParamSpec("duration_s", kind="float", default=10.0, unit="s", minimum=1.0,
-                  description="workload duration"),
-        ParamSpec("warmup_s", kind="float", default=2.0, unit="s", minimum=0.0,
-                  description="leading interval excluded from FCT analysis"),
-        ParamSpec("num_servers", kind="int", default=8, unit="count", minimum=1,
-                  description="request-serving endhosts behind the sendbox"),
-        ParamSpec("max_requests", kind="int", default=None, unit="count", minimum=1,
-                  nullable=True,
-                  description="request cap (None = run to duration)"),
-        ParamSpec("sendbox_cc", kind="str", default="copa",
-                  choices=("copa", "basic_delay", "bbr", "constant"),
-                  description="bundle-level rate congestion controller"),
+        replace(DURATION_S, default=10.0),
+        WARMUP_S,
+        NUM_SERVERS,
+        SCENARIO_PARAMS.get("max_requests"),
+        SENDBOX_CC,
     ),
     metrics=SCENARIO_METRICS,
 )

@@ -9,13 +9,14 @@ the same workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence
 
 from repro.core import BundlerConfig
 from repro.core.bundle import source_address_classifier
 from repro.core.receivebox import Receivebox
 from repro.core.sendbox import Sendbox
+from repro.experiments.scenarios import BOTTLENECK_MBPS, DURATION_S, RTT_MS, SENDBOX_CC
 from repro.metrics.fct import FctAnalysis
 from repro.net.simulator import Simulator
 from repro.net.topology import build_competing_bundles
@@ -23,9 +24,9 @@ from repro.net.trace import QueueMonitor
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
+from repro.traffic.replay import TraceReplayWorkload
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import mbps_to_bps, ms_to_s
-from repro.workload.generators import RequestWorkload
 
 
 @dataclass
@@ -74,7 +75,7 @@ def run_competing_bundles(
         enable_nimbus=True,
         initial_rate_bps=mbps_to_bps(bottleneck_mbps) / (2.0 * len(load_split)),
     )
-    workloads: List[RequestWorkload] = []
+    workloads: List[TraceReplayWorkload] = []
     for idx, bundle_topo in enumerate(topo.bundles):
         if with_bundler:
             classifier = source_address_classifier(s.address for s in bundle_topo.servers)
@@ -97,7 +98,7 @@ def run_competing_bundles(
             )
         rng = make_rng(derive_seed(seed, f"fig13-bundle{idx}"))
         workloads.append(
-            RequestWorkload(
+            TraceReplayWorkload.poisson_requests(
                 sim,
                 topo.packet_factory,
                 bundle_topo.servers,
@@ -148,17 +149,12 @@ def _check_load_split(split) -> None:
         ParamSpec("total_load_fraction", kind="float", default=0.875, unit="fraction",
                   minimum=0.05, maximum=1.45,
                   description="total offered load as a fraction of the bottleneck rate"),
-        ParamSpec("bottleneck_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-                  description="shared bottleneck rate"),
-        ParamSpec("rtt_ms", kind="float", default=50.0, unit="ms", minimum=1.0,
-                  description="base round-trip time"),
-        ParamSpec("duration_s", kind="float", default=15.0, unit="s", minimum=1.0,
-                  description="workload duration"),
+        replace(BOTTLENECK_MBPS, description="shared bottleneck rate"),
+        RTT_MS,
+        DURATION_S,
         ParamSpec("with_bundler", kind="bool", default=True,
                   description="install a Bundler pair per bundle"),
-        ParamSpec("sendbox_cc", kind="str", default="copa",
-                  choices=("copa", "basic_delay", "bbr", "constant"),
-                  description="bundle-level rate congestion controller"),
+        SENDBOX_CC,
     ),
     metrics=MetricSchema(
         MetricSpec("bottleneck_mean_queue_delay_ms", unit="ms", direction="lower",

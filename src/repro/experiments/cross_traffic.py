@@ -18,22 +18,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
-from repro.core import BundlerConfig, install_bundler
 from repro.core.controller import BundlerMode
+from repro.experiments.scenarios import (
+    BOTTLENECK_MBPS,
+    DURATION_S,
+    NUM_SERVERS,
+    RTT_MS,
+    SENDBOX_CC,
+    WARMUP_S,
+    build_site,
+)
 from repro.metrics.fct import FctAnalysis, filter_by_time
-from repro.net.simulator import Simulator
-from repro.net.topology import SiteToSite, build_site_to_site
 from repro.net.trace import QueueMonitor, TimeSeries
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
+from repro.traffic.replay import TraceReplayWorkload
+from repro.traffic.sources import BackloggedFlows
 from repro.transport.flow import FlowRecord
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import mbps_to_bps, ms_to_s
-from repro.workload.generators import BackloggedFlows, PacedStreams, RequestWorkload
 
 
 @dataclass
@@ -83,31 +90,22 @@ class PhasedConfig:
 def run_phased_cross_traffic(config: Optional[PhasedConfig] = None) -> PhasedCrossTrafficResult:
     """Run the three-phase cross-traffic scenario of Figure 10."""
     config = config or PhasedConfig()
-    sim = Simulator()
-    topo = build_site_to_site(
-        sim,
+    topo, pair = build_site(
+        mode="bundler_sfq" if config.with_bundler else "status_quo",
         bottleneck_mbps=config.bottleneck_mbps,
         rtt_ms=config.rtt_ms,
         num_servers=config.num_servers,
         num_clients=1,
         num_cross_pairs=max(config.cross_bulk_flows, 2),
+        sendbox_cc=config.sendbox_cc,
+        enable_nimbus=True,
     )
+    sim = topo.sim
     bottleneck_queue = QueueMonitor(topo.bottleneck_link)
-    pair = None
-    if config.with_bundler:
-        pair = install_bundler(
-            topo,
-            BundlerConfig(
-                sendbox_cc=config.sendbox_cc,
-                scheduler="sfq",
-                enable_nimbus=True,
-                initial_rate_bps=mbps_to_bps(config.bottleneck_mbps) / 2.0,
-            ),
-        )
 
     rng = make_rng(derive_seed(config.seed, "fig10"))
     total = 3 * config.phase_duration_s
-    workload = RequestWorkload(
+    workload = TraceReplayWorkload.poisson_requests(
         sim,
         topo.packet_factory,
         topo.servers,
@@ -128,7 +126,7 @@ def run_phased_cross_traffic(config: Optional[PhasedConfig] = None) -> PhasedCro
     # Phase 3: non-buffer-filling cross traffic (request workload from the
     # cross hosts, same heavy-tailed distribution).
     cross_rng = make_rng(derive_seed(config.seed, "fig10-cross"))
-    cross_requests = RequestWorkload(
+    cross_requests = TraceReplayWorkload.poisson_requests(
         sim,
         topo.packet_factory,
         topo.cross_senders,
@@ -183,27 +181,19 @@ def run_short_cross_point(
     sendbox_cc: str = "copa",
 ) -> CrossSweepPoint:
     """One (mode, cross-load) cell of the Figure 11 sweep."""
-    sim = Simulator()
-    topo = build_site_to_site(
-        sim,
+    topo, _ = build_site(
+        mode="bundler_sfq" if mode == "bundler" else "status_quo",
         bottleneck_mbps=bottleneck_mbps,
         rtt_ms=rtt_ms,
         num_servers=6,
         num_clients=1,
         num_cross_pairs=4,
+        sendbox_cc=sendbox_cc,
+        enable_nimbus=True,
     )
-    if mode == "bundler":
-        install_bundler(
-            topo,
-            BundlerConfig(
-                sendbox_cc=sendbox_cc,
-                scheduler="sfq",
-                enable_nimbus=True,
-                initial_rate_bps=mbps_to_bps(bottleneck_mbps) / 2.0,
-            ),
-        )
+    sim = topo.sim
     rng = make_rng(derive_seed(seed, f"fig11-{mode}-{cross_load_fraction}"))
-    workload = RequestWorkload(
+    workload = TraceReplayWorkload.poisson_requests(
         sim,
         topo.packet_factory,
         topo.servers,
@@ -213,7 +203,7 @@ def run_short_cross_point(
         duration_s=duration_s,
     ).start()
     cross_rng = make_rng(derive_seed(seed, f"fig11-cross-{mode}-{cross_load_fraction}"))
-    RequestWorkload(
+    TraceReplayWorkload.poisson_requests(
         sim,
         topo.packet_factory,
         topo.cross_senders,
@@ -275,25 +265,17 @@ def run_elastic_cross_point(
     mode, and the paper's steady-state comparison should not average over
     that detection window.
     """
-    sim = Simulator()
-    topo = build_site_to_site(
-        sim,
+    topo, _ = build_site(
+        mode="bundler_sfq" if mode == "bundler" else "status_quo",
         bottleneck_mbps=bottleneck_mbps,
         rtt_ms=rtt_ms,
         num_servers=bundle_flows,
         num_clients=1,
         num_cross_pairs=competing_flows,
+        sendbox_cc=sendbox_cc,
+        enable_nimbus=True,
     )
-    if mode == "bundler":
-        install_bundler(
-            topo,
-            BundlerConfig(
-                sendbox_cc=sendbox_cc,
-                scheduler="sfq",
-                enable_nimbus=True,
-                initial_rate_bps=mbps_to_bps(bottleneck_mbps) / 2.0,
-            ),
-        )
+    sim = topo.sim
     bundle = BackloggedFlows(
         sim,
         topo.packet_factory,
@@ -332,6 +314,12 @@ def run_elastic_cross_point(
 # ---------------------------------------------------------------------------
 # Runner scenario registrations.
 
+_BUNDLE_LOAD = ParamSpec(
+    "bundle_load_fraction", kind="float", default=0.6, unit="fraction", minimum=0.05, maximum=1.45,
+    description="bundle offered load as a fraction of the bottleneck rate")
+_MODE = ParamSpec("mode", kind="str", default="bundler", choices=("status_quo", "bundler"),
+                  description="whether the bundle runs under Bundler")
+
 @register_scenario(
     "fig10_phased_cross_traffic",
     figure="Figure 10 / §7.3",
@@ -340,27 +328,20 @@ def run_elastic_cross_point(
     version=2,
     description="Three cross-traffic phases; Bundler yields during buffer-filling phases",
     params=ParamSpace(
-        ParamSpec("bottleneck_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-                  description="bottleneck link rate"),
-        ParamSpec("rtt_ms", kind="float", default=50.0, unit="ms", minimum=1.0,
-                  description="base round-trip time"),
+        BOTTLENECK_MBPS,
+        RTT_MS,
         ParamSpec("phase_duration_s", kind="float", default=20.0, unit="s", minimum=1.0,
                   description="duration of each of the three cross-traffic phases"),
-        ParamSpec("bundle_load_fraction", kind="float", default=0.6, unit="fraction",
-                  minimum=0.05, maximum=1.45,
-                  description="bundle offered load as a fraction of the bottleneck rate"),
+        _BUNDLE_LOAD,
         ParamSpec("cross_bulk_flows", kind="int", default=1, unit="count", minimum=0,
                   description="backlogged cross flows during the buffer-filling phase"),
         ParamSpec("cross_load_fraction", kind="float", default=0.3, unit="fraction",
                   minimum=0.0, maximum=1.45,
-                  description="paced cross-stream load during the non-elastic phase"),
+                  description="request cross-traffic load during the non-buffer-filling phase"),
         ParamSpec("with_bundler", kind="bool", default=True,
                   description="install the Bundler pair"),
-        ParamSpec("sendbox_cc", kind="str", default="copa",
-                  choices=("copa", "basic_delay", "bbr", "constant"),
-                  description="bundle-level rate congestion controller"),
-        ParamSpec("num_servers", kind="int", default=6, unit="count", minimum=1,
-                  description="request-serving endhosts behind the sendbox"),
+        SENDBOX_CC,
+        replace(NUM_SERVERS, default=6),
     ),
     metrics=MetricSchema(
         MetricSpec("pass_through_seconds", unit="s", direction="info",
@@ -389,23 +370,15 @@ def _phased_scenario(*, seed: int, **params):
     version=2,
     description="Bundle FCTs under increasing short-flow cross-traffic load",
     params=ParamSpace(
-        ParamSpec("mode", kind="str", default="bundler", choices=("status_quo", "bundler"),
-                  description="whether the bundle runs under Bundler"),
+        _MODE,
         ParamSpec("cross_load_fraction", kind="float", default=0.25, unit="fraction",
                   minimum=0.0, maximum=1.45,
                   description="short-flow cross-traffic load as a fraction of the bottleneck"),
-        ParamSpec("bottleneck_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-                  description="bottleneck link rate"),
-        ParamSpec("rtt_ms", kind="float", default=50.0, unit="ms", minimum=1.0,
-                  description="base round-trip time"),
-        ParamSpec("bundle_load_fraction", kind="float", default=0.5, unit="fraction",
-                  minimum=0.05, maximum=1.45,
-                  description="bundle offered load as a fraction of the bottleneck rate"),
-        ParamSpec("duration_s", kind="float", default=15.0, unit="s", minimum=1.0,
-                  description="workload duration"),
-        ParamSpec("sendbox_cc", kind="str", default="copa",
-                  choices=("copa", "basic_delay", "bbr", "constant"),
-                  description="bundle-level rate congestion controller"),
+        BOTTLENECK_MBPS,
+        RTT_MS,
+        replace(_BUNDLE_LOAD, default=0.5),
+        DURATION_S,
+        SENDBOX_CC,
     ),
     metrics=MetricSchema(
         MetricSpec("cross_load_mbps", unit="Mbit/s", direction="info",
@@ -436,23 +409,17 @@ def _short_cross_scenario(*, seed: int, **params):
     version=2,
     description="Bundle throughput share against persistent buffer-filling cross flows",
     params=ParamSpace(
-        ParamSpec("mode", kind="str", default="bundler", choices=("status_quo", "bundler"),
-                  description="whether the bundle runs under Bundler"),
+        _MODE,
         ParamSpec("competing_flows", kind="int", default=5, unit="count", minimum=0,
                   description="persistent buffer-filling cross flows"),
-        ParamSpec("bottleneck_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-                  description="bottleneck link rate"),
-        ParamSpec("rtt_ms", kind="float", default=50.0, unit="ms", minimum=1.0,
-                  description="base round-trip time"),
+        BOTTLENECK_MBPS,
+        RTT_MS,
         ParamSpec("bundle_flows", kind="int", default=5, unit="count", minimum=1,
                   description="backlogged flows inside the bundle"),
-        ParamSpec("duration_s", kind="float", default=30.0, unit="s", minimum=1.0,
-                  description="run duration"),
-        ParamSpec("warmup_s", kind="float", default=5.0, unit="s", minimum=0.0,
-                  description="leading interval excluded from throughput accounting"),
-        ParamSpec("sendbox_cc", kind="str", default="copa",
-                  choices=("copa", "basic_delay", "bbr", "constant"),
-                  description="bundle-level rate congestion controller"),
+        replace(DURATION_S, default=30.0, description="run duration"),
+        replace(WARMUP_S, default=5.0,
+                description="leading interval excluded from throughput accounting"),
+        SENDBOX_CC,
     ),
     metrics=MetricSchema(
         MetricSpec("bundle_throughput_mbps", unit="Mbit/s", direction="higher",

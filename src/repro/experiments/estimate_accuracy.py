@@ -15,11 +15,12 @@ the same time grid as Bundler's estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence
 
 from repro.core import BundlerConfig, install_bundler
 from repro.cc import make_window_cc
+from repro.experiments.scenarios import BOTTLENECK_MBPS, DURATION_S, RTT_MS, SENDBOX_CC
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
 from repro.net.trace import QueueMonitor, RateMonitor, TimeSeries, percentile
@@ -156,19 +157,14 @@ def run_estimate_sweep(
     version=2,
     description="Accuracy of Bundler's epoch-based RTT and receive-rate estimates",
     params=ParamSpace(
-        ParamSpec("bottleneck_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-                  description="bottleneck link rate"),
-        ParamSpec("rtt_ms", kind="float", default=50.0, unit="ms", minimum=1.0,
-                  description="base round-trip time"),
-        ParamSpec("duration_s", kind="float", default=20.0, unit="s", minimum=1.0,
-                  description="run duration"),
+        BOTTLENECK_MBPS,
+        RTT_MS,
+        replace(DURATION_S, default=20.0, description="run duration"),
         ParamSpec("num_flows", kind="int", default=4, unit="count", minimum=1,
                   description="long-lived flows in the bundle"),
         ParamSpec("sample_interval_s", kind="float", default=0.1, unit="s", minimum=0.001,
                   description="ground-truth sampling interval"),
-        ParamSpec("sendbox_cc", kind="str", default="copa",
-                  choices=("copa", "basic_delay", "bbr", "constant"),
-                  description="bundle-level rate congestion controller"),
+        SENDBOX_CC,
     ),
     metrics=MetricSchema(
         MetricSpec("rtt_error_p80_ms", unit="ms", direction="lower", nullable=True,

@@ -18,10 +18,11 @@ bulk, no Bundler) and Bundler (probes + bulk, Bundler with SFQ).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import BundlerConfig, install_bundler
+from repro.experiments.scenarios import DURATION_S, SENDBOX_CC
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
 from repro.net.trace import percentile
@@ -29,8 +30,8 @@ from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
 from repro.runner.spec import expand_grid
+from repro.traffic.sources import BackloggedFlows, ClosedLoopProbes
 from repro.util.units import mbps_to_bps
-from repro.workload.generators import BackloggedFlows, ClosedLoopProbes
 
 #: The five receiving regions of the paper's deployment and the base RTTs we
 #: emulate for them (Iowa to: Belgium, Frankfurt, Oregon, South Carolina, Tokyo).
@@ -166,15 +167,12 @@ def run_internet_paths_study(
                   description="path configuration under test"),
         ParamSpec("egress_limit_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
                   description="site egress rate limit"),
-        ParamSpec("duration_s", kind="float", default=20.0, unit="s", minimum=1.0,
-                  description="run duration"),
+        replace(DURATION_S, default=20.0, description="run duration"),
         ParamSpec("num_probes", kind="int", default=10, unit="count", minimum=1,
                   description="closed-loop request/response probes"),
         ParamSpec("num_bulk_flows", kind="int", default=5, unit="count", minimum=0,
                   description="backlogged bulk flows sharing the egress"),
-        ParamSpec("sendbox_cc", kind="str", default="copa",
-                  choices=("copa", "basic_delay", "bbr", "constant"),
-                  description="bundle-level rate congestion controller"),
+        SENDBOX_CC,
     ),
     metrics=MetricSchema(
         MetricSpec("median_probe_rtt_ms", unit="ms", direction="lower",

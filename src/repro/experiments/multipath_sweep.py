@@ -11,19 +11,20 @@ threshold robust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.core import BundlerConfig, install_bundler
 from repro.core.controller import BundlerMode
+from repro.experiments.scenarios import BOTTLENECK_MBPS, DURATION_S, RTT_MS
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
+from repro.traffic.replay import TraceReplayWorkload
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import mbps_to_bps
-from repro.workload.generators import RequestWorkload
 
 
 @dataclass
@@ -79,7 +80,7 @@ def run_multipath_point(
         ),
     )
     rng = make_rng(derive_seed(seed, f"multipath-{num_paths}"))
-    RequestWorkload(
+    TraceReplayWorkload.poisson_requests(
         sim,
         topo.packet_factory,
         topo.servers,
@@ -117,12 +118,9 @@ def run_multipath_point(
     params=ParamSpace(
         ParamSpec("num_paths", kind="int", default=1, unit="count", minimum=1,
                   description="parallel WAN paths between the sites"),
-        ParamSpec("bottleneck_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-                  description="per-path bottleneck rate"),
-        ParamSpec("rtt_ms", kind="float", default=50.0, unit="ms", minimum=1.0,
-                  description="base round-trip time"),
-        ParamSpec("duration_s", kind="float", default=15.0, unit="s", minimum=1.0,
-                  description="workload duration"),
+        replace(BOTTLENECK_MBPS, description="per-path bottleneck rate"),
+        RTT_MS,
+        DURATION_S,
         ParamSpec("load_fraction", kind="float", default=0.7, unit="fraction",
                   minimum=0.05, maximum=1.45,
                   description="offered load as a fraction of the bottleneck rate"),

@@ -9,11 +9,18 @@ is empty; with Bundler the picture inverts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.core import BundlerConfig, install_bundler
 from repro.cc import make_window_cc
+from repro.experiments.scenarios import (
+    BOTTLENECK_MBPS,
+    DURATION_S,
+    ENDHOST_CC,
+    RTT_MS,
+    SENDBOX_CC,
+)
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
 from repro.net.trace import QueueMonitor, TimeSeries
@@ -104,20 +111,13 @@ def run_queue_shift(
     params=ParamSpace(
         ParamSpec("with_bundler", kind="bool", default=True,
                   description="install the Bundler pair at the site edges"),
-        ParamSpec("bottleneck_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-                  description="bottleneck link rate"),
-        ParamSpec("rtt_ms", kind="float", default=50.0, unit="ms", minimum=1.0,
-                  description="base round-trip time"),
-        ParamSpec("duration_s", kind="float", default=30.0, unit="s", minimum=1.0,
-                  description="run duration"),
+        BOTTLENECK_MBPS,
+        RTT_MS,
+        replace(DURATION_S, default=30.0, description="run duration"),
         ParamSpec("num_flows", kind="int", default=2, unit="count", minimum=1,
                   description="long-lived bulk flows"),
-        ParamSpec("endhost_cc", kind="str", default="cubic",
-                  choices=("cubic", "reno", "vegas", "bbr", "constant"),
-                  description="endhost window congestion controller"),
-        ParamSpec("sendbox_cc", kind="str", default="copa",
-                  choices=("copa", "basic_delay", "bbr", "constant"),
-                  description="bundle-level rate congestion controller"),
+        ENDHOST_CC,
+        SENDBOX_CC,
     ),
     metrics=MetricSchema(
         MetricSpec("mean_bottleneck_delay_ms", unit="ms", direction="lower",

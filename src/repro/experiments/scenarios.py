@@ -26,10 +26,9 @@ fields of :class:`ScenarioConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core import BundlerConfig, install_bundler
-from repro.core.controller import BundlerMode
+from repro.core import BundlerConfig, BundlerPair, install_bundler
 from repro.cc import make_window_cc
 from repro.metrics.fct import FctAnalysis
 from repro.net.simulator import Simulator
@@ -38,12 +37,12 @@ from repro.qdisc.sfq import SfqQdisc
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
+from repro.traffic.replay import TraceReplayWorkload
 from repro.transport.flow import FlowRecord
 from repro.transport.proxy import idealized_proxy_window, proxy_buffer_packets
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import mbps_to_bps, ms_to_s
-from repro.workload.flowsize import EmpiricalSizeDistribution, internet_core_cdf
-from repro.workload.generators import RequestWorkload
+from repro.workload.flowsize import EmpiricalSizeDistribution
 
 #: Modes that install a Bundler pair, mapped to the sendbox scheduler they use.
 BUNDLER_MODES: Dict[str, str] = {
@@ -134,54 +133,69 @@ def _default_priority_classifier(size_bytes: int) -> int:
     return 0 if size_bytes <= 100_000 else 1
 
 
-def _build_topology(config: ScenarioConfig) -> SiteToSite:
-    sim = Simulator()
-    bottleneck_qdisc_factory = None
-    if config.mode == "in_network_sfq":
-        bottleneck_qdisc_factory = lambda: SfqQdisc()
-    return build_site_to_site(
-        sim,
-        bottleneck_mbps=config.bottleneck_mbps,
-        rtt_ms=config.rtt_ms,
-        num_servers=config.num_servers,
-        num_clients=config.num_clients,
-        bottleneck_qdisc_factory=bottleneck_qdisc_factory,
+def build_site(
+    *,
+    mode: str,
+    bottleneck_mbps: float,
+    rtt_ms: float,
+    num_servers: int,
+    num_clients: int,
+    sendbox_cc: str,
+    enable_nimbus: bool,
+    num_cross_pairs: int = 0,
+    bundler_overrides: Optional[Dict[str, object]] = None,
+) -> Tuple[SiteToSite, Optional[BundlerPair]]:
+    """The §7.1 site on a fresh simulator, with the Bundler pair ``mode`` calls for.
+
+    ``in_network_sfq`` puts SFQ at the bottleneck instead; the pair is
+    ``None`` for the modes that install no Bundler.
+    """
+    topo = build_site_to_site(
+        Simulator(),
+        bottleneck_mbps=bottleneck_mbps,
+        rtt_ms=rtt_ms,
+        num_servers=num_servers,
+        num_clients=num_clients,
+        num_cross_pairs=num_cross_pairs,
+        bottleneck_qdisc_factory=SfqQdisc if mode == "in_network_sfq" else None,
     )
-
-
-def _bundler_config(config: ScenarioConfig) -> BundlerConfig:
-    scheduler = BUNDLER_MODES[config.mode]
-    overrides = dict(config.bundler_overrides)
+    if mode not in BUNDLER_MODES:
+        return topo, None
     kwargs = dict(
-        sendbox_cc=config.sendbox_cc,
-        scheduler=scheduler,
-        enable_nimbus=config.enable_nimbus,
-        initial_rate_bps=mbps_to_bps(config.bottleneck_mbps) / 2.0,
+        sendbox_cc=sendbox_cc,
+        scheduler=BUNDLER_MODES[mode],
+        enable_nimbus=enable_nimbus,
+        initial_rate_bps=mbps_to_bps(bottleneck_mbps) / 2.0,
     )
-    if config.mode == "proxy":
+    if mode == "proxy":
         kwargs["sendbox_queue_packets"] = proxy_buffer_packets(
-            mbps_to_bps(config.bottleneck_mbps), ms_to_s(config.rtt_ms), config.num_servers
+            mbps_to_bps(bottleneck_mbps), ms_to_s(rtt_ms), num_servers
         )
-    kwargs.update(overrides)
-    return BundlerConfig(**kwargs)
+    kwargs.update(bundler_overrides or {})
+    return topo, install_bundler(topo, BundlerConfig(**kwargs))
 
 
-def _endhost_cc_factory(config: ScenarioConfig) -> Callable[[], object]:
-    if config.mode == "proxy":
-        return lambda: idealized_proxy_window(
-            mbps_to_bps(config.bottleneck_mbps), ms_to_s(config.rtt_ms)
-        )
-    return lambda: make_window_cc(config.endhost_cc)
+def endhost_cc_factory(
+    *, mode: str, bottleneck_mbps: float, rtt_ms: float, endhost_cc: str
+) -> Callable[[], object]:
+    """Per-flow endhost controller factory (``proxy`` pins the idealized window)."""
+    if mode == "proxy":
+        return lambda: idealized_proxy_window(mbps_to_bps(bottleneck_mbps), ms_to_s(rtt_ms))
+    return lambda: make_window_cc(endhost_cc)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Build the topology and workload for ``config``, run it, and collect results."""
-    topo = _build_topology(config)
+    site = dict(mode=config.mode, bottleneck_mbps=config.bottleneck_mbps, rtt_ms=config.rtt_ms)
+    topo, bundler_pair = build_site(
+        **site,
+        num_servers=config.num_servers,
+        num_clients=config.num_clients,
+        sendbox_cc=config.sendbox_cc,
+        enable_nimbus=config.enable_nimbus,
+        bundler_overrides=config.bundler_overrides,
+    )
     sim = topo.sim
-
-    bundler_pair = None
-    if config.mode in BUNDLER_MODES:
-        bundler_pair = install_bundler(topo, _bundler_config(config))
 
     rng = make_rng(derive_seed(config.seed, "workload"))
     classify = None
@@ -190,7 +204,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         # packet on (pre-trace versions patched the class in after the
         # flow had started, letting the initial window out as class 0).
         classify = config.priority_class_for_size or _default_priority_classifier
-    workload = RequestWorkload(
+    workload = TraceReplayWorkload.poisson_requests(
         sim,
         topo.packet_factory,
         topo.servers,
@@ -198,7 +212,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         offered_load_bps=config.offered_load_bps,
         rng=rng,
         size_distribution=config.size_distribution,
-        endhost_cc_factory=_endhost_cc_factory(config),
+        endhost_cc_factory=endhost_cc_factory(**site, endhost_cc=config.endhost_cc),
         max_requests=config.max_requests,
         duration_s=config.duration_s,
         classify=classify,
@@ -219,7 +233,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(
         config=config,
         records=workload.records(include_incomplete=True),
-        requests_issued=workload.requests_issued,
+        requests_issued=workload.flows_issued,
         bottleneck_drops=sum(l.packets_dropped for l in topo.bottleneck_links),
         sendbox_drops=topo.sendbox_link.packets_dropped,
         bundler_min_rtt=min_rtt,
@@ -230,28 +244,35 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 # Runner scenario registrations.
 
-def scenario_metrics(result: ScenarioResult) -> Dict[str, object]:
-    """Flatten a :class:`ScenarioResult` into the runner's metrics dict.
+def slowdown_columns(analysis: FctAnalysis) -> Dict[str, Optional[float]]:
+    """Median/p99 slowdown overall and per Figure 9 size bucket.
 
-    Percentile metrics are ``None`` (not NaN — the cache stores JSON) when a
-    size bucket has no completed flows.
+    A column is ``None`` (not NaN — the cache stores JSON) when its bucket
+    has no completed flows.
     """
-    analysis = result.fct_analysis()
     buckets = analysis.by_size_bucket()
 
-    def _maybe(bucket, fn_name: str, *args):
-        return getattr(bucket, fn_name)(*args) if len(bucket) else None
+    def stat(bucket: FctAnalysis, pct: float) -> Optional[float]:
+        return bucket.percentile_slowdown(pct) if len(bucket) else None
 
+    return {
+        "median_slowdown": stat(analysis, 50.0),
+        "p99_slowdown": stat(analysis, 99.0),
+        "small_median_slowdown": stat(buckets["<=10KB"], 50.0),
+        "mid_median_slowdown": stat(buckets["10KB-1MB"], 50.0),
+        "large_median_slowdown": stat(buckets[">1MB"], 50.0),
+        "small_p99_slowdown": stat(buckets["<=10KB"], 99.0),
+    }
+
+
+def scenario_metrics(result: ScenarioResult) -> Dict[str, object]:
+    """Flatten a :class:`ScenarioResult` into the runner's metrics dict."""
+    analysis = result.fct_analysis()
     return {
         "requests_issued": result.requests_issued,
         "completed": len(analysis),
         "completion_fraction": result.completion_fraction(),
-        "median_slowdown": _maybe(analysis, "median_slowdown"),
-        "p99_slowdown": _maybe(analysis, "percentile_slowdown", 99),
-        "small_median_slowdown": _maybe(buckets["<=10KB"], "median_slowdown"),
-        "mid_median_slowdown": _maybe(buckets["10KB-1MB"], "median_slowdown"),
-        "large_median_slowdown": _maybe(buckets[">1MB"], "median_slowdown"),
-        "small_p99_slowdown": _maybe(buckets["<=10KB"], "percentile_slowdown", 99),
+        **slowdown_columns(analysis),
         "bottleneck_drops": result.bottleneck_drops,
         "sendbox_drops": result.sendbox_drops,
         "out_of_order_fraction": result.out_of_order_fraction,
@@ -263,35 +284,53 @@ def _check_load_fraction(value: float) -> None:
         raise ValueError("load_fraction should be a sensible fraction of the bottleneck")
 
 
+#: The site knobs every scenario module shares, declared once: a registration
+#: references the constant, or ``dataclasses.replace(SPEC, default=...)`` where
+#: its family's default differs, so e.g. a new sendbox CC is added in one place.
+BOTTLENECK_MBPS = ParamSpec(
+    "bottleneck_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
+    description="bottleneck link rate")
+RTT_MS = ParamSpec(
+    "rtt_ms", kind="float", default=50.0, unit="ms", minimum=1.0,
+    description="base round-trip time of the site-to-site path")
+DURATION_S = ParamSpec(
+    "duration_s", kind="float", default=15.0, unit="s", minimum=1.0,
+    description="workload duration")
+WARMUP_S = ParamSpec(
+    "warmup_s", kind="float", default=2.0, unit="s", minimum=0.0,
+    description="leading interval excluded from FCT analysis")
+NUM_SERVERS = ParamSpec(
+    "num_servers", kind="int", default=8, unit="count", minimum=1,
+    description="request-serving endhosts behind the sendbox")
+ENDHOST_CC = ParamSpec(
+    "endhost_cc", kind="str", default="cubic",
+    choices=("cubic", "reno", "vegas", "bbr", "constant"),
+    description="endhost window congestion controller")
+SENDBOX_CC = ParamSpec(
+    "sendbox_cc", kind="str", default="copa",
+    choices=("copa", "basic_delay", "bbr", "constant"),
+    description="bundle-level rate congestion controller")
+
 #: Typed knob set of the §7.1 workload scenario family (Figures 9/14/15,
 #: §7.2 policies, §7.4 table).  Individual registrations derive from this
 #: via :meth:`ParamSpace.with_defaults`.
 SCENARIO_PARAMS = ParamSpace(
     ParamSpec("mode", kind="str", default="bundler_sfq", choices=ALL_MODES,
               description="who controls queueing, and with which scheduler"),
-    ParamSpec("bottleneck_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-              description="bottleneck link rate"),
-    ParamSpec("rtt_ms", kind="float", default=50.0, unit="ms", minimum=1.0,
-              description="base round-trip time of the site-to-site path"),
+    BOTTLENECK_MBPS,
+    RTT_MS,
     ParamSpec("load_fraction", kind="float", default=0.875, unit="fraction",
               validator=_check_load_fraction,
               description="offered load as a fraction of the bottleneck rate"),
-    ParamSpec("duration_s", kind="float", default=15.0, unit="s", minimum=1.0,
-              description="workload duration"),
-    ParamSpec("warmup_s", kind="float", default=2.0, unit="s", minimum=0.0,
-              description="leading interval excluded from FCT analysis"),
-    ParamSpec("num_servers", kind="int", default=8, unit="count", minimum=1,
-              description="request-serving endhosts behind the sendbox"),
+    DURATION_S,
+    WARMUP_S,
+    NUM_SERVERS,
     ParamSpec("num_clients", kind="int", default=1, unit="count", minimum=1,
               description="request-issuing endhosts behind the receivebox"),
     ParamSpec("max_requests", kind="int", default=None, unit="count", minimum=1, nullable=True,
               description="request cap (None = run to duration)"),
-    ParamSpec("endhost_cc", kind="str", default="cubic",
-              choices=("cubic", "reno", "vegas", "bbr", "constant"),
-              description="endhost window congestion controller"),
-    ParamSpec("sendbox_cc", kind="str", default="copa",
-              choices=("copa", "basic_delay", "bbr", "constant"),
-              description="bundle-level rate congestion controller"),
+    ENDHOST_CC,
+    SENDBOX_CC,
     ParamSpec("enable_nimbus", kind="bool", default=True,
               description="enable Nimbus cross-traffic elasticity detection"),
 )

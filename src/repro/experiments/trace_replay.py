@@ -26,22 +26,31 @@ Registered scenarios:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Dict
 
-from repro.core import BundlerConfig, install_bundler
+from repro.experiments.scenarios import (
+    BOTTLENECK_MBPS,
+    DURATION_S,
+    ENDHOST_CC,
+    NUM_SERVERS,
+    RTT_MS,
+    SCENARIO_METRICS,
+    SCENARIO_PARAMS,
+    SENDBOX_CC,
+    WARMUP_S,
+    build_site,
+    endhost_cc_factory,
+    slowdown_columns,
+)
 from repro.metrics.fct import FctAnalysis
-from repro.net.simulator import Simulator
-from repro.net.topology import build_site_to_site
-from repro.qdisc.sfq import SfqQdisc
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
 from repro.traffic.replay import TraceReplayWorkload
 from repro.traffic.spec import open_trace
-from repro.transport.proxy import idealized_proxy_window, proxy_buffer_packets
 from repro.util.rng import derive_seed
 from repro.util.units import mbps_to_bps, ms_to_s
-from repro.experiments.scenarios import ALL_MODES, BUNDLER_MODES
 
 
 def run_trace_replay(
@@ -65,40 +74,18 @@ def run_trace_replay(
     ``trace`` is a coerced trace spec (the scenario's ``ParamSpace`` has
     already canonicalized it).  Synthetic traces are regenerated under
     ``derive_seed(seed, "traffic")``, so a seed sweep varies the sampled
-    trace exactly like it varies the legacy workload's RNG.
+    trace exactly like it varies the §7.1 request load's RNG.
     """
-    sim = Simulator()
-    bottleneck_qdisc_factory = None
-    if mode == "in_network_sfq":
-        bottleneck_qdisc_factory = lambda: SfqQdisc()
-    topo = build_site_to_site(
-        sim,
-        bottleneck_mbps=bottleneck_mbps,
-        rtt_ms=rtt_ms,
+    site = dict(mode=mode, bottleneck_mbps=bottleneck_mbps, rtt_ms=rtt_ms)
+    topo, _ = build_site(
+        **site,
         num_servers=num_servers,
         num_clients=num_clients,
         num_cross_pairs=num_cross_pairs,
-        bottleneck_qdisc_factory=bottleneck_qdisc_factory,
+        sendbox_cc=sendbox_cc,
+        enable_nimbus=enable_nimbus,
     )
-
-    if mode in BUNDLER_MODES:
-        kwargs = dict(
-            sendbox_cc=sendbox_cc,
-            scheduler=BUNDLER_MODES[mode],
-            enable_nimbus=enable_nimbus,
-            initial_rate_bps=mbps_to_bps(bottleneck_mbps) / 2.0,
-        )
-        if mode == "proxy":
-            kwargs["sendbox_queue_packets"] = proxy_buffer_packets(
-                mbps_to_bps(bottleneck_mbps), ms_to_s(rtt_ms), num_servers
-            )
-        install_bundler(topo, BundlerConfig(**kwargs))
-
-    endhost_cc_factory = None
-    if mode == "proxy":
-        endhost_cc_factory = lambda: idealized_proxy_window(
-            mbps_to_bps(bottleneck_mbps), ms_to_s(rtt_ms)
-        )
+    sim = topo.sim
 
     events = open_trace(trace, seed=derive_seed(seed, "traffic"))
     workload = TraceReplayWorkload(
@@ -107,8 +94,7 @@ def run_trace_replay(
         topo.servers,
         topo.clients,
         events=events,
-        endhost_cc=endhost_cc,
-        endhost_cc_factory=endhost_cc_factory,
+        endhost_cc_factory=endhost_cc_factory(**site, endhost_cc=endhost_cc),
         cross_senders=topo.cross_senders,
         cross_receivers=topo.cross_receivers,
     )
@@ -127,11 +113,6 @@ def run_trace_replay(
         bottleneck_bps=mbps_to_bps(bottleneck_mbps),
         warmup_s=warmup_s,
     )
-    buckets = analysis.by_size_bucket()
-
-    def _maybe(bucket, fn_name: str, *args):
-        return getattr(bucket, fn_name)(*args) if len(bucket) else None
-
     completed = len([r for r in bundle_records if r.completed])
     return {
         "flows_replayed": workload.flows_issued,
@@ -143,10 +124,12 @@ def run_trace_replay(
         "completion_fraction": (
             completed / len(bundle_records) if bundle_records else 0.0
         ),
-        "median_slowdown": _maybe(analysis, "median_slowdown"),
-        "p99_slowdown": _maybe(analysis, "percentile_slowdown", 99),
-        "small_median_slowdown": _maybe(buckets["<=10KB"], "median_slowdown"),
-        "large_median_slowdown": _maybe(buckets[">1MB"], "median_slowdown"),
+        # Of the shared slowdown columns, the ones this family's schema declares.
+        **{
+            name: value
+            for name, value in slowdown_columns(analysis).items()
+            if name in TRACE_REPLAY_METRICS
+        },
         "bottleneck_drops": sum(l.packets_dropped for l in topo.bottleneck_links),
         "sendbox_drops": topo.sendbox_link.packets_dropped,
     }
@@ -159,31 +142,21 @@ TRACE_REPLAY_PARAMS = ParamSpace(
               default={"generator": "diurnal"},
               description="trace spec: generator, file path, or store digest "
                           "(digest-addressed in cache keys)"),
-    ParamSpec("mode", kind="str", default="bundler_sfq", choices=ALL_MODES,
-              description="who controls queueing, and with which scheduler"),
-    ParamSpec("bottleneck_mbps", kind="float", default=12.0, unit="Mbit/s", minimum=1.0,
-              description="bottleneck link rate"),
-    ParamSpec("rtt_ms", kind="float", default=40.0, unit="ms", minimum=1.0,
-              description="base round-trip time of the site-to-site path"),
-    ParamSpec("duration_s", kind="float", default=8.0, unit="s", minimum=1.0,
-              description="replay horizon fed to the FCT analysis and drain"),
-    ParamSpec("warmup_s", kind="float", default=1.0, unit="s", minimum=0.0,
-              description="leading interval excluded from FCT analysis"),
-    ParamSpec("num_servers", kind="int", default=4, unit="count", minimum=1,
-              description="bundled endhosts behind the sendbox"),
+    SCENARIO_PARAMS.get("mode"),
+    replace(BOTTLENECK_MBPS, default=12.0),
+    replace(RTT_MS, default=40.0),
+    replace(DURATION_S, default=8.0,
+            description="replay horizon fed to the FCT analysis and drain"),
+    replace(WARMUP_S, default=1.0),
+    replace(NUM_SERVERS, default=4, description="bundled endhosts behind the sendbox"),
     ParamSpec("num_clients", kind="int", default=1, unit="count", minimum=1,
               description="receiving endhosts behind the receivebox"),
     ParamSpec("num_cross_pairs", kind="int", default=0, unit="count", minimum=0,
               description="cross-traffic host pairs beyond the sendbox "
                           "(required by traces with 'cross' events)"),
-    ParamSpec("endhost_cc", kind="str", default="cubic",
-              choices=("cubic", "reno", "vegas", "bbr", "constant"),
-              description="endhost window congestion controller"),
-    ParamSpec("sendbox_cc", kind="str", default="copa",
-              choices=("copa", "basic_delay", "bbr", "constant"),
-              description="bundle-level rate congestion controller"),
-    ParamSpec("enable_nimbus", kind="bool", default=True,
-              description="enable Nimbus cross-traffic elasticity detection"),
+    ENDHOST_CC,
+    SENDBOX_CC,
+    SCENARIO_PARAMS.get("enable_nimbus"),
 )
 
 #: What every trace-replay scenario reports (bundle flows only — cross
@@ -199,21 +172,12 @@ TRACE_REPLAY_METRICS = MetricSchema(
                description="completed bundle flows / issued bundle flows"),
     MetricSpec("median_slowdown", unit="ratio", direction="lower", nullable=True,
                description="median FCT slowdown of bundle flows"),
-    MetricSpec("p99_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="99th-percentile FCT slowdown"),
-    MetricSpec("small_median_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="median slowdown of <=10KB flows"),
-    MetricSpec("large_median_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="median slowdown of >1MB flows"),
-    MetricSpec("bottleneck_drops", unit="packets", direction="lower",
-               description="packets dropped at the bottleneck"),
-    MetricSpec("sendbox_drops", unit="packets", direction="info",
-               description="packets dropped at the sendbox (where drops should move)"),
+    # Same columns, same meaning as the §7.1 family's.
+    *(SCENARIO_METRICS.spec_for(name) for name in (
+        "p99_slowdown", "small_median_slowdown", "large_median_slowdown",
+        "bottleneck_drops", "sendbox_drops",
+    )),
 )
-
-
-def _run_registered_trace_replay(*, seed: int, **params) -> Dict[str, object]:
-    return run_trace_replay(seed=seed, **params)
 
 
 register_scenario(
@@ -235,7 +199,7 @@ register_scenario(
         }},
     ),
     metrics=TRACE_REPLAY_METRICS,
-)(_run_registered_trace_replay)
+)(run_trace_replay)
 
 register_scenario(
     "trace_flash_crowd",
@@ -259,7 +223,7 @@ register_scenario(
         }},
     ),
     metrics=TRACE_REPLAY_METRICS,
-)(_run_registered_trace_replay)
+)(run_trace_replay)
 
 register_scenario(
     "trace_bursty_cross",
@@ -286,4 +250,4 @@ register_scenario(
         num_cross_pairs=1,
     ),
     metrics=TRACE_REPLAY_METRICS,
-)(_run_registered_trace_replay)
+)(run_trace_replay)

@@ -15,7 +15,7 @@ same bucketing is provided here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.net.trace import percentile
 from repro.transport.flow import FlowRecord

@@ -23,7 +23,7 @@ code-level JSON schema check CI runs on the exported artifact.  CLI:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
 #: Phases this exporter emits (a subset of the trace_event spec).
 _COUNTER, _INSTANT, _SPAN, _METADATA = "C", "i", "X", "M"

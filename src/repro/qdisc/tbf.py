@@ -19,7 +19,7 @@ when enough tokens will have accumulated for the head packet.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.net.packet import Packet
 from repro.qdisc.base import Qdisc

@@ -12,16 +12,12 @@ Coercion is what keeps the result cache honest: ``"96"``, ``96`` and
 can ever mint distinct cache keys for the same run (a property the CLI's
 ``key=value`` parsing and JSON spec files rely on — see
 ``tests/test_runner_cli.py::TestParamRoundTrip``).
-
-A plain ``{name: default}`` dict can still seed a space explicitly via
-:meth:`ParamSpace.from_defaults`, which infers a spec from each default
-value (type coercion only — no units, choices, or bounds).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.util.canonical import canonicalize
 
@@ -248,20 +244,6 @@ class ParamSpec:
         return " ".join(parts)
 
 
-def _infer_spec(name: str, default: Any) -> ParamSpec:
-    """Best-effort :class:`ParamSpec` for an untyped legacy default."""
-    if isinstance(default, bool):
-        return ParamSpec(name, kind="bool", default=default)
-    if isinstance(default, int):
-        return ParamSpec(name, kind="int", default=default)  # repro: noqa[RPR031] -- inferred from a legacy untyped default; no unit information exists to declare
-    if isinstance(default, float):
-        return ParamSpec(name, kind="float", default=default)  # repro: noqa[RPR031] -- inferred from a legacy untyped default; no unit information exists to declare
-    if isinstance(default, str):
-        return ParamSpec(name, kind="str", default=default)
-    # None (unknowable type) and containers stay as permissive JSON values.
-    return ParamSpec(name, kind="json", default=default, nullable=True)
-
-
 class ParamSpace:
     """An ordered, typed collection of :class:`ParamSpec` entries."""
 
@@ -271,18 +253,6 @@ class ParamSpace:
             if spec.name in self._specs:
                 raise ValueError(f"duplicate parameter spec {spec.name!r}")
             self._specs[spec.name] = spec
-
-    @classmethod
-    def from_defaults(cls, defaults: Mapping[str, Any]) -> "ParamSpace":
-        """Infer a space from an untyped ``{name: default}`` mapping.
-
-        Historically the bridge behind the (since removed)
-        ``register_scenario(..., defaults={...})`` signature, now an
-        explicit opt-in for callers that genuinely only have a defaults
-        dict; inferred specs carry no units, choices or bounds, only type
-        coercion derived from the default's type.
-        """
-        return cls(*(_infer_spec(name, value) for name, value in defaults.items()))
 
     def __iter__(self) -> Iterator[ParamSpec]:
         return iter(self._specs.values())

@@ -16,15 +16,6 @@ overrides through the space, so differently-spelled values (``"96"`` vs
 ``96``) can never mint distinct cache keys, and ``repro-runner list -v``
 renders a self-describing knob table.
 
-The legacy untyped signature — ``register_scenario(name, defaults={...})``
-— went through its promised deprecation cycle (warned since the
-``repro.api`` v2 redesign) and is now **removed**: passing ``defaults=``
-raises ``TypeError``.  Code that genuinely has only a defaults dict can
-still build a space explicitly with
-:meth:`~repro.runner.params.ParamSpace.from_defaults`, accepting that
-inferred specs carry no units, choices, or bounds and that no metric
-validation happens.
-
 The registry deliberately stores only picklable data (names, specs,
 descriptions) next to the factory callables; the worker pool ships scenario
 *names* across process boundaries and each worker re-imports the experiment
@@ -51,8 +42,7 @@ class Scenario:
     fn: ScenarioFn
     #: Typed knob declarations; ``resolve_params`` coerces through these.
     params: ParamSpace
-    #: What the scenario reports; ``None`` (legacy registrations only)
-    #: disables metric validation.
+    #: What the scenario reports; ``None`` disables metric validation.
     metrics: Optional[MetricSchema] = None
     description: str = ""
     figure: str = ""
@@ -106,26 +96,12 @@ class ScenarioRegistry:
         figure: str = "",
         version: int = 1,
         seed_sensitive: bool = True,
-        **legacy: Any,
     ) -> Callable[[ScenarioFn], ScenarioFn]:
         """Decorator registering ``fn`` as scenario ``name``.
 
         Pass ``params=ParamSpace(...)`` (and ideally
-        ``metrics=MetricSchema(...)``).  The pre-v2 untyped
-        ``defaults={...}`` form completed its deprecation cycle and was
-        removed; it now raises ``TypeError`` with migration guidance.
+        ``metrics=MetricSchema(...)``).
         """
-        if "defaults" in legacy:
-            raise TypeError(
-                f"register_scenario({name!r}, defaults={{...}}) was removed after "
-                f"its deprecation cycle; declare a typed space instead: "
-                f"register_scenario({name!r}, params=ParamSpace(...), "
-                f"metrics=MetricSchema(...)) — or ParamSpace.from_defaults({{...}}) "
-                f"to infer one from a plain defaults dict (docs/api.md#migrating)"
-            )
-        if legacy:
-            unexpected = ", ".join(sorted(legacy))
-            raise TypeError(f"register() got unexpected keyword argument(s): {unexpected}")
         if params is None:
             params = ParamSpace()
 

@@ -15,7 +15,7 @@ so "which cells does this figure contain" is defined in exactly one place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Mapping, Sequence
 
 from repro.util.canonical import canonical_json, canonicalize
 

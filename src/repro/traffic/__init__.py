@@ -13,7 +13,10 @@ The subsystem turns workloads from code into **data**:
 * :mod:`repro.traffic.spec` — trace *specs* (generator / file / digest)
   and their cache-key projection.
 * :mod:`repro.traffic.replay` — :class:`TraceReplayWorkload`, replaying
-  any trace through the simulator's transport stack.
+  any trace through the simulator's transport stack (its
+  ``poisson_requests`` constructor is the §7.1 request load).
+* :mod:`repro.traffic.sources` — the two closed-loop sources a trace cannot
+  express: backlogged flows and request/response probes.
 
 See ``docs/workloads.md`` for the format specification, the generator
 catalog, and a walkthrough of authoring a trace-replay scenario.

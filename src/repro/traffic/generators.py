@@ -47,7 +47,6 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 from repro.traffic.events import EVENT_GROUPS, TraceEvent
 from repro.util.canonical import canonicalize
 from repro.util.rng import derive_seed, make_rng
-from repro.workload.arrivals import PoissonArrivals, arrival_rate_for_load
 from repro.workload.flowsize import EmpiricalSizeDistribution, internet_core_cdf
 
 
@@ -172,6 +171,18 @@ def make_size_sampler(spec: Any):
 # Event-stream builders (plain generators; all take an explicit rng).
 
 
+def arrival_rate_for_load(offered_load_bps: float, mean_flow_size_bytes: float) -> float:
+    """Arrivals per second that offer ``offered_load_bps``: load / (mean size * 8).
+
+    §7.1 offers 84 Mbit/s against a 96 Mbit/s bottleneck (87.5% load).
+    """
+    if offered_load_bps <= 0:
+        raise ValueError("offered load must be positive")
+    if mean_flow_size_bytes <= 0:
+        raise ValueError("mean flow size must be positive")
+    return offered_load_bps / (mean_flow_size_bytes * 8.0)
+
+
 def poisson_flow_events(
     rng,
     *,
@@ -187,12 +198,11 @@ def poisson_flow_events(
 ) -> Iterator[TraceEvent]:
     """Poisson flow arrivals with sizes drawn from ``sizes``.
 
-    The RNG draw order per event is interarrival → size → src → dst, which
-    is exactly the order the pre-trace ``RequestWorkload`` consumed its
-    generator — so replaying this stream reproduces legacy runs
-    byte-for-byte (``tests/test_traffic_replay.py`` pins this).
+    The RNG draw order per event is interarrival → size → src → dst; cached
+    results depend on it (``tests/test_traffic_replay.py`` pins it).
     """
-    arrivals = PoissonArrivals(rate_per_s, rng)
+    if rate_per_s <= 0:
+        raise TraceSpecError(f"rate must be positive, got {rate_per_s}")
     src_indices = tuple(range(num_src))
     dst_indices = tuple(range(num_dst))
     t = start_s
@@ -200,7 +210,7 @@ def poisson_flow_events(
     while True:
         if max_flows is not None and issued >= max_flows:
             return
-        delta = arrivals.next_interarrival()
+        delta = rng.expovariate(rate_per_s)
         if horizon_s is not None and t + delta > start_s + horizon_s:
             return
         t = t + delta

@@ -2,14 +2,17 @@
 
 :class:`TraceReplayWorkload` drives the existing transport stack from any
 time-ordered :class:`~repro.traffic.events.TraceEvent` stream: ``flow``
-events become TCP transfers (exactly what ``RequestWorkload`` issues),
-``stream`` events become paced UDP streams.  The stream is consumed
-**lazily, one event ahead** — the next event is pulled only inside the
-previous event's callback — so replaying a million-flow trace holds O(1)
-events in memory and, just as importantly, preserves the RNG draw order of
-generator-backed streams (draws happen at the same points of the event
-loop the pre-trace workload made them, which keeps legacy runs
-byte-for-byte reproducible; see ``repro.workload.generators``).
+events become TCP transfers, ``stream`` events become paced UDP streams.
+The stream is consumed **lazily, one event ahead** — the next event is
+pulled only inside the previous event's callback — so replaying a
+million-flow trace holds O(1) events in memory and, just as importantly,
+a live generator's RNG draws happen at fixed points of the event loop
+(cached results depend on that interleaving).
+
+This module is the one place that decides how an offered load becomes
+flows: a trace goes to the constructor, the §7.1 request load (Poisson
+arrivals drawn from the caller's live RNG) to
+:meth:`TraceReplayWorkload.poisson_requests` — same class, no wrapper.
 
 Host mapping: ``group="bundle"`` events run between the ``servers`` and
 ``clients`` pools (through the sendbox), ``group="cross"`` events between
@@ -20,6 +23,7 @@ site still replays on a narrow one.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.cc import make_window_cc
@@ -28,13 +32,15 @@ from repro.obs.collect import span, timed_iter
 from repro.net.packet import PacketFactory
 from repro.net.simulator import Simulator
 from repro.traffic.events import TraceEvent, TraceFormatError
+from repro.traffic.generators import arrival_rate_for_load, poisson_flow_events
 from repro.transport.flow import FlowRecord, TcpFlow
 from repro.transport.udp import PacedUdpStream
+from repro.workload.flowsize import EmpiricalSizeDistribution, internet_core_cdf
 
 #: A replay source: an event iterable (times are trace-relative, offset by
 #: the start time), or a factory called with the start time that yields
-#: events at *absolute* simulated times (what RequestWorkload uses to keep
-#: float arithmetic identical to its pre-trace implementation).
+#: events at *absolute* simulated times (a live generator accumulating from
+#: the start time, never re-offset afterwards).
 EventSource = Union[Iterable[TraceEvent], Callable[[float], Iterable[TraceEvent]]]
 
 
@@ -81,8 +87,50 @@ class TraceReplayWorkload:
         self.flows: List[TcpFlow] = []
         self.streams: List[PacedUdpStream] = []
         self.completed_records: List[FlowRecord] = []
-        self._flows_issued = 0
-        self._streams_started = 0
+
+    @classmethod
+    def poisson_requests(
+        cls,
+        sim: Simulator,
+        factory: PacketFactory,
+        servers: Sequence[Host],
+        clients: Sequence[Host],
+        *,
+        offered_load_bps: float,
+        rng: random.Random,
+        size_distribution: Optional[EmpiricalSizeDistribution] = None,
+        max_requests: Optional[int] = None,
+        duration_s: Optional[float] = None,
+        traffic_class: int = 0,
+        **replay_options,
+    ) -> "TraceReplayWorkload":
+        """The §7.1 request load: Poisson arrivals offering ``offered_load_bps``.
+
+        Sizes come from ``size_distribution`` (default: the Internet-core
+        CDF); events are drawn from the caller's live ``rng`` as the replay
+        pulls them, at absolute times anchored at ``start(at=...)``.
+        ``replay_options`` are the constructor's own keywords
+        (``endhost_cc_factory``, ``classify``, ...).
+        """
+        if max_requests is None and duration_s is None:
+            raise ValueError("bound the workload with max_requests and/or duration_s")
+        sizes = size_distribution if size_distribution is not None else internet_core_cdf()
+        rate = arrival_rate_for_load(offered_load_bps, sizes.mean())
+
+        def events(start_s: float) -> Iterator[TraceEvent]:
+            return poisson_flow_events(
+                rng,
+                rate_per_s=rate,
+                sizes=sizes,
+                horizon_s=duration_s,
+                max_flows=max_requests,
+                start_s=start_s,
+                traffic_class=traffic_class,
+                num_src=len(servers),
+                num_dst=len(clients),
+            )
+
+        return cls(sim, factory, servers, clients, events=events, **replay_options)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -109,11 +157,6 @@ class TraceReplayWorkload:
 
     # -- internals --------------------------------------------------------
 
-    def _target_time(self, event: TraceEvent) -> float:
-        if self._absolute_times:
-            return event.time_s
-        return self._start_time + event.time_s
-
     def _schedule_next(self) -> None:
         if not self._running:
             return
@@ -121,7 +164,7 @@ class TraceReplayWorkload:
         event = next(self._events, None)
         if event is None:
             return
-        target = self._target_time(event)
+        target = event.time_s if self._absolute_times else self._start_time + event.time_s
         if self._last_time is not None and target < self._last_time - 1e-12:
             raise TraceFormatError(
                 f"trace event at {target:.9f}s precedes the previous event at "
@@ -175,7 +218,6 @@ class TraceReplayWorkload:
                 on_complete=self._flow_done,
             )
             self.flows.append(flow)
-            self._flows_issued += 1
             flow.start()
         else:
             stream = PacedUdpStream(
@@ -188,7 +230,6 @@ class TraceReplayWorkload:
                 traffic_class=event.traffic_class,
             )
             self.streams.append(stream)
-            self._streams_started += 1
             stream.start(duration=event.duration_s)
 
     def _flow_done(self, flow: TcpFlow) -> None:
@@ -198,16 +239,11 @@ class TraceReplayWorkload:
 
     @property
     def flows_issued(self) -> int:
-        return self._flows_issued
+        return len(self.flows)
 
     @property
     def streams_started(self) -> int:
-        return self._streams_started
-
-    @property
-    def requests_issued(self) -> int:
-        """Alias kept for the pre-trace ``RequestWorkload`` interface."""
-        return self._flows_issued
+        return len(self.streams)
 
     def records(self, include_incomplete: bool = False) -> List[FlowRecord]:
         """Flow records (completed only by default)."""

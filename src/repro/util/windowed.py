@@ -11,7 +11,7 @@ unit- and property-tested in isolation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Iterable, Optional, Tuple
 
 

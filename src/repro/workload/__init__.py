@@ -1,36 +1,11 @@
-"""Workload generation.
+"""Flow-size distributions — the last resident of the first workload package.
 
-The paper's main workload (§7.1) is a many-threaded client issuing requests
-whose sizes are drawn from an Internet-core-router trace: heavy tailed, with
-97.6% of requests at or below 10 KB and the largest 0.002% between 5 MB and
-100 MB, offered at ~87% of the bottleneck rate.  This subpackage provides:
-
-* :mod:`repro.workload.flowsize` — empirical flow-size distributions,
-  including a synthetic stand-in for the CAIDA trace with the published
-  summary statistics.
-* :mod:`repro.workload.arrivals` — Poisson arrival processes parameterized
-  by offered load.
-* :mod:`repro.workload.generators` — traffic generators that drive the
-  transports: the request/response workload, backlogged bulk flows, paced
-  streams, and closed-loop latency probes.
+Everything that turns an offered load into transport activity lives in
+:mod:`repro.traffic`.  :mod:`repro.workload.flowsize` (the Internet-core
+request-size CDF of §7.1) keeps this path only because
+``benchmarks/perfbench/drives.py`` imports
+``repro.workload.flowsize.internet_core_cdf`` and the PR that folded the
+rest of this package away could not touch the benchmark's directory.  The
+next PR that may edit ``benchmarks/perfbench/`` should move ``flowsize.py``
+to ``repro/traffic/`` and delete this package; import nothing else from here.
 """
-
-from repro.workload.flowsize import EmpiricalSizeDistribution, internet_core_cdf
-from repro.workload.arrivals import PoissonArrivals, arrival_rate_for_load
-from repro.workload.generators import (
-    BackloggedFlows,
-    ClosedLoopProbes,
-    PacedStreams,
-    RequestWorkload,
-)
-
-__all__ = [
-    "EmpiricalSizeDistribution",
-    "internet_core_cdf",
-    "PoissonArrivals",
-    "arrival_rate_for_load",
-    "RequestWorkload",
-    "BackloggedFlows",
-    "PacedStreams",
-    "ClosedLoopProbes",
-]

@@ -19,7 +19,6 @@ from repro.analysis.sanitizer import (
 )
 from repro.net.link import Link
 from repro.net.node import Host
-from repro.net.simulator import Simulator
 from repro.obs import OBS_ENV
 from repro.qdisc.base import Qdisc
 from repro.qdisc.fifo import FifoQdisc

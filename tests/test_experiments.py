@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import (
-    PhasedConfig,
     ScenarioConfig,
     run_multipath_point,
     run_queue_shift,

@@ -14,7 +14,6 @@ from repro.qdisc.red import RedQdisc
 from repro.qdisc.sfq import SfqQdisc
 from repro.qdisc.tbf import TokenBucketQdisc
 
-from repro.testing import make_packet
 
 
 def _flow_packet(factory, flow, seq=0, size=1500, traffic_class=0):

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.runner.aggregate import (
-    AggregateCell,
     MetricAggregate,
     aggregate_outcome,
     aggregate_results,

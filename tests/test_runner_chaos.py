@@ -45,7 +45,6 @@ from repro.testing.chaos import (
     ChaosDisconnect,
     FaultPlan,
     FaultRule,
-    FaultSession,
 )
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "chaos"

@@ -168,16 +168,6 @@ class TestParamSpace:
         with pytest.raises(ValueError):
             self._space().with_defaults(mode="zzz")
 
-    def test_from_defaults_infers_types(self):
-        space = ParamSpace.from_defaults(
-            {"n": 2, "rate": 1.5, "flag": True, "name": "x", "cap": None}
-        )
-        assert space.get("n").kind == "int"
-        assert space.get("rate").kind == "float"
-        assert space.get("flag").kind == "bool"
-        assert space.get("name").kind == "str"
-        assert space.get("cap").kind == "json" and space.get("cap").nullable
-
     def test_describe_rows(self):
         rows = self._space().describe_rows()
         assert [r[0] for r in rows] == ["rate", "mode", "cap"]

@@ -166,35 +166,16 @@ class TestRunResult:
 
 class TestRemovedLegacyRegistration:
     def test_defaults_shim_is_gone(self):
-        # The pre-v2 untyped signature finished its deprecation cycle: it
-        # must fail loudly, pointing the caller at the migration path.
+        # The pre-v2 untyped signature is not special-cased any more: it is
+        # an unknown keyword like any other, rejected by Python itself.
         registry = ScenarioRegistry()
-        with pytest.raises(TypeError, match="removed after its deprecation cycle"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'defaults'"):
             registry.register("legacy", defaults={"x": 1, "rate": 24.0})
 
     def test_unknown_kwargs_still_rejected(self):
         registry = ScenarioRegistry()
         with pytest.raises(TypeError, match="unexpected keyword"):
             registry.register("bad", defautls={"x": 1})
-
-    def test_from_defaults_is_the_explicit_migration_path(self):
-        # What the shim used to do implicitly remains available, spelled
-        # out: an inferred space that coerces spellings to one value.
-        registry = ScenarioRegistry()
-
-        @registry.register(
-            "legacy", params=ParamSpace.from_defaults({"x": 1, "rate": 24.0, "name": "a"})
-        )
-        def _legacy(*, seed, x, rate, name):
-            return {"out": x + rate}
-
-        scenario = registry.get("legacy")
-        assert scenario.resolve_params({"rate": "48"}) == scenario.resolve_params(
-            {"rate": 48.0}
-        )
-        assert scenario.defaults == {"x": 1, "rate": 24, "name": "a"}
-        assert scenario.metrics is None  # inferred spaces carry no schema
-        assert scenario.run(seed=1, params={"x": 2})["out"] == 26
 
 
 class TestTypedRegistration:

@@ -1,6 +1,5 @@
 """Tests for the canonical trace format: events, I/O, digests, validation."""
 
-import gzip
 import json
 
 import pytest

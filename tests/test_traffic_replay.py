@@ -1,10 +1,10 @@
-"""Tests for TraceReplayWorkload and the RequestWorkload migration.
+"""Tests for TraceReplayWorkload and its §7.1 request-load constructor.
 
 The load-bearing property here is **replay equivalence**: the §7.1 request
-workload is now generated as a trace and replayed, and the
-generate→write→read→replay path must reproduce the direct path exactly —
-same flows, same timings, same completions.  That is what makes synthetic
-and recorded traffic one code path instead of two.
+load is a live-generated trace replayed by the same engine as a recorded
+one, and the generate→write→read→replay path must reproduce the direct
+path exactly — same flows, same timings, same completions.  That is what
+makes synthetic and recorded traffic one code path instead of two.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.traffic.replay import TraceReplayWorkload
 from repro.traffic.spec import open_trace
 from repro.util.rng import make_rng
 from repro.workload.flowsize import internet_core_cdf
-from repro.workload.generators import RequestWorkload
 
 
 def _topo(num_cross_pairs=0):
@@ -139,7 +138,7 @@ class TestGenerateThenReplayEquivalence:
 
     def _direct(self):
         sim, topo = _topo()
-        workload = RequestWorkload(
+        workload = TraceReplayWorkload.poisson_requests(
             sim, topo.packet_factory, topo.servers, topo.clients,
             offered_load_bps=self.OFFERED, rng=make_rng(42), duration_s=self.DURATION,
         ).start()
@@ -153,6 +152,17 @@ class TestGenerateThenReplayEquivalence:
             make_rng(42), rate_per_s=rate, sizes=sizes,
             horizon_s=self.DURATION, num_src=2, num_dst=1,
         )
+
+    def test_constructor_returns_the_replay_engine_itself(self):
+        # No wrapper type: callers hold the TraceReplayWorkload and read
+        # flows_issued / records() / flows off the real object.
+        sim, topo = _topo()
+        workload = TraceReplayWorkload.poisson_requests(
+            sim, topo.packet_factory, topo.servers, topo.clients,
+            offered_load_bps=self.OFFERED, rng=make_rng(42), duration_s=self.DURATION,
+        )
+        assert type(workload) is TraceReplayWorkload
+        assert not hasattr(workload, "requests_issued")
 
     def test_file_roundtrip_replay_matches_direct_run(self, tmp_path):
         direct = self._direct()
@@ -174,14 +184,14 @@ class TestGenerateThenReplayEquivalence:
         # the same function of the same rng — identical event sequences.
         direct = self._direct()
         expected = list(self._events())
-        assert direct.requests_issued == len(expected)
+        assert direct.flows_issued == len(expected)
         for flow, event in zip(direct.flows, expected, strict=True):
             assert flow.size_bytes == event.size_bytes
             assert flow.start_time == pytest.approx(event.time_s, abs=1e-12)
 
     def test_nonzero_start_offsets_whole_trace(self):
         sim, topo = _topo()
-        workload = RequestWorkload(
+        workload = TraceReplayWorkload.poisson_requests(
             sim, topo.packet_factory, topo.servers, topo.clients,
             offered_load_bps=self.OFFERED, rng=make_rng(7), duration_s=1.0,
         ).start(at=2.0)
@@ -193,10 +203,10 @@ class TestGenerateThenReplayEquivalence:
 
     def test_max_requests_bound_preserved(self):
         sim, topo = _topo()
-        workload = RequestWorkload(
+        workload = TraceReplayWorkload.poisson_requests(
             sim, topo.packet_factory, topo.servers, topo.clients,
             offered_load_bps=self.OFFERED, rng=make_rng(1),
             duration_s=10.0, max_requests=25,
         ).start()
         sim.run(until=12.0)
-        assert workload.requests_issued == 25
+        assert workload.flows_issued == 25

@@ -12,7 +12,7 @@ from repro.qdisc.fifo import FifoQdisc
 from repro.transport.flow import TcpFlow
 from repro.transport.proxy import idealized_proxy_window, proxy_buffer_packets
 from repro.transport.udp import ClosedLoopPinger, PacedUdpStream, UdpEchoServer
-from repro.workload.generators import BackloggedFlows, ClosedLoopProbes
+from repro.traffic.sources import BackloggedFlows, ClosedLoopProbes
 
 
 def _two_host_topo(sim, rate_bps=12e6, delay=0.01, queue_packets=100):

@@ -3,7 +3,7 @@
 The runner's whole caching story assumes that ``(seed, label)`` →
 ``derive_seed`` → an RNG stream is identical across processes and hosts.
 These tests pin that down for the two primitives every workload is built
-from — :class:`PoissonArrivals` and :class:`EmpiricalSizeDistribution` —
+from — ``rng.expovariate`` inter-arrivals and :class:`EmpiricalSizeDistribution` —
 with in-process golden values *and* a subprocess cross-check (a process
 boundary is exactly where ``hash()``-based seeding betrayed projects
 before ``PYTHONHASHSEED`` discipline).
@@ -17,7 +17,6 @@ import sys
 import pytest
 
 from repro.util.rng import derive_seed, make_rng
-from repro.workload.arrivals import PoissonArrivals
 from repro.workload.flowsize import internet_core_cdf
 
 #: One shared recipe so the in-process and subprocess sides compute the
@@ -25,13 +24,11 @@ from repro.workload.flowsize import internet_core_cdf
 _SNIPPET = """
 import json, sys
 from repro.util.rng import derive_seed, make_rng
-from repro.workload.arrivals import PoissonArrivals
 from repro.workload.flowsize import internet_core_cdf
 
 seed = int(sys.argv[1])
 rng = make_rng(derive_seed(seed, "workload"))
-arrivals = PoissonArrivals(120.0, rng)
-interarrivals = [arrivals.next_interarrival() for _ in range(50)]
+interarrivals = [rng.expovariate(120.0) for _ in range(50)]
 sizes = internet_core_cdf()
 samples = [sizes.sample(rng) for _ in range(50)]
 print(json.dumps({"interarrivals": interarrivals, "sizes": samples}))
@@ -40,8 +37,7 @@ print(json.dumps({"interarrivals": interarrivals, "sizes": samples}))
 
 def _sequences(seed: int):
     rng = make_rng(derive_seed(seed, "workload"))
-    arrivals = PoissonArrivals(120.0, rng)
-    interarrivals = [arrivals.next_interarrival() for _ in range(50)]
+    interarrivals = [rng.expovariate(120.0) for _ in range(50)]
     sizes = internet_core_cdf()
     samples = [sizes.sample(rng) for _ in range(50)]
     return {"interarrivals": interarrivals, "sizes": samples}

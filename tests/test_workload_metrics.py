@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.metrics.fct import FctAnalysis, ideal_fct, slowdown
 from repro.metrics.reporting import Table, format_comparison, paper_expectation_note
@@ -12,9 +12,9 @@ from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
 from repro.transport.flow import FlowRecord
 from repro.util.rng import make_rng
-from repro.workload.arrivals import PoissonArrivals, arrival_rate_for_load
+from repro.traffic.generators import arrival_rate_for_load
+from repro.traffic.replay import TraceReplayWorkload
 from repro.workload.flowsize import EmpiricalSizeDistribution, internet_core_cdf, uniform_sizes
-from repro.workload.generators import RequestWorkload
 
 
 class TestFlowSizes:
@@ -64,33 +64,17 @@ class TestArrivals:
         # 24 Mbit/s of 3 KB flows -> 1000 flows/s.
         assert arrival_rate_for_load(24e6, 3000) == pytest.approx(1000.0)
 
-    def test_poisson_mean_interarrival(self):
-        arr = PoissonArrivals(100.0, make_rng(3))
-        times = arr.arrival_times(count=5000)
-        inter = [b - a for a, b in zip(times, times[1:], strict=False)]
-        assert sum(inter) / len(inter) == pytest.approx(0.01, rel=0.1)
-
-    def test_horizon_bound(self):
-        arr = PoissonArrivals(50.0, make_rng(3))
-        times = arr.arrival_times(horizon_s=2.0)
-        assert all(t <= 2.0 for t in times)
-        assert len(times) == pytest.approx(100, rel=0.4)
-
-    def test_needs_bound(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(1.0, make_rng(0)).arrival_times()
-
 
 class TestRequestWorkload:
     def test_generates_and_completes_requests(self):
         sim = Simulator()
         topo = build_site_to_site(sim, bottleneck_mbps=24, rtt_ms=20, num_servers=2)
-        workload = RequestWorkload(
+        workload = TraceReplayWorkload.poisson_requests(
             sim, topo.packet_factory, topo.servers, topo.clients,
             offered_load_bps=6e6, rng=make_rng(1), duration_s=3.0,
         ).start()
         sim.run(until=5.0)
-        assert workload.requests_issued > 50
+        assert workload.flows_issued > 50
         records = workload.records()
         assert records
         assert all(r.completed for r in records)
@@ -98,19 +82,21 @@ class TestRequestWorkload:
     def test_max_requests_bound(self):
         sim = Simulator()
         topo = build_site_to_site(sim, bottleneck_mbps=24, rtt_ms=20, num_servers=1)
-        workload = RequestWorkload(
+        workload = TraceReplayWorkload.poisson_requests(
             sim, topo.packet_factory, topo.servers, topo.clients,
             offered_load_bps=6e6, rng=make_rng(1), duration_s=10.0, max_requests=25,
         ).start()
         sim.run(until=12.0)
-        assert workload.requests_issued == 25
+        assert workload.flows_issued == 25
 
     def test_requires_bound(self):
         sim = Simulator()
         topo = build_site_to_site(sim, num_servers=1)
         with pytest.raises(ValueError):
-            RequestWorkload(sim, topo.packet_factory, topo.servers, topo.clients,
-                            offered_load_bps=1e6, rng=make_rng(1))
+            TraceReplayWorkload.poisson_requests(
+                sim, topo.packet_factory, topo.servers, topo.clients,
+                offered_load_bps=1e6, rng=make_rng(1),
+            )
 
 
 class TestFctMetrics:
