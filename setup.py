@@ -19,7 +19,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.8",
+    python_requires=">=3.10",
     entry_points={
         "console_scripts": [
             "repro-runner = repro.runner.cli:main",

@@ -23,8 +23,11 @@ all relative, so a constant per-packet overhead would cancel out).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.cc.base import WindowCongestionControl
 from repro.cc.cubic import CubicCC
@@ -47,7 +50,24 @@ REORDER_BYTES = 3 * 1500
 #: 3-4 blocks per ACK and relies on the scoreboard accumulating across many
 #: ACKs; carrying the (merged) block list directly keeps the simulated sender's
 #: scoreboard exact without modelling that accumulation packet-by-packet.
+#: When the receiver holds more ranges than this, the ACK carries the
+#: *lowest* ones (those nearest the cumulative ACK point).
 MAX_SACK_BLOCKS = 256
+
+_RANGE_END = itemgetter(1)
+
+
+def _touching(ranges: Sequence[Sequence[int]], start: int, end: int) -> Tuple[int, int]:
+    """``(i, j)`` such that ``ranges[i:j]`` overlap or touch ``[start, end)``.
+
+    ``ranges`` is sorted, disjoint and non-adjacent, so its ends ascend too
+    and the first candidate is found by bisect on them; inserting the union
+    of ``[start, end)`` and ``ranges[i:j]`` at ``[i:j]`` keeps it that way.
+    """
+    i = j = bisect_left(ranges, start, key=_RANGE_END)
+    while j < len(ranges) and ranges[j][0] <= end:
+        j += 1
+    return i, j
 
 
 @dataclass
@@ -121,12 +141,20 @@ class TcpSender:
         #   _sacked_ranges sorted disjoint [lo, hi) byte ranges exactly
         #               covering the SACKed segments, so applying an ACK's
         #               blocks only walks the *newly* covered bytes
+        #   _sack_applied  the blocks of the last applied block list, so an
+        #               ACK only applies the blocks it adds
+        #   _retx_order outstanding retransmissions' seqs in send order, so
+        #               the time rule stops at the first one still young
+        # The last two are allocated on first use: most flows never see a
+        # SACK block or a retransmission.
         self._segments: Dict[int, _SegmentState] = {}
         self._pipe = 0
         self._hs: Optional[int] = None
         self._retx_seqs: set = set()
+        self._retx_order: Optional[Deque[int]] = None
         self._sack_floor = 0
         self._sacked_ranges: List[List[int]] = []
+        self._sack_applied: FrozenSet[Tuple[int, int]] = frozenset()
         self._lost_heap: List[int] = []
         self._has_lost = False
         self._has_sacked = False
@@ -253,7 +281,6 @@ class TcpSender:
             size=size,
             traffic_class=self.traffic_class,
             created_at=self.sim.now,
-            payload={"len": size},
         )
 
     def _transmit_new(self, seq: int, size: int) -> None:
@@ -270,6 +297,10 @@ class TcpSender:
             state.retransmitted = True
             self._retx_seqs.add(state.seq)
         state.sent_time = self.sim.now
+        order = self._retx_order
+        if order is None:
+            order = self._retx_order = deque()
+        order.append(state.seq)
         self.retransmissions += 1
         self.packets_sent += 1
         self.host.send(self._make_packet(state.seq, state.size))
@@ -280,8 +311,7 @@ class TcpSender:
         if not packet.is_ack or packet.flow_id != self.flow_id:
             return
         payload = packet.payload or {}
-        ack = int(payload.get("ack", 0))
-        sack_blocks: List[Tuple[int, int]] = list(payload.get("sack", ()))
+        ack = payload.get("ack", 0)
 
         newly_acked = 0
         if ack > self.snd_una:
@@ -315,7 +345,7 @@ class TcpSender:
             self.snd_una = ack
             self._arm_rto(reset=True)
 
-        self._apply_sack(sack_blocks)
+        self._apply_sack(payload.get("sack", ()))
         lost_found = self._detect_losses()
         if lost_found and self.snd_una >= self._recovery_until:
             # At most one congestion-window reduction per window of data.
@@ -332,73 +362,53 @@ class TcpSender:
         if not blocks or not self._segments:
             return
         self._has_sacked = True
-        # SACK blocks mostly repeat coverage the sender already knows about.
-        # ``_sacked_ranges`` records exactly the SACKed intervals, so each
-        # block is first subtracted from it and only the *new* bytes are
-        # walked (by scoreboard key — ACK/block boundaries are segment
-        # boundaries and the scoreboard partitions [snd_una, snd_nxt)).
-        # Every byte is walked at most once per connection epoch.
-        blocks = sorted(blocks)
-        segments = self._segments
+        # Applying a block marks every segment of [max(start, snd_una), end)
+        # SACKed, and nothing un-SACKs a segment before the next RTO — so a
+        # block applied once stays a no-op until ``_on_rto`` resets this
+        # memo.  Only the blocks the previous ACK did not carry are applied.
+        carried = frozenset(blocks)
+        fresh = carried.difference(self._sack_applied)
+        self._sack_applied = carried
         snd_una = self.snd_una
-        hs = self._hs
         ranges = self._sacked_ranges
-        nr = len(ranges)
-        ri = 0
-        clamped: List[List[int]] = []
-        for start, end in blocks:
-            if end <= snd_una:
-                continue
+        for start, end in fresh:
             if start < snd_una:
                 start = snd_una
             if start >= end:
                 continue
-            clamped.append([start, end])
-            while ri < nr and ranges[ri][1] <= start:
-                ri += 1
+            # Mark the gaps between the known ranges the block overlaps or
+            # touches, then splice the union in their place.  Every byte is
+            # marked at most once per connection epoch.
+            i, j = _touching(ranges, start, end)
             pos = start
-            j = ri
-            while pos < end:
-                if j < nr:
-                    lo, hi = ranges[j]
-                    if lo <= pos:
-                        if hi > pos:
-                            pos = hi
-                        j += 1
-                        continue
-                    gap_end = lo if lo < end else end
-                else:
-                    gap_end = end
-                seq = pos
-                while seq < gap_end:
-                    state = segments[seq]
-                    state.sacked = True
-                    if not state.lost:
-                        self._pipe -= state.size
-                    seq += state.size
-                if hs is None or gap_end > hs:
-                    hs = gap_end
-                pos = gap_end
-        self._hs = hs
-        if clamped:
-            # Fold the clamped blocks into the coverage map: one sweep over
-            # two sorted disjoint lists, coalescing touching intervals.
-            out: List[List[int]] = []
-            i = j = 0
-            nc = len(clamped)
-            while i < nr or j < nc:
-                if j >= nc or (i < nr and ranges[i][0] <= clamped[j][0]):
-                    nxt = ranges[i]
-                    i += 1
-                else:
-                    nxt = clamped[j]
-                    j += 1
-                if out and nxt[0] <= out[-1][1]:
-                    if nxt[1] > out[-1][1]:
-                        out[-1][1] = nxt[1]
-                else:
-                    out.append([nxt[0], nxt[1]])
-            self._sacked_ranges = out
+            for lo, hi in ranges[i:j]:
+                if pos < lo:
+                    self._mark_sacked(pos, lo)
+                if pos < hi:
+                    pos = hi
+            if pos < end:
+                self._mark_sacked(pos, end)
+                pos = end
+            if j > i and ranges[i][0] < start:
+                start = ranges[i][0]
+            ranges[i:j] = [[start, pos]]
+
+    def _mark_sacked(self, lo: int, hi: int) -> None:
+        """Mark the not-yet-SACKed segments that make up ``[lo, hi)``.
+
+        Walks the scoreboard by key: block boundaries are segment boundaries
+        and the scoreboard partitions ``[snd_una, snd_nxt)``.
+        """
+        segments = self._segments
+        seq = lo
+        while seq < hi:
+            state = segments[seq]
+            state.sacked = True
+            if not state.lost:
+                self._pipe -= state.size
+            seq += state.size
+        if self._hs is None or hi > self._hs:
+            self._hs = hi
 
     def _detect_losses(self) -> bool:
         """SACK- and time-based loss detection.
@@ -418,21 +428,28 @@ class TcpSender:
             return False
         segments = self._segments
         found = False
-        # Time rule: only outstanding retransmitted segments are eligible,
-        # and those are tracked in a (small) side set.  Marks are mutually
-        # independent, so set iteration order cannot affect the outcome.
+        # Time rule: only outstanding retransmitted segments are eligible.
+        # They sit in ``_retx_order`` by (non-decreasing) retransmission
+        # time, so their age is monotone along it: drop heads that are gone
+        # (cumulatively acked), SACKed or lost, mark the over-age ones lost,
+        # and stop at the first that is still young.  A marked segment leaves
+        # the queue, so each outstanding retransmission has exactly one entry
+        # and ``sent_time`` is the time it was appended.
         if self._retx_seqs:
             now = self.sim.now
             reorder_window = 1.5 * (self._srtt if self._srtt is not None else INITIAL_RTO)
-            for rseq in self._retx_seqs:
-                state = segments[rseq]
-                if state.sacked or state.lost:
-                    continue
-                if now - state.sent_time > reorder_window:
+            order = self._retx_order
+            while order:
+                rseq = order[0]
+                state = segments.get(rseq)
+                if state is not None and not (state.sacked or state.lost):
+                    if now - state.sent_time <= reorder_window:
+                        break
                     state.lost = True
                     self._pipe -= state.size
                     heapq.heappush(self._lost_heap, rseq)
                     found = True
+                order.popleft()
         # SACK rule: eligible segments sit below the reorder bound, and the
         # scoreboard is a contiguous byte partition, so walk it by key from
         # the exemption floor.  Everything the walk covers ends up SACKed,
@@ -520,8 +537,11 @@ class TcpSender:
         self._pipe = 0
         self._hs = None
         self._retx_seqs.clear()
+        if self._retx_order:
+            self._retx_order.clear()
         self._sack_floor = self.snd_nxt
         self._sacked_ranges = []
+        self._sack_applied = frozenset()
         self._lost_heap = list(self._segments)
         self._has_lost = bool(self._segments)
         self._has_sacked = False
@@ -570,11 +590,9 @@ class TcpReceiver:
         self.packets_received = 0
         self.complete_time: Optional[float] = None
         self.completed = False
-        # Out-of-order data as a sorted list of disjoint [start, end) ranges.
-        self._ranges: List[List[int]] = []
-        # Rendered SACK blocks, rebuilt when the ranges change.  The cached
-        # list is shared across ACK payloads and never mutated in place.
-        self._blocks_cache: Optional[List[Tuple[int, int]]] = None
+        # Out-of-order data: sorted, disjoint, non-adjacent [start, end)
+        # ranges, stored as the very tuples the SACK blocks are.
+        self._ranges: List[Tuple[int, int]] = []
 
         host.register_agent(port, self)
 
@@ -585,56 +603,38 @@ class TcpReceiver:
         # lands in order, either extending the newest range or opening a new
         # one past it.  Stored ranges are disjoint, non-adjacent and sorted,
         # so comparing against the last range alone is sufficient.
-        self._blocks_cache = None
-        if self._ranges:
-            last = self._ranges[-1]
-            if start > last[1]:
-                self._ranges.append([start, end])
-                return
-            if start == last[1]:
-                if end > last[1]:
-                    last[1] = end
-                return
-        else:
-            self._ranges.append([start, end])
+        ranges = self._ranges
+        if not ranges:
+            ranges.append((start, end))
             return
-        merged: List[List[int]] = []
-        placed = False
-        for lo, hi in self._ranges:
-            if end < lo and not placed:
-                merged.append([start, end])
-                placed = True
-            if hi < start or end < lo:
-                merged.append([lo, hi])
-            else:
-                start = min(start, lo)
-                end = max(end, hi)
-        if not placed:
-            merged.append([start, end])
-        merged.sort()
-        # Merge adjacent/overlapping ranges produced by the insertion.
-        result: List[List[int]] = []
-        for lo, hi in merged:
-            if result and lo <= result[-1][1]:
-                result[-1][1] = max(result[-1][1], hi)
-            else:
-                result.append([lo, hi])
-        self._ranges = result
+        last_lo, last_hi = ranges[-1]
+        if start > last_hi:
+            ranges.append((start, end))
+            return
+        if start == last_hi:
+            if end > last_hi:
+                ranges[-1] = (last_lo, end)
+            return
+        # A hole is being filled: the union of the new data and the ranges
+        # it overlaps or touches replaces them.
+        i, j = _touching(ranges, start, end)
+        if j > i:
+            start = min(start, ranges[i][0])
+            end = max(end, ranges[j - 1][1])
+        ranges[i:j] = [(start, end)]
 
     def _advance_cumulative(self) -> None:
         while self._ranges and self._ranges[0][0] <= self.rcv_nxt:
             lo, hi = self._ranges.pop(0)
-            self._blocks_cache = None
             self.rcv_nxt = max(self.rcv_nxt, hi)
 
     def sack_blocks(self) -> List[Tuple[int, int]]:
-        """Current out-of-order ranges, newest-capped to the SACK block limit."""
-        blocks = self._blocks_cache
-        if blocks is None:
-            blocks = self._blocks_cache = [
-                (lo, hi) for lo, hi in self._ranges[:MAX_SACK_BLOCKS]
-            ]
-        return blocks
+        """Current out-of-order ranges, lowest first, capped to the block limit.
+
+        Past ``MAX_SACK_BLOCKS`` ranges the *lowest* ones are reported (the
+        ones next to the cumulative ACK point), not the newest.
+        """
+        return self._ranges[:MAX_SACK_BLOCKS]
 
     # -- datapath -------------------------------------------------------------------
 

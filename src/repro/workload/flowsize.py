@@ -17,6 +17,7 @@ distribution rather than a handful of discrete sizes.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from typing import List, Sequence, Tuple
@@ -69,10 +70,7 @@ class EmpiricalSizeDistribution:
 
     def mean(self, samples: int = 20001) -> float:
         """Numerical mean of the distribution (trapezoidal over quantiles)."""
-        total = 0.0
-        for i in range(samples):
-            total += self.quantile((i + 0.5) / samples)
-        return total / samples
+        return _quantile_mean(tuple(self._sizes), tuple(self._probs), samples)
 
     def fraction_at_or_below(self, size_bytes: float) -> float:
         """Cumulative probability at ``size_bytes`` (log-linear interpolation)."""
@@ -85,6 +83,19 @@ class EmpiricalSizeDistribution:
         p_lo, p_hi = self._probs[idx - 1], self._probs[idx]
         frac = (math.log(size_bytes) - math.log(s_lo)) / (math.log(s_hi) - math.log(s_lo))
         return p_lo + frac * (p_hi - p_lo)
+
+
+@functools.lru_cache(maxsize=32)
+def _quantile_mean(
+    sizes: Tuple[float, ...], probs: Tuple[float, ...], samples: int
+) -> float:
+    # Every cell of a sweep builds its own (equal) distribution and asks for
+    # the same mean; the memo hands back the very float the sum produced.
+    dist = EmpiricalSizeDistribution(tuple(zip(sizes, probs, strict=True)))
+    total = 0.0
+    for i in range(samples):
+        total += dist.quantile((i + 0.5) / samples)
+    return total / samples
 
 
 #: Anchor points for the synthetic Internet-core request-size CDF.

@@ -1,5 +1,8 @@
 """Tests for the TCP-like transport, UDP streams, probes and flows."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cc.constant import ConstantWindowCC
@@ -10,6 +13,13 @@ from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
 from repro.qdisc.fifo import FifoQdisc
 from repro.transport.flow import TcpFlow
+from repro.transport.tcp import (
+    INITIAL_RTO,
+    MAX_SACK_BLOCKS,
+    REORDER_BYTES,
+    TcpReceiver,
+    TcpSender,
+)
 from repro.transport.proxy import idealized_proxy_window, proxy_buffer_packets
 from repro.transport.udp import ClosedLoopPinger, PacedUdpStream, UdpEchoServer
 from repro.traffic.sources import BackloggedFlows, ClosedLoopProbes
@@ -149,6 +159,302 @@ class TestTcpFlow:
                        cc=ConstantWindowCC(window_segments=100)).start()
         sim.run(until=10.0)
         assert flow.completed
+
+
+MSS = 1500
+
+
+class _BruteScoreboard:
+    """Reference sender scoreboard: every rule applied to every segment.
+
+    Attached to a real :class:`TcpSender`, it hears of each transmission and
+    sees the same ACK stream, keeps its own per-segment flags by brute force
+    (every SACK block tested against every segment, the time rule and the
+    SACK rule run over the whole scoreboard, no watermark, floor or memo), and
+    compares itself with the sender after every ACK and every timeout.
+    """
+
+    def __init__(self, sender, drop_acks=0.0, seed=0):
+        self.sender = sender
+        self.segs = {}
+        self.checked = 0
+        self.acks_dropped = 0
+        rng = random.Random(seed)
+        real_new = sender._transmit_new
+        real_retx = sender._retransmit_segment
+        real_rto = sender._on_rto
+        real_detect = sender._detect_losses
+        real_on_packet = sender.on_packet
+        pending = {}
+
+        def transmit_new(seq, size):
+            self.segs[seq] = SimpleNamespace(
+                size=size, sent_time=sender.sim.now,
+                retransmitted=False, sacked=False, lost=False)
+            real_new(seq, size)
+
+        def retransmit_segment(state):
+            seg = self.segs[state.seq]
+            assert seg.lost and not seg.sacked
+            seg.lost = False
+            seg.retransmitted = True
+            seg.sent_time = sender.sim.now
+            real_retx(state)
+
+        def on_rto():
+            if not sender.completed and sender.inflight_bytes > 0:
+                for seg in self.segs.values():
+                    seg.sacked = seg.retransmitted = False
+                    seg.lost = True
+            real_rto()
+            self.check()
+
+        def detect_losses():
+            # The sender has taken the cumulative ACK and its RTT sample and
+            # not yet transmitted anything: the point at which the reference
+            # processes the same ACK.
+            expected = self.on_ack(pending["ack"], pending["sack"],
+                                   sender.sim.now, sender.srtt)
+            found = real_detect()
+            assert found == expected
+            return found
+
+        def on_packet(packet, now):
+            if rng.random() < drop_acks:
+                self.acks_dropped += 1  # lost on the reverse path
+                return
+            pending.update(packet.payload)
+            real_on_packet(packet, now)
+            self.check()
+
+        sender._transmit_new = transmit_new
+        sender._retransmit_segment = retransmit_segment
+        sender._on_rto = on_rto
+        sender._detect_losses = detect_losses
+        sender.on_packet = on_packet
+
+    def on_ack(self, ack, blocks, now, srtt):
+        segs = self.segs
+        for seq in [seq for seq in segs if seq < ack]:
+            del segs[seq]
+        for start, end in blocks:
+            for seq, seg in segs.items():
+                if start <= seq and seq + seg.size <= end:
+                    seg.sacked = True
+        found = False
+        window = 1.5 * (srtt if srtt is not None else INITIAL_RTO)
+        for seg in segs.values():
+            if (seg.retransmitted and not seg.sacked and not seg.lost
+                    and now - seg.sent_time > window):
+                seg.lost = found = True
+        highest = max((q + g.size for q, g in segs.items() if g.sacked), default=None)
+        if highest is not None:
+            for seq, seg in segs.items():
+                if seq <= highest - REORDER_BYTES and not (
+                        seg.sacked or seg.lost or seg.retransmitted):
+                    seg.lost = found = True
+        return found
+
+    def check(self):
+        sender, segs = self.sender, self.segs
+        assert list(sender._segments) == list(segs)
+        for seq, state in sender._segments.items():
+            seg = segs[seq]
+            assert (state.sacked, state.lost, state.retransmitted) == (
+                seg.sacked, seg.lost, seg.retransmitted), seq
+        assert sender.pipe_bytes == sum(
+            g.size for g in segs.values() if not g.sacked and not g.lost)
+        assert sender._hs == max(
+            (q + g.size for q, g in segs.items() if g.sacked), default=None)
+        next_lost = sender._next_lost_segment()
+        assert (next_lost.seq if next_lost else None) == min(
+            (q for q, g in segs.items() if g.lost and not g.sacked), default=None)
+        self.checked += 1
+
+
+def _lone_sender(sim, window_segments):
+    """A started sender whose data goes nowhere: ACKs are fed by the test."""
+    factory, a, b, _ = _two_host_topo(sim, queue_packets=10_000)
+    sender = TcpSender(
+        sim, a, factory, flow_id=1, port=1000, dst_address=b.address,
+        dst_port=2000, size_bytes=None,
+        cc=ConstantWindowCC(window_segments=window_segments))
+    return factory, a, b, sender
+
+
+def _rebuild_insert(ranges, start, end):
+    """The receiver's former insert: rebuild, sort, re-merge.  Kept as oracle."""
+    merged = []
+    placed = False
+    for lo, hi in ranges:
+        if end < lo and not placed:
+            merged.append([start, end])
+            placed = True
+        if hi < start or end < lo:
+            merged.append([lo, hi])
+        else:
+            start = min(start, lo)
+            end = max(end, hi)
+    if not placed:
+        merged.append([start, end])
+    merged.sort()
+    result = []
+    for lo, hi in merged:
+        if result and lo <= result[-1][1]:
+            result[-1][1] = max(result[-1][1], hi)
+        else:
+            result.append([lo, hi])
+    return result
+
+
+class TestAckPathIsIncremental:
+    """The per-ACK work follows what the ACK changed; the outcome does not."""
+
+    @pytest.mark.parametrize("queue_packets, drop_acks", [
+        (5, 0.0), (5, 0.2), (10, 0.0), (10, 0.1), (40, 0.0), (40, 0.1),
+    ])
+    def test_scoreboard_agrees_with_brute_force_on_every_ack(
+            self, queue_packets, drop_acks):
+        sim = Simulator()
+        factory, a, b, _ = _two_host_topo(sim, queue_packets=queue_packets)
+        flow = TcpFlow(sim, factory, a, b, size_bytes=3_000_000)
+        oracle = _BruteScoreboard(flow.sender, drop_acks=drop_acks, seed=queue_packets)
+        # Queue overflow alone is repaired by SACK recovery; a forward-path
+        # blackout longer than the RTO forces timeouts as well.
+        deliver = flow.receiver.on_packet
+        flow.receiver.on_packet = (
+            lambda packet, now: None if 0.5 <= now < 1.0 else deliver(packet, now))
+        flow.start()
+        sim.run(until=120.0)
+        assert flow.completed
+        assert flow.sender.retransmissions > 0 and flow.sender.timeouts > 0
+        assert oracle.checked > 1500
+        assert (oracle.acks_dropped > 0) == (drop_acks > 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_arbitrary_block_lists_agree_with_brute_force(self, seed):
+        # Block lists no receiver of ours would send: unsorted, overlapping,
+        # repeated, reaching below snd_una; cumulative ACKs that overtake
+        # SACKed data; time passing in between so that the time rule and the
+        # RTO both fire.
+        rng = random.Random(seed)
+        sim = Simulator()
+        factory, a, b, sender = _lone_sender(sim, window_segments=48)
+        oracle = _BruteScoreboard(sender)
+        sender.start()
+        for _ in range(400):
+            una, nxt = sender.snd_una // MSS, sender.snd_nxt // MSS
+            ack = una + rng.choice((0, 0, 0, 1, 1, 2, 5))
+            blocks = []
+            for _ in range(rng.randrange(6)):
+                lo = rng.randrange(max(una - 3, 0), nxt)
+                hi = min(lo + rng.choice((1, 1, 2, 3, 8)), nxt)
+                blocks.append((lo * MSS, hi * MSS))
+            rng.shuffle(blocks)
+            packet = factory.make(
+                flow_id=sender.flow_id, src=b.address, dst=a.address,
+                src_port=sender.dst_port, dst_port=sender.port, is_ack=True,
+                payload={"ack": min(ack, nxt) * MSS, "sack": blocks})
+            sender.on_packet(packet, sim.now)
+            if rng.random() < 0.3:
+                sim.run(until=sim.now + rng.choice((0.01, 0.3, 1.2)))
+        assert oracle.checked >= 400
+        assert sender.retransmissions > 0 and sender.timeouts > 0
+
+    @pytest.mark.parametrize("old_blocks", [1, 64, 256])
+    def test_apply_sack_work_follows_the_delta(self, old_blocks):
+        # N ACKs, each repeating ``old_blocks`` known blocks and SACKing one
+        # new segment, cost N scoreboard lookups and N blocks looked at.
+        lookups = unpacked = 0
+
+        class CountingDict(dict):
+            def __getitem__(self, key):
+                nonlocal lookups
+                lookups += 1
+                return super().__getitem__(key)
+
+        class CountingBlock(tuple):
+            def __iter__(self):
+                nonlocal unpacked
+                unpacked += 1
+                return super().__iter__()
+
+        acks = 50
+        sim = Simulator()
+        _, _, _, sender = _lone_sender(sim, window_segments=2 * old_blocks + acks + 2)
+        sender.start()
+        sender._segments = CountingDict(sender._segments)
+        known = [CountingBlock(((2 * i + 1) * MSS, (2 * i + 2) * MSS))
+                 for i in range(old_blocks)]
+        sender._apply_sack(known)
+        assert lookups == old_blocks
+        lookups = unpacked = 0
+        tail = (2 * old_blocks + 1) * MSS
+        for n in range(1, acks + 1):
+            sender._apply_sack(known + [CountingBlock((tail, tail + n * MSS))])
+        assert lookups == acks
+        assert unpacked == acks
+        assert sum(s.sacked for s in sender._segments.values()) == old_blocks + acks
+        assert len(sender._sacked_ranges) == old_blocks + 1
+
+    def test_rto_resets_the_block_memo_and_the_retransmit_queue(self):
+        sim = Simulator()
+        _, _, _, sender = _lone_sender(sim, window_segments=8)
+        sender.start()
+        blocks = [(2 * MSS, 4 * MSS)]
+        sender._apply_sack(blocks)
+        assert sender._detect_losses()  # segments 0 and 1: 3 segments SACKed above
+        sender._try_send()
+        assert list(sender._retx_order) == [0, MSS]
+        assert sender._sack_applied == frozenset(blocks)
+        sim.run(until=INITIAL_RTO + 0.5)
+        assert sender.timeouts == 1
+        # The window's worth of segments that went out again after the
+        # timeout is queued once each: the two pre-timeout entries are gone,
+        # and so is the memo.
+        assert list(sender._retx_order) == list(sender._segments)[:8]
+        assert not sender._sack_applied
+        assert not any(s.sacked for s in sender._segments.values())
+        assert sender.pipe_bytes == 8 * MSS
+        # The receiver still holds the data: the same block list re-marks it.
+        sender._apply_sack(blocks)
+        assert [s.seq for s in sender._segments.values() if s.sacked] == [2 * MSS, 3 * MSS]
+        assert sender.pipe_bytes == 6 * MSS
+
+    def test_loss_free_flow_allocates_no_recovery_state(self):
+        sim = Simulator()
+        factory, a, b, _ = _two_host_topo(sim)
+        flow = TcpFlow(sim, factory, a, b, size_bytes=60_000).start()
+        sim.run(until=5.0)
+        sender = flow.sender
+        assert flow.completed and sender.retransmissions == 0
+        assert sender._retx_order is None
+        assert not sender._sack_applied
+        assert sender._sacked_ranges == [] and sender._lost_heap == []
+        assert flow.receiver._ranges == []
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_receiver_ranges_match_the_rebuild_oracle(self, seed):
+        rng = random.Random(seed)
+        sim = Simulator()
+        receiver = TcpReceiver(sim, Host(sim, "b"), PacketFactory(), flow_id=1, port=2000)
+        expected = []
+        # Segment 0 never arrives, so nothing is delivered; every other
+        # segment of 1400 arrives in random order (more than MAX_SACK_BLOCKS
+        # ranges exist on the way), with duplicates and multi-segment
+        # overlaps mixed in.
+        arrivals = [(i, i + 1) for i in range(1, 1400)]
+        arrivals += [(lo, lo + rng.randrange(1, 5)) for lo in rng.sample(range(1, 1390), 150)]
+        rng.shuffle(arrivals)
+        most_ranges = 0
+        for lo, hi in arrivals:
+            receiver._insert_range(lo * MSS, hi * MSS)
+            expected = _rebuild_insert(expected, lo * MSS, hi * MSS)
+            assert [list(r) for r in receiver._ranges] == expected
+            assert receiver.sack_blocks() == [tuple(r) for r in expected[:MAX_SACK_BLOCKS]]
+            most_ranges = max(most_ranges, len(expected))
+        assert expected == [[MSS, 1400 * MSS]]
+        assert most_ranges > MAX_SACK_BLOCKS
 
 
 class TestUdp:
