@@ -19,11 +19,14 @@ Four layers (see ``docs/observability.md`` for the full catalogue):
   sketches), exported as Chrome/Perfetto traces by
   :mod:`repro.obs.export_trace` (``repro-runner trace-export``) and as
   long-format CSV/JSONL by ``report --timeseries``;
-* **the perf trajectory** — :mod:`repro.obs.perf` runs every registered
-  scenario at pinned params/seeds, writes ``BENCH_<scenario>.json``
-  baselines, and ``repro-runner perf compare`` gates CI on events/sec
-  regressions; :mod:`repro.obs.profiling` wraps cProfile for
+* **profiling** — :mod:`repro.obs.profiling` wraps cProfile for
   ``repro-runner profile``.
+
+The counters are also the repo's **deterministic ledger**:
+``tests/test_result_golden.py`` pins every count of one cell per scenario
+in ``tests/golden/run_counters.json`` at zero tolerance.  How *fast* the
+simulator runs is measured in one place only,
+``benchmarks/perfbench/bench.py``.
 
 Telemetry is metrics-*about*-the-run, never metrics-*of*-the-run: cache
 keys and result bytes are identical with the layer on or off
@@ -49,7 +52,7 @@ from repro.obs.probe import (
     SeriesRing,
     probes_enabled,
 )
-from repro.obs.sketch import FixedHistogram, MergeableCounter, QuantileSketch
+from repro.obs.sketch import QuantileSketch
 from repro.obs.stats import SimStats, merge_counters, simulator_counters
 from repro.obs.timeline import Timeline
 
@@ -59,8 +62,6 @@ __all__ = [
     "PROBE_FORMAT",
     "TELEMETRY_FORMAT",
     "EventRing",
-    "FixedHistogram",
-    "MergeableCounter",
     "ProbeSet",
     "QuantileSketch",
     "SeriesRing",

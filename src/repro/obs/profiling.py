@@ -3,8 +3,8 @@
 ``repro-runner profile <scenario>`` wraps :func:`profile_run`: executes the
 cell fresh (no cache) under :mod:`cProfile`, prints the top-N functions by
 cumulative time, and optionally dumps the raw stats for ``snakeviz`` /
-``pstats`` spelunking.  Profiling is for humans at a terminal — bench
-numbers for the perf trajectory come from :mod:`repro.obs.perf`, which runs
+``pstats`` spelunking.  Profiling is for humans at a terminal — speed
+numbers come from ``benchmarks/perfbench/bench.py``, which times runs
 *without* the profiler's ~2x interpreter overhead.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-import sys
 from typing import Any, Mapping, Optional, TextIO, Tuple
 
 #: pstats sort keys accepted by ``repro-runner profile --sort``.
@@ -63,8 +62,8 @@ def profile_run(
             header.append(
                 f"{telemetry.get('events_processed', 0):,} events in "
                 f"{telemetry.get('wall_s', 0.0):.2f}s wall "
-                f"(profiler overhead included; bench numbers come from "
-                f"'repro-runner perf run')"
+                f"(profiler overhead included; speed numbers come from "
+                f"benchmarks/perfbench/bench.py)"
             )
         print("\n".join(header), file=stream)
         stream.write(report)
@@ -72,25 +71,3 @@ def profile_run(
             print(f"raw pstats dump written to {out}", file=stream)
     return result, report
 
-
-def _main(argv=None) -> int:
-    """Minimal direct entry (``python -m repro.obs.profiling fig02...``);
-    the full-featured front end is ``repro-runner profile``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro.obs.profiling")
-    parser.add_argument("scenario")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--top", type=int, default=25)
-    parser.add_argument("--sort", choices=SORT_CHOICES, default="cumulative")
-    parser.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
-    profile_run(
-        args.scenario, seed=args.seed, top=args.top, sort=args.sort,
-        out=args.out, stream=sys.stdout,
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(_main())

@@ -1,4 +1,4 @@
-"""Mergeable streaming accumulators: quantile sketch, counter, histogram.
+"""Mergeable streaming accumulator: the quantile sketch.
 
 The million-flow ROADMAP item needs per-flow statistics without per-flow
 lists: a sharded sweep computes p50/p99 on each worker and the scheduler
@@ -217,68 +217,3 @@ class QuantileSketch:
         sketch.neg_bins = {int(k): int(c) for k, c in data["neg_bins"]}
         return sketch
 
-
-class MergeableCounter:
-    """A nested counter tree that merges by summing numeric leaves.
-
-    The class-shaped sibling of :func:`repro.obs.stats.merge_counters`,
-    for accumulator pipelines that fold shard results incrementally.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Optional[Dict[str, Any]] = None) -> None:
-        self.values: Dict[str, Any] = dict(values or {})
-
-    def add(self, key: str, amount: float = 1) -> None:
-        self.values[key] = self.values.get(key, 0) + amount
-
-    def merge(self, other: "MergeableCounter") -> "MergeableCounter":
-        from repro.obs.stats import merge_counters
-
-        self.values = merge_counters([self.values, other.values])
-        return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dict(self.values)
-
-
-class FixedHistogram:
-    """A histogram over explicit bin edges, mergeable with identical edges.
-
-    Cheaper and exactly reproducible where the value range is known up
-    front (e.g. epoch sizes bounded by config); use
-    :class:`QuantileSketch` when it is not.
-    """
-
-    __slots__ = ("edges", "counts", "count")
-
-    def __init__(self, edges: Sequence[float]) -> None:
-        if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("edges must be at least two strictly increasing values")
-        self.edges = tuple(float(e) for e in edges)
-        # counts[0] = below edges[0]; counts[i] = [edges[i-1], edges[i]);
-        # counts[-1] = at/above edges[-1].
-        self.counts = [0] * (len(self.edges) + 1)
-        self.count = 0
-
-    def add(self, value: float, count: int = 1) -> None:
-        self.count += count
-        lo, hi = 0, len(self.edges)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value < self.edges[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += count
-
-    def merge(self, other: "FixedHistogram") -> "FixedHistogram":
-        if other.edges != self.edges:
-            raise ValueError("cannot merge histograms with different bin edges")
-        self.count += other.count
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"edges": list(self.edges), "counts": list(self.counts), "count": self.count}

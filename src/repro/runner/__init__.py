@@ -40,8 +40,7 @@ missing.  The pieces:
   by :func:`repro.metrics.reporting.format_run_results`;
 * :mod:`repro.runner.cli` — the ``repro-runner`` / ``python -m
   repro.runner`` command line (``list``, ``run``, ``sweep``, ``report``,
-  ``trace``, ``trace-export``, ``workers``, ``perf``, ``profile``, ``gc``,
-  ``lint``).
+  ``trace``, ``trace-export``, ``workers``, ``profile``, ``gc``, ``lint``).
 
 This package re-exports nothing: the public facade is :mod:`repro.api`, and
 in-repo code imports the submodule it needs, so importing one small

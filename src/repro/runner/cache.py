@@ -242,8 +242,8 @@ class ResultCache:
             entry["elapsed_s"] = record["elapsed_s"]
         if record.get("created_at") is not None:
             entry["created_at"] = record["created_at"]
-        # Surface the headline perf numbers in the index so `perf report`
-        # and ad-hoc inspection never need to open every record.
+        # Surface the headline run-size numbers in the index so ad-hoc
+        # inspection never needs to open every record.
         telemetry = record.get("telemetry")
         if isinstance(telemetry, dict) and telemetry.get("events_processed"):
             entry["events_processed"] = telemetry["events_processed"]

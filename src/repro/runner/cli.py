@@ -45,13 +45,6 @@ Subcommands:
     Distributed-fleet helpers: ``doctor --hosts ...`` probes every host's
     transport (hello handshake, ping round-trip, python/scenario report)
     before a long sweep, exiting non-zero on unhealthy hosts.
-``perf``
-    The benchmark trajectory (see ``docs/observability.md``): ``run``
-    executes every scenario's pinned reduced-scale profile into
-    ``BENCH_<scenario>.json`` records, ``compare`` gates a candidate set
-    against the committed baselines (non-zero exit on an events/sec
-    regression beyond ``--tolerance`` or a stale baseline), ``report``
-    renders a record table.
 ``profile``
     Run one scenario cell fresh under ``cProfile`` and print the top-N
     functions by cumulative time; ``--out`` dumps raw pstats data.
@@ -672,72 +665,6 @@ def _cmd_workers_join(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_perf_run(args: argparse.Namespace) -> int:
-    from repro.obs.perf import PERF_PROFILES, run_scenarios
-
-    scenarios = args.scenario or sorted(PERF_PROFILES)
-    unknown = [s for s in scenarios if s not in PERF_PROFILES]
-    if unknown:
-        raise SystemExit(
-            f"no perf profile for: {', '.join(unknown)} "
-            f"(see repro.obs.perf.PERF_PROFILES)"
-        )
-    run_scenarios(
-        scenarios,
-        args.out_dir,
-        seed=args.seed,
-        isolate=not args.no_isolate,
-        log=lambda line: print(line, file=sys.stderr, flush=True),
-    )
-    print(f"wrote {len(scenarios)} BENCH_*.json record(s) to {args.out_dir or '.'}")
-    return 0
-
-
-def _cmd_perf_compare(args: argparse.Namespace) -> int:
-    from repro.obs.perf import compare_benches, load_bench_dir
-
-    baseline = load_bench_dir(args.baseline)
-    candidate = load_bench_dir(args.candidate)
-    if not baseline:
-        raise SystemExit(f"no BENCH_*.json baselines under {args.baseline!r}")
-    if not candidate:
-        raise SystemExit(f"no BENCH_*.json candidates under {args.candidate!r}")
-    failures, notes = compare_benches(baseline, candidate, tolerance=args.tolerance)
-    for note in notes:
-        print(f"note: {note}")
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    compared = len(set(baseline) & set(candidate))
-    if failures:
-        print(
-            f"perf compare: {len(failures)} failure(s) across {compared} "
-            f"scenario(s) (tolerance -{args.tolerance:.0%})",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"perf compare: {compared} scenario(s) within -{args.tolerance:.0%} "
-        f"of baseline"
-    )
-    return 0
-
-
-def _cmd_perf_report(args: argparse.Namespace) -> int:
-    from repro.obs.perf import format_bench_diff, format_bench_table, load_bench_dir
-
-    records = load_bench_dir(args.dir)
-    if not records:
-        raise SystemExit(f"no BENCH_*.json records under {args.dir!r}")
-    if args.diff is not None:
-        baseline = load_bench_dir(args.diff)
-        if not baseline:
-            raise SystemExit(f"no BENCH_*.json records under {args.diff!r}")
-        print(format_bench_diff(baseline, records))
-        return 0
-    print(format_bench_table(records.values()))
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profiling import profile_run
 
@@ -1007,75 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the lease (default: 10)",
     )
     p_join.set_defaults(fn=_cmd_workers_join)
-
-    p_perf = sub.add_parser(
-        "perf",
-        help="run pinned benchmarks and gate on the BENCH_*.json trajectory",
-        parents=[common],
-    )
-    perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
-
-    p_perf_run = perf_sub.add_parser(
-        "run",
-        help="execute pinned-profile benchmarks, one BENCH_<scenario>.json each",
-        parents=[common],
-    )
-    p_perf_run.add_argument(
-        "--scenario", action="append", default=[], metavar="NAME",
-        help="benchmark only this scenario (repeatable; default: all profiles)",
-    )
-    p_perf_run.add_argument(
-        "--out-dir", default=".", metavar="DIR",
-        help="where BENCH_*.json records land (default: current directory — "
-             "committed baselines live at the repo root)",
-    )
-    p_perf_run.add_argument(
-        "--seed", type=int, default=1,
-        help="bench seed (default: 1; baselines are only comparable at the "
-             "same seed)",
-    )
-    p_perf_run.add_argument(
-        "--no-isolate", action="store_true",
-        help="run benchmarks in-process instead of one subprocess each "
-             "(faster, but peak-RSS becomes a shared high-water mark)",
-    )
-    p_perf_run.set_defaults(fn=_cmd_perf_run)
-
-    p_perf_compare = perf_sub.add_parser(
-        "compare",
-        help="gate candidate BENCH records against committed baselines "
-             "(non-zero exit on events/sec regression or stale baseline)",
-        parents=[common],
-    )
-    p_perf_compare.add_argument(
-        "--baseline", default=".", metavar="DIR",
-        help="directory of committed BENCH_*.json baselines (default: .)",
-    )
-    p_perf_compare.add_argument(
-        "--candidate", required=True, metavar="DIR",
-        help="directory of freshly produced BENCH_*.json records",
-    )
-    p_perf_compare.add_argument(
-        "--tolerance", type=float, default=0.15, metavar="FRACTION",
-        help="allowed events/sec drop before failing (default: 0.15; CI "
-             "uses a looser value — shared runners are noisy)",
-    )
-    p_perf_compare.set_defaults(fn=_cmd_perf_compare)
-
-    p_perf_report = perf_sub.add_parser(
-        "report", help="print a table of BENCH_*.json records", parents=[common]
-    )
-    p_perf_report.add_argument(
-        "--dir", default=".", metavar="DIR",
-        help="directory of BENCH_*.json records (default: .)",
-    )
-    p_perf_report.add_argument(
-        "--diff", default=None, metavar="BASELINE_DIR",
-        help="render --dir against a baseline directory instead: old vs new "
-             "events/sec per scenario plus the geometric-mean speedup "
-             "(informational — 'perf compare' is the gate)",
-    )
-    p_perf_report.set_defaults(fn=_cmd_perf_report)
 
     p_profile = sub.add_parser(
         "profile",

@@ -324,11 +324,3 @@ def test_sanitizer_engages_with_obs_disabled(monkeypatch):
     sanitized = execute_run(CHEAP, registry=registry)
     assert sanitized.telemetry == {}  # obs off: no envelope at all
     assert sanitized.canonical() == plain.canonical()
-
-
-def test_run_bench_refuses_to_run_sanitized(monkeypatch):
-    from repro.obs.perf import run_bench
-
-    monkeypatch.setenv(SANITIZE_ENV, "1")
-    with pytest.raises(RuntimeError, match="refusing to benchmark"):
-        run_bench("fig02_queue_shift")

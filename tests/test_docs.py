@@ -10,13 +10,14 @@ CI's docs job runs exactly this file.  Two invariants:
   here, not three PRs later.
 """
 
+import argparse
 import inspect
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.runner.cli import render_scenarios_markdown
+from repro.runner.cli import build_parser, render_scenarios_markdown
 from repro.runner.distributed import DistributedBackend
 from repro.runner.registry import load_builtin_scenarios
 
@@ -85,3 +86,16 @@ def test_distributed_md_knob_list_matches_the_constructor():
         if param.kind is inspect.Parameter.KEYWORD_ONLY
     ]
     assert documented == options
+
+
+def test_runner_md_command_table_matches_the_parser():
+    # One row per top-level subcommand, no more and no fewer: a command
+    # added to or deleted from the CLI without touching the page fails here.
+    text = (DOCS / "runner.md").read_text(encoding="utf-8")
+    table = text.split("| Subcommand | Job |", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"^\| `([\w-]+)", table, flags=re.MULTILINE)
+    [subcommands] = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(documented) == sorted(subcommands.choices)

@@ -326,3 +326,32 @@ class TestListVerbose:
         assert "{status_quo," in out  # mode choices rendered
         assert "metric" in out and "direction" in out
         assert "lower" in out
+
+
+class TestProfileCli:
+    def test_profile_prints_hot_functions_and_dumps_pstats(self, tmp_path, capsys):
+        out = tmp_path / "prof.pstats"
+        code = main([
+            "profile", "fig13_competing_bundles", "-p", "duration_s=1",
+            "--top", "5", "--sort", "tottime", "-o", str(out),
+        ])
+        assert code == 0
+        captured = capsys.readouterr().out
+        assert "profile: fig13_competing_bundles" in captured
+        assert "function calls" in captured
+        assert out.exists() and out.stat().st_size > 0
+
+    def test_profile_run_api(self):
+        from repro.obs.profiling import profile_run
+
+        result, report = profile_run(
+            "fig13_competing_bundles", {"duration_s": 1}, seed=1, top=3
+        )
+        assert result.metrics
+        assert "function calls" in report
+
+    def test_bad_sort_rejected(self):
+        from repro.obs.profiling import profile_run
+
+        with pytest.raises(ValueError):
+            profile_run("fig13_competing_bundles", {"duration_s": 1}, sort="zorp")

@@ -1,4 +1,4 @@
-"""Mergeable accumulators: accuracy bounds and byte-exact merge algebra.
+"""The mergeable quantile sketch: accuracy bounds and byte-exact merge algebra.
 
 The sketch's whole value is the pair of guarantees the module docstring
 makes: every quantile estimate within relative error ``alpha`` of the
@@ -13,12 +13,7 @@ import random
 
 import pytest
 
-from repro.obs.sketch import (
-    SKETCH_FORMAT,
-    FixedHistogram,
-    MergeableCounter,
-    QuantileSketch,
-)
+from repro.obs.sketch import SKETCH_FORMAT, QuantileSketch
 
 
 def exact_quantile(values, q):
@@ -217,43 +212,3 @@ class TestSerialization:
         with pytest.raises(ValueError):
             QuantileSketch().add(1.0, count=0)
 
-
-class TestMergeableCounter:
-    def test_add_and_merge_sum_leaves(self):
-        a = MergeableCounter({"drops": 2, "nested": {"x": 1}})
-        b = MergeableCounter()
-        b.add("drops", 3)
-        b.add("new_key")
-        merged = a.merge(b)
-        assert merged is a
-        assert a.to_dict() == {"drops": 5, "nested": {"x": 1}, "new_key": 1}
-
-
-class TestFixedHistogram:
-    def test_binning_below_between_above(self):
-        hist = FixedHistogram([0.0, 10.0, 100.0])
-        for v in (-1.0, 0.0, 5.0, 10.0, 99.0, 100.0, 1e6):
-            hist.add(v)
-        assert hist.count == 7
-        assert hist.counts == [1, 2, 2, 2]
-
-    def test_merge_requires_identical_edges(self):
-        a = FixedHistogram([0.0, 1.0])
-        with pytest.raises(ValueError, match="different bin edges"):
-            a.merge(FixedHistogram([0.0, 2.0]))
-
-    def test_merge_sums_counts(self):
-        a = FixedHistogram([0.0, 1.0])
-        b = FixedHistogram([0.0, 1.0])
-        a.add(0.5)
-        b.add(0.5, count=2)
-        b.add(5.0)
-        merged = a.merge(b)
-        assert merged.count == 4
-        assert merged.counts == [0, 3, 1]
-
-    def test_edges_must_increase(self):
-        with pytest.raises(ValueError):
-            FixedHistogram([1.0, 1.0])
-        with pytest.raises(ValueError):
-            FixedHistogram([2.0])
