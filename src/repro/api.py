@@ -112,6 +112,7 @@ from repro.runner.cache import (
 )
 from repro.runner.engine import (
     CellOutcome,
+    ResultKeyMismatch,
     SweepOutcome,
     effective_seed,
     execute_run,
@@ -191,6 +192,7 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "ProgressEvent",
+    "ResultKeyMismatch",
     "SerialBackend",
     "SweepOutcome",
     "WorkItem",

@@ -11,9 +11,10 @@ Two interfaces live here (defined in :mod:`repro.cc.base`):
   measurements of §4.5 once per 10 ms control interval.
 
 :mod:`repro.cc.nimbus` implements the Nimbus elasticity detector (§5.1):
-pulsed sending rates, cross-traffic rate estimation, and an FFT-based test
-for buffer-filling cross traffic, plus the watchdog that decides when
-Bundler should let traffic pass.
+pulsed sending rates, cross-traffic rate estimation, and a spectral test
+for buffer-filling cross traffic (the DFT magnitudes of the cross-traffic
+rate in the pulse band against a neighbouring reference band), plus the
+watchdog that decides when Bundler should let traffic pass.
 """
 
 from repro.cc.base import (

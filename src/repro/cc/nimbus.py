@@ -12,10 +12,12 @@ traffic and temporarily stop controlling queues:
 * :class:`NimbusDetector` estimates the cross-traffic rate
   ``z = mu * S / R - S`` from the bundle's send rate ``S``, receive rate
   ``R`` and bottleneck estimate ``mu``, keeps a short history, and looks at
-  the magnitude of the FFT of ``z`` at the pulse frequency.  Elastic
+  the magnitude of the DFT of ``z`` around the pulse frequency.  Elastic
   (buffer-filling) cross traffic reacts to the pulses within an RTT, so its
   rate shows significant energy at the pulse frequency; inelastic traffic
-  (short flows, paced streams) does not.
+  (short flows, paced streams) does not.  Only two narrow bands of the
+  spectrum are read, so the magnitudes are computed at exactly those DFT
+  bins (a Goertzel recurrence per bin) rather than by a full FFT.
 
 The detector only reports *elastic* when cross traffic is actually present
 (mean ``z`` above a small fraction of ``mu``) and the pulse-frequency energy
@@ -27,9 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Optional, Tuple
-
-import numpy as np
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.util.windowed import MaxFilter
 
@@ -70,8 +70,17 @@ class NimbusPulser:
         return amplitude * self.period_s / (2.0 * math.pi) / 8.0
 
 
+def _dft_magnitude(samples: Sequence[float], k: int) -> float:
+    """``|X[k]|`` of the DFT of ``samples`` (Goertzel's second-order recurrence)."""
+    coeff = 2.0 * math.cos(2.0 * math.pi * k / len(samples))
+    s1 = s2 = 0.0
+    for x in samples:
+        s1, s2 = x + coeff * s1 - s2, s1
+    return math.sqrt(max(s1 * s1 + s2 * s2 - coeff * s1 * s2, 0.0))
+
+
 class NimbusDetector:
-    """FFT-based detector for elastic (buffer-filling) cross traffic."""
+    """Spectral detector for elastic (buffer-filling) cross traffic."""
 
     def __init__(
         self,
@@ -143,34 +152,40 @@ class NimbusDetector:
 
     # -- detection ------------------------------------------------------------
 
-    def _spectrum(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        if len(self._cross_samples) < int(1.0 / self.sample_interval_s):
-            return None
-        samples = np.asarray(self._cross_samples, dtype=float)
-        samples = samples - samples.mean()
-        spectrum = np.abs(np.fft.rfft(samples))
-        freqs = np.fft.rfftfreq(len(samples), d=self.sample_interval_s)
-        return freqs, spectrum
+    def _band_bins(self, n: int) -> Tuple[List[int], List[int]]:
+        """DFT bins of an ``n``-sample window in the pulse and reference bands."""
+        f_pulse = self.pulser.pulse_frequency_hz
+        # Bin k sits at k * spacing.  Keep this exact float expression: which
+        # bins land on a band edge, and so the pinned result bytes, depend on it.
+        spacing = 1.0 / (n * self.sample_interval_s)
+        pulse: List[int] = []
+        reference: List[int] = []
+        for k in range(n // 2 + 1):
+            f = k * spacing
+            if f_pulse * 0.8 <= f <= f_pulse * 1.2:
+                pulse.append(k)
+            # Reference band: frequencies away from the pulse and its first
+            # harmonic, in the same general range so broadband noise cancels out.
+            elif f_pulse * 1.4 <= f <= f_pulse * 3.0 and not (
+                f_pulse * 1.8 <= f <= f_pulse * 2.2
+            ):
+                reference.append(k)
+        return pulse, reference
 
     def elasticity_metric(self) -> float:
         """Ratio of cross-traffic energy at the pulse frequency to nearby frequencies."""
-        result = self._spectrum()
-        if result is None:
+        n = len(self._cross_samples)
+        if n < int(1.0 / self.sample_interval_s):
             return 0.0
-        freqs, spectrum = result
-        f_pulse = self.pulser.pulse_frequency_hz
-        pulse_band = (freqs >= f_pulse * 0.8) & (freqs <= f_pulse * 1.2)
-        # Reference band: frequencies away from the pulse and its first
-        # harmonic, in the same general range so broadband noise cancels out.
-        reference_band = (
-            (freqs >= f_pulse * 1.4)
-            & (freqs <= f_pulse * 3.0)
-            & ~((freqs >= f_pulse * 1.8) & (freqs <= f_pulse * 2.2))
-        )
-        if not pulse_band.any() or not reference_band.any():
+        pulse_band, reference_band = self._band_bins(n)
+        if not pulse_band or not reference_band:
             return 0.0
-        pulse_energy = float(spectrum[pulse_band].max())
-        reference_energy = float(spectrum[reference_band].mean()) + 1e-9
+        mean = sum(self._cross_samples) / n
+        samples = [x - mean for x in self._cross_samples]
+        pulse_energy = max(_dft_magnitude(samples, k) for k in pulse_band)
+        reference_energy = (
+            sum(_dft_magnitude(samples, k) for k in reference_band) / len(reference_band)
+        ) + 1e-9
         return pulse_energy / reference_energy
 
     def _run_detection(self) -> None:
@@ -191,7 +206,7 @@ class NimbusDetector:
             self._inelastic_votes += 1
             self._elastic_votes = 0
         # Hysteresis: require several consecutive agreeing detections before
-        # switching modes, so one noisy FFT window does not flap the bundle
+        # switching modes, so one noisy spectral window does not flap the bundle
         # between delay-control and pass-through.
         if not self._elastic and self._elastic_votes >= self.hysteresis_intervals:
             self._elastic = True

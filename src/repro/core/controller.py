@@ -8,8 +8,9 @@ bundle.  It composes four mechanisms from the paper:
   consumes the epoch measurements and produces the bundle rate that keeps
   the bottleneck queue small, shifting queueing to the sendbox.
 * **Nimbus pulses and elasticity detection** (§5.1): an asymmetric sinusoid
-  is superimposed on the rate, and the FFT of the estimated cross-traffic
-  rate reveals buffer-filling competitors.
+  is superimposed on the rate, and the magnitudes of the estimated
+  cross-traffic rate's DFT bins around the pulse frequency reveal
+  buffer-filling competitors.
 * **Pass-through mode** (§5.1): when buffer-filling cross traffic is
   present, the controller stops using the delay-based rate and instead uses
   a PI controller to keep only a small (10 ms) standing queue at the

@@ -12,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence
 
-from repro.core import BundlerConfig
-from repro.core.bundle import source_address_classifier
-from repro.core.receivebox import Receivebox
-from repro.core.sendbox import Sendbox
+from repro.core import BundlerConfig, install_bundler
 from repro.experiments.scenarios import BOTTLENECK_MBPS, DURATION_S, RTT_MS, SENDBOX_CC
 from repro.metrics.fct import FctAnalysis
 from repro.net.simulator import Simulator
@@ -78,24 +75,7 @@ def run_competing_bundles(
     workloads: List[TraceReplayWorkload] = []
     for idx, bundle_topo in enumerate(topo.bundles):
         if with_bundler:
-            classifier = source_address_classifier(s.address for s in bundle_topo.servers)
-            Sendbox(
-                sim,
-                bundle_topo.site_a_edge,
-                bundle_topo.sendbox_link,
-                topo.packet_factory,
-                config=config,
-                classifier=classifier,
-                receivebox_address=bundle_topo.site_b_edge.address,
-            )
-            Receivebox(
-                sim,
-                bundle_topo.site_b_edge,
-                topo.packet_factory,
-                config=config,
-                classifier=classifier,
-                sendbox_address=bundle_topo.site_a_edge.address,
-            )
+            install_bundler(bundle_topo, config)
         rng = make_rng(derive_seed(seed, f"fig13-bundle{idx}"))
         workloads.append(
             TraceReplayWorkload.poisson_requests(

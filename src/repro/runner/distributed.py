@@ -828,6 +828,9 @@ class _Scheduler:
         spill_dir = self.backend.spill_dir
         if not spill_dir:
             return
+        from repro.runner.engine import resolve_cell
+        from repro.runner.spec import RunSpec
+
         wanted = {
             spill_key(t.item.scenario, t.item.params, t.item.seed): t
             for t in self.tracked.values()
@@ -849,7 +852,15 @@ class _Scheduler:
                 )
             except (TypeError, ValueError):
                 continue
-            if outcome.error or outcome.payload is None:
+            if outcome.error or not isinstance(outcome.payload, dict):
+                continue
+            # spill_key names the cell, not the code that ran it: a spill
+            # left by another scenario version carries that version's run
+            # key, and the cell must execute again rather than adopt it.
+            # (Workers only know the built-in registry, and so does this.)
+            item = tracked.item
+            cell = RunSpec(scenario=item.scenario, params=item.params, seed=item.seed)
+            if outcome.payload.get("key") != resolve_cell(cell)[2]:
                 continue
             tracked.done = True
             self.outcomes[tracked.item.index] = outcome

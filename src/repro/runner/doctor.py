@@ -98,31 +98,55 @@ class HostHealth:
         return f"UNHEALTHY [{self.failure}]: {self.error}"
 
 
-def _read_with_deadline(proc: subprocess.Popen, deadline: float):
-    """Read one frame, or raise ``TimeoutError`` when the deadline passes.
+class _ProbeFailed(Exception):
+    """A check did not get through; the message is the operator-facing reason."""
 
-    Pipe reads cannot be interrupted portably, so the read runs on a
-    daemon thread; on timeout the process is killed, which also unblocks
-    the reader.
+
+def _start_reader(proc: subprocess.Popen) -> "queue.Queue":
+    """Pump the worker's frames into a queue from one daemon thread.
+
+    Pipe reads cannot be interrupted portably, so the probe enforces its
+    deadlines on the queue instead; the reader ends at EOF (``None``), which
+    the probe's closing shutdown-or-kill guarantees, or at a wire error.
     """
     inbox: "queue.Queue" = queue.Queue()
 
-    def reader() -> None:
+    def pump() -> None:
         try:
-            inbox.put(("message", read_message(proc.stdout)))
+            while True:
+                message = read_message(proc.stdout)
+                inbox.put(message)
+                if message is None:
+                    return
         except WireError as exc:
-            inbox.put(("error", exc))
+            inbox.put(exc)
 
-    thread = threading.Thread(target=reader, daemon=True)
-    thread.start()
-    remaining = deadline - time.monotonic()
+    threading.Thread(target=pump, daemon=True).start()
+    return inbox
+
+
+def _await_frame(
+    inbox: "queue.Queue", proc: subprocess.Popen, frame_type: str, deadline: float, late: str
+) -> Dict[str, object]:
+    """The next ``frame_type`` frame; stray frames (heartbeats) are skipped."""
+    while True:
+        try:
+            message = inbox.get(timeout=max(deadline - time.monotonic(), 0.0))
+        except queue.Empty:
+            raise _ProbeFailed(late) from None
+        if isinstance(message, WireError):
+            raise _ProbeFailed(f"wire error: {message}")
+        if message is None:
+            raise _ProbeFailed(f"worker exited before {frame_type} (code {proc.poll()})")
+        if message.get("type") == frame_type:
+            return message
+
+
+def _send(proc: subprocess.Popen, message: Dict[str, object], what: str) -> None:
     try:
-        kind, value = inbox.get(timeout=max(remaining, 0.0))
-    except queue.Empty:
-        raise TimeoutError("no frame before the deadline") from None
-    if kind == "error":
-        raise value
-    return value
+        write_message(proc.stdin, message)
+    except (OSError, ValueError) as exc:
+        raise _ProbeFailed(f"could not send {what}: {exc}") from None
 
 
 def probe_host(
@@ -142,27 +166,13 @@ def probe_host(
     except OSError as exc:
         health.failure, health.error = "launch", f"could not launch worker: {exc}"
         return health
+    inbox = _start_reader(proc)
+    check = "hello"
     try:
-        # -- hello ----------------------------------------------------------
-        deadline = started + hello_timeout_s
-        while True:
-            try:
-                message = _read_with_deadline(proc, deadline)
-            except TimeoutError:
-                health.failure = "hello"
-                health.error = f"no hello within {hello_timeout_s:.0f}s"
-                return health
-            except WireError as exc:
-                health.failure, health.error = "hello", f"wire error: {exc}"
-                return health
-            if message is None:
-                code = proc.poll()
-                health.failure = "hello"
-                health.error = f"worker exited before hello (code {code})"
-                return health
-            if message.get("type") == "hello":
-                break
-            # Tolerate stray heartbeats from eager workers.
+        message = _await_frame(
+            inbox, proc, "hello", started + hello_timeout_s,
+            f"no hello within {hello_timeout_s:.0f}s",
+        )
         health.hello_s = time.monotonic() - started
         health.protocol = message.get("protocol")
         health.python = str(message.get("python", ""))
@@ -170,81 +180,43 @@ def probe_host(
         health.reported_host = str(message.get("host", ""))
         health.scenarios = message.get("scenarios")
         if health.protocol != PROTOCOL_VERSION:
-            health.failure = "protocol"
-            health.error = (
+            check = "protocol"
+            raise _ProbeFailed(
                 f"protocol mismatch: worker speaks {health.protocol!r}, "
                 f"this scheduler speaks {PROTOCOL_VERSION}"
             )
-            return health
-        # -- ping round-trip ------------------------------------------------
+        check = "ping"
         ping_at = time.monotonic()
-        try:
-            write_message(proc.stdin, {"type": "ping"})
-        except (OSError, ValueError) as exc:
-            health.failure, health.error = "ping", f"could not send ping: {exc}"
-            return health
-        deadline = ping_at + ping_timeout_s
-        while True:
-            try:
-                message = _read_with_deadline(proc, deadline)
-            except TimeoutError:
-                health.failure = "ping"
-                health.error = f"no pong within {ping_timeout_s:.0f}s"
-                return health
-            except WireError as exc:
-                health.failure, health.error = "ping", f"wire error: {exc}"
-                return health
-            if message is None:
-                health.failure, health.error = "ping", "worker hung up before pong"
-                return health
-            if message.get("type") == "pong":
-                break
+        _send(proc, {"type": "ping"}, "ping")
+        _await_frame(
+            inbox, proc, "pong", ping_at + ping_timeout_s,
+            f"no pong within {ping_timeout_s:.0f}s",
+        )
         health.ping_rtt_s = time.monotonic() - ping_at
-        # -- calibration cell -----------------------------------------------
         if calibrate:
+            check = "calibrate"
             calibrate_at = time.monotonic()
-            try:
-                write_message(proc.stdin, {"type": "work_batch", "items": [CALIBRATION_ITEM]})
-            except (OSError, ValueError) as exc:
-                health.failure = "calibrate"
-                health.error = f"could not send calibration cell: {exc}"
-                return health
-            deadline = calibrate_at + calibrate_timeout_s
-            while True:
-                try:
-                    message = _read_with_deadline(proc, deadline)
-                except TimeoutError:
-                    health.failure = "calibrate"
-                    health.error = (
-                        f"calibration cell not done within {calibrate_timeout_s:.0f}s"
-                    )
-                    return health
-                except WireError as exc:
-                    health.failure, health.error = "calibrate", f"wire error: {exc}"
-                    return health
-                if message is None:
-                    health.failure = "calibrate"
-                    health.error = "worker hung up during the calibration cell"
-                    return health
-                if message.get("type") == "outcome_batch":
-                    break
-                # Heartbeats tick while the cell runs; skip them.
+            _send(proc, {"type": "work_batch", "items": [CALIBRATION_ITEM]}, "calibration cell")
+            # Heartbeats tick while the cell runs; _await_frame skips them.
+            message = _await_frame(
+                inbox, proc, "outcome_batch", calibrate_at + calibrate_timeout_s,
+                f"calibration cell not done within {calibrate_timeout_s:.0f}s",
+            )
             health.calibrate_s = time.monotonic() - calibrate_at
             outcome = (message.get("outcomes") or [{}])[0]
             if outcome.get("error"):
-                health.failure = "calibrate"
-                health.error = (
+                raise _ProbeFailed(
                     f"calibration cell failed on the worker: "
                     f"{str(outcome['error']).strip().splitlines()[-1]}"
                 )
-                return health
             telemetry = outcome.get("telemetry")
             if isinstance(telemetry, dict) and telemetry.get("events_per_sec"):
                 # Absent from old workers' frames and under REPRO_OBS=0 —
                 # the host is still healthy, just unmeasured.
                 health.events_per_sec = float(telemetry["events_per_sec"])
         health.healthy = True
-        return health
+    except _ProbeFailed as exc:
+        health.failure, health.error = check, str(exc)
     finally:
         try:
             write_message(proc.stdin, {"type": "shutdown"})
@@ -255,6 +227,7 @@ def probe_host(
             proc.wait(timeout=2.0)
         except subprocess.TimeoutExpired:
             proc.kill()
+    return health
 
 
 @dataclass

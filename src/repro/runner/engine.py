@@ -51,6 +51,10 @@ from repro.runner.spec import RunSpec, SweepSpec
 from repro.util.rng import derive_seed
 
 
+class ResultKeyMismatch(RuntimeError):
+    """A backend returned a result keyed for another cell or code revision."""
+
+
 @dataclass
 class CellOutcome:
     """One executed (or cache-served) sweep cell."""
@@ -351,17 +355,28 @@ def run_sweep(
     # failed sweep still resumes from the completed cells on rerun.  The
     # manifest is flushed once for the whole batch, not per record.
     failures: List[Tuple[RunSpec, str]] = []
+    foreign: List[str] = []
     with cache.deferred_manifest():
         for work in completed:
-            spec = resolved[work.index][0]
+            spec, _, key = resolved[work.index]
             if work.error is not None:
                 failures.append((spec, work.error))
+                continue
+            if work.payload.get("key") != key:
+                # A version-skewed worker ran another revision of the scenario:
+                # caching this would serve that revision's numbers as ours.
+                foreign.append(f"{spec.describe()}: expected {key}, got {work.payload.get('key')}")
                 continue
             result = RunResult.from_payload(work.payload, telemetry=work.telemetry)
             cache.put(result, elapsed_s=work.elapsed_s)
             outcomes[work.index] = CellOutcome(
                 spec=spec, result=result, cached=False, elapsed_s=work.elapsed_s
             )
+    if foreign:
+        raise ResultKeyMismatch(
+            f"{len(foreign)} result(s) came back keyed for a different cell — is a worker "
+            "running another code revision?\n" + "\n".join(foreign)
+        )
     if failures:
         cached_count = sum(1 for o in outcomes if o is not None)
         details = "\n\n".join(f"{spec.describe()}:\n{error}" for spec, error in failures)

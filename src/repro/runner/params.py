@@ -122,7 +122,8 @@ class ParamSpec:
     ``choices`` restricts the value to a fixed set; ``minimum``/``maximum``
     are inclusive numeric bounds; ``validator`` is an arbitrary callable
     that raises :class:`ValueError` on a bad (already-coerced) value;
-    ``nullable`` permits ``None`` (e.g. "no cap" sentinels).
+    ``nullable`` permits ``None`` (e.g. "no cap" sentinels); ``required``
+    declares a parameter with no default, which every caller must supply.
     """
 
     name: str
@@ -134,6 +135,7 @@ class ParamSpec:
     minimum: Optional[float] = None
     maximum: Optional[float] = None
     nullable: bool = False
+    required: bool = False
     validator: Optional[Callable[[Any], None]] = None
 
     def __post_init__(self) -> None:
@@ -146,9 +148,11 @@ class ParamSpec:
             object.__setattr__(
                 self, "choices", tuple(canonicalize(c) for c in self.choices)
             )
+        if self.required and self.default is not None:
+            raise ValueError(f"parameter {self.name!r}: required=True takes no default")
         # A None default on a non-nullable spec is almost always a mistake;
         # make the intent explicit at declaration time.
-        if self.default is None and not self.nullable:
+        if self.default is None and not (self.nullable or self.required):
             raise ValueError(
                 f"parameter {self.name!r}: default is None but nullable=False"
             )
@@ -178,8 +182,9 @@ class ParamSpec:
             element = _ELEMENT_COERCERS[self.kind[5:-1]]
             coerced = [element(self.name, v) for v in value]
         elif self.kind == "trace":
-            # Imported at call time: the traffic subsystem sits below the
-            # runner in the layering, and only trace-kind specs need it.
+            # Imported at call time: repro.traffic.generators declares its
+            # own knobs with this module, so a top-level import would be a
+            # cycle — and only trace-kind specs need it.
             from repro.traffic.spec import coerce_trace_spec
             from repro.traffic.generators import TraceSpecError
 
@@ -241,6 +246,8 @@ class ParamSpec:
             parts.append(f"[{lo}..{hi}]")
         if self.nullable:
             parts.append("nullable")
+        if self.required:
+            parts.append("required")
         return " ".join(parts)
 
 
@@ -302,9 +309,9 @@ class ParamSpace:
     ) -> Dict[str, Any]:
         """Merge ``overrides`` over the defaults; coerce and validate all.
 
-        Unknown keys are rejected.  The result is canonicalized, so it is
-        safe to hash and identical however the caller spelled the values
-        (``"96"`` / ``96`` / ``96.0``).
+        Unknown keys and omitted ``required`` parameters are rejected.  The
+        result is canonicalized, so it is safe to hash and identical however
+        the caller spelled the values (``"96"`` / ``96`` / ``96.0``).
         """
         overrides = dict(overrides or {})
         suffix = f" for {context}" if context else ""
@@ -315,6 +322,8 @@ class ParamSpace:
             )
         resolved: Dict[str, Any] = {}
         for spec in self:
+            if spec.required and spec.name not in overrides:
+                raise ParamValidationError(f"parameter {spec.name!r} is required{suffix}")
             value = overrides.get(spec.name, spec.default)
             try:
                 resolved[spec.name] = spec.coerce(value)
@@ -338,6 +347,6 @@ class ParamSpace:
         """``(name, type, default, description)`` rows for the CLI table."""
         rows = []
         for spec in self:
-            default = "None" if spec.default is None else str(spec.default)
+            default = "-" if spec.required else str(spec.default)
             rows.append((spec.name, spec.describe(), default, spec.description))
         return rows

@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
+from repro.runner.params import ParamSpace, ParamSpec, ParamValidationError
 from repro.traffic.events import EVENT_GROUPS, TraceEvent
 from repro.util.canonical import canonicalize
 from repro.util.rng import derive_seed, make_rng
@@ -114,21 +115,59 @@ class LognormalSize:
         return math.exp(self.mu + self.sigma ** 2 / 2.0)
 
 
-#: ``dist`` name → (defaults, builder) for the ``sizes`` sub-spec.
-SIZE_DISTRIBUTIONS: Dict[str, Tuple[Dict[str, Any], Callable[..., Any]]] = {
-    "internet_core": ({}, lambda: internet_core_cdf()),
+def _resolve(space: ParamSpace, values: Any, context: str) -> Dict[str, Any]:
+    """``space.resolve`` with its errors re-raised as :class:`TraceSpecError`."""
+    if not isinstance(values, Mapping):
+        raise TraceSpecError(f"parameters of {context} must be an object, got {values!r}")
+    try:
+        return space.resolve(values, context=context)
+    except KeyError as exc:
+        raise TraceSpecError(exc.args[0]) from None
+    except ParamValidationError as exc:
+        raise TraceSpecError(str(exc)) from None
+
+
+_CAP_BYTES = ParamSpec(
+    "cap_bytes", kind="int", default=100_000_000, unit="bytes", minimum=1,
+    description="largest size a draw may return",
+)
+
+#: ``dist`` name → (declared knobs, builder) for the ``sizes`` sub-spec.
+SIZE_DISTRIBUTIONS: Dict[str, Tuple[ParamSpace, Callable[..., Any]]] = {
+    "internet_core": (ParamSpace(), internet_core_cdf),
     "empirical": (
-        {"points": None},  # required: [[size_bytes, cumulative_p], ...]
+        ParamSpace(
+            ParamSpec("points", kind="json", required=True,
+                      description="the CDF: [[size_bytes, cumulative_p], ...]"),
+        ),
         lambda points: EmpiricalSizeDistribution([tuple(p) for p in points]),
     ),
-    "constant": ({"bytes": 10_000}, lambda bytes: ConstantSize(bytes)),
+    "constant": (
+        ParamSpace(
+            ParamSpec("bytes", kind="int", default=10_000, unit="bytes", minimum=1,
+                      description="size of every flow"),
+        ),
+        lambda bytes: ConstantSize(bytes),
+    ),
     "pareto": (
-        {"alpha": 1.3, "min_bytes": 300, "cap_bytes": 100_000_000},
-        lambda alpha, min_bytes, cap_bytes: ParetoSize(alpha, min_bytes, cap_bytes),
+        ParamSpace(
+            ParamSpec("alpha", kind="float", default=1.3, unit="exponent", minimum=1.0,
+                      description="tail shape; must exceed 1 (finite mean)"),
+            ParamSpec("min_bytes", kind="int", default=300, unit="bytes", minimum=1,
+                      description="scale: the smallest size"),
+            _CAP_BYTES,
+        ),
+        ParetoSize,
     ),
     "lognormal": (
-        {"mu": 8.0, "sigma": 1.6, "cap_bytes": 100_000_000},
-        lambda mu, sigma, cap_bytes: LognormalSize(mu, sigma, cap_bytes),
+        ParamSpace(
+            ParamSpec("mu", kind="float", default=8.0, unit="log-bytes",
+                      description="mean of log(size)"),
+            ParamSpec("sigma", kind="float", default=1.6, unit="log-bytes", minimum=0.0,
+                      description="standard deviation of log(size); must be positive"),
+            _CAP_BYTES,
+        ),
+        LognormalSize,
     ),
 }
 
@@ -141,22 +180,13 @@ def coerce_sizes_spec(spec: Any) -> Dict[str, Any]:
         raise TraceSpecError(f"sizes spec must be an object or name, got {spec!r}")
     spec = dict(spec)
     dist = spec.pop("dist", "internet_core")
-    if dist not in SIZE_DISTRIBUTIONS:
+    if not isinstance(dist, str) or dist not in SIZE_DISTRIBUTIONS:
         raise TraceSpecError(
             f"unknown size distribution {dist!r}; known: {sorted(SIZE_DISTRIBUTIONS)}"
         )
-    defaults, _ = SIZE_DISTRIBUTIONS[dist]
-    unknown = sorted(set(spec) - set(defaults))
-    if unknown:
-        raise TraceSpecError(
-            f"size distribution {dist!r} does not accept {unknown}; "
-            f"accepted: {sorted(defaults)}"
-        )
-    merged = {**defaults, **spec}
-    missing = sorted(name for name, value in merged.items() if value is None)
-    if missing:
-        raise TraceSpecError(f"size distribution {dist!r} requires {missing}")
-    return canonicalize({"dist": dist, **merged})
+    space, _ = SIZE_DISTRIBUTIONS[dist]
+    resolved = _resolve(space, spec, f"size distribution {dist!r}")
+    return canonicalize({"dist": dist, **resolved})
 
 
 def make_size_sampler(spec: Any):
@@ -403,88 +433,32 @@ def merge_event_streams(streams: List[Iterator[TraceEvent]]) -> Iterator[TraceEv
 
 @dataclass(frozen=True)
 class GeneratorDef:
-    """One named trace generator: declared defaults plus a builder."""
+    """One named trace generator: declared parameters plus a builder."""
 
     name: str
     description: str
-    defaults: Mapping[str, Any]
+    params: ParamSpace
     #: ``build(seed, params) -> Iterator[TraceEvent]``; ``params`` arrive
     #: coerced (defaults filled, canonicalized).
     build: Callable[[int, Dict[str, Any]], Iterator[TraceEvent]]
-    #: Parameters that may legitimately stay ``None`` (a ``None`` default
-    #: outside this set means "required", rejected at coercion).
-    nullable: frozenset = frozenset()
 
 
-def _common_flow_params(params: Mapping[str, Any], sizes=None) -> Dict[str, Any]:
-    return {
-        "sizes": sizes if sizes is not None else make_size_sampler(params["sizes"]),
-        "traffic_class": params["traffic_class"],
-        "group": params["group"],
-        "num_src": params["num_src"],
-        "num_dst": params["num_dst"],
-    }
+def _from_stream(name: str, stream: Callable[..., Iterator[TraceEvent]]):
+    """``build`` for a generator whose declared knobs are ``stream``'s keywords."""
+
+    def build(seed: int, params: Dict[str, Any]) -> Iterator[TraceEvent]:
+        if "sizes" in params:
+            params["sizes"] = make_size_sampler(params["sizes"])
+        return stream(make_rng(derive_seed(seed, f"traffic:{name}")), **params)
+
+    return build
 
 
 def _build_requests(seed: int, params: Dict[str, Any]) -> Iterator[TraceEvent]:
-    sizes = make_size_sampler(params["sizes"])
-    rate = arrival_rate_for_load(params["offered_load_bps"], sizes.mean())
-    return poisson_flow_events(
-        make_rng(derive_seed(seed, "traffic:requests")),
-        rate_per_s=rate,
-        horizon_s=params["horizon_s"],
-        max_flows=params["max_flows"],
-        **_common_flow_params(params, sizes),
-    )
-
-
-def _build_poisson(seed: int, params: Dict[str, Any]) -> Iterator[TraceEvent]:
-    return poisson_flow_events(
-        make_rng(derive_seed(seed, "traffic:poisson")),
-        rate_per_s=params["rate_per_s"],
-        horizon_s=params["horizon_s"],
-        max_flows=params["max_flows"],
-        **_common_flow_params(params),
-    )
-
-
-def _build_diurnal(seed: int, params: Dict[str, Any]) -> Iterator[TraceEvent]:
-    return modulated_flow_events(
-        make_rng(derive_seed(seed, "traffic:diurnal")),
-        base_rate_per_s=params["base_rate_per_s"],
-        profile=list(params["profile"]),
-        period_s=params["period_s"],
-        horizon_s=params["horizon_s"],
-        **_common_flow_params(params),
-    )
-
-
-def _build_flash_crowd(seed: int, params: Dict[str, Any]) -> Iterator[TraceEvent]:
-    return flash_crowd_flow_events(
-        make_rng(derive_seed(seed, "traffic:flash_crowd")),
-        base_rate_per_s=params["base_rate_per_s"],
-        peak_multiplier=params["peak_multiplier"],
-        start_s=params["start_s"],
-        ramp_s=params["ramp_s"],
-        hold_s=params["hold_s"],
-        decay_s=params["decay_s"],
-        horizon_s=params["horizon_s"],
-        **_common_flow_params(params),
-    )
-
-
-def _build_onoff(seed: int, params: Dict[str, Any]) -> Iterator[TraceEvent]:
-    return onoff_stream_events(
-        make_rng(derive_seed(seed, "traffic:onoff")),
-        rate_bps=params["rate_bps"],
-        mean_on_s=params["mean_on_s"],
-        mean_off_s=params["mean_off_s"],
-        horizon_s=params["horizon_s"],
-        traffic_class=params["traffic_class"],
-        group=params["group"],
-        num_src=params["num_src"],
-        num_dst=params["num_dst"],
-    )
+    sizes = make_size_sampler(params.pop("sizes"))
+    rate = arrival_rate_for_load(params.pop("offered_load_bps"), sizes.mean())
+    rng = make_rng(derive_seed(seed, "traffic:requests"))
+    return poisson_flow_events(rng, rate_per_s=rate, sizes=sizes, **params)
 
 
 def _build_mix(seed: int, params: Dict[str, Any]) -> Iterator[TraceEvent]:
@@ -495,13 +469,39 @@ def _build_mix(seed: int, params: Dict[str, Any]) -> Iterator[TraceEvent]:
     return merge_event_streams(streams)
 
 
-_FLOW_DEFAULTS: Dict[str, Any] = {
-    "sizes": {"dist": "internet_core"},
-    "traffic_class": 0,
-    "group": "bundle",
-    "num_src": 1,
-    "num_dst": 1,
-}
+def _nonempty_list(value: Any) -> None:
+    if not isinstance(value, list) or not value:
+        raise ValueError("must be a non-empty list")
+
+
+# The knobs several generators share, declared once.
+_HORIZON = ParamSpec(
+    "horizon_s", kind="float", default=10.0, unit="s", minimum=0.0,
+    description="length of the generated trace",
+)
+_MAX_FLOWS = ParamSpec(
+    "max_flows", kind="int", default=None, unit="count", minimum=0, nullable=True,
+    description="stop after this many flows (None: the horizon alone bounds the trace)",
+)
+_BASE_RATE = ParamSpec(
+    "base_rate_per_s", kind="float", default=80.0, unit="flows/s", minimum=0.0,
+    description="baseline arrival rate; must be positive",
+)
+_ENDPOINT_KNOBS = (
+    ParamSpec("traffic_class", kind="int", default=0, unit="class", minimum=0,
+              description="traffic class stamped on every event"),
+    ParamSpec("group", kind="str", default="bundle", choices=EVENT_GROUPS,
+              description="host pools the events use: through the sendbox, or cross traffic"),
+    ParamSpec("num_src", kind="int", default=1, unit="count", minimum=1,
+              description="source indices are drawn from range(num_src)"),
+    ParamSpec("num_dst", kind="int", default=1, unit="count", minimum=1,
+              description="destination indices are drawn from range(num_dst)"),
+)
+_FLOW_KNOBS = (
+    ParamSpec("sizes", kind="json", default={"dist": "internet_core"},
+              description="size-distribution sub-spec: a name or {\"dist\": name, ...}"),
+    *_ENDPOINT_KNOBS,
+)
 
 GENERATORS: Dict[str, GeneratorDef] = {}
 
@@ -515,78 +515,88 @@ def _register(definition: GeneratorDef) -> None:
 _register(GeneratorDef(
     name="requests",
     description="Poisson request arrivals at a target offered load (the §7.1 workload)",
-    defaults={
-        "offered_load_bps": 8_000_000.0,
-        "horizon_s": 10.0,
-        "max_flows": None,
-        **_FLOW_DEFAULTS,
-    },
+    params=ParamSpace(
+        ParamSpec("offered_load_bps", kind="float", default=8_000_000.0, unit="bit/s",
+                  minimum=0.0, description="target offered load; must be positive"),
+        _HORIZON,
+        _MAX_FLOWS,
+        *_FLOW_KNOBS,
+    ),
     build=_build_requests,
-    nullable=frozenset({"max_flows"}),
 ))
 
 _register(GeneratorDef(
     name="poisson",
     description="Poisson flow arrivals at an explicit rate",
-    defaults={
-        "rate_per_s": 100.0,
-        "horizon_s": 10.0,
-        "max_flows": None,
-        **_FLOW_DEFAULTS,
-    },
-    build=_build_poisson,
-    nullable=frozenset({"max_flows"}),
+    params=ParamSpace(
+        ParamSpec("rate_per_s", kind="float", default=100.0, unit="flows/s", minimum=0.0,
+                  description="arrival rate; must be positive"),
+        _HORIZON,
+        _MAX_FLOWS,
+        *_FLOW_KNOBS,
+    ),
+    build=_from_stream("poisson", poisson_flow_events),
 ))
 
 _register(GeneratorDef(
     name="diurnal",
     description="Markov-modulated Poisson arrivals cycling a diurnal rate profile",
-    defaults={
-        "base_rate_per_s": 80.0,
-        "period_s": 4.0,
-        "profile": [0.4, 1.0, 1.7, 1.0],
-        "horizon_s": 8.0,
-        **_FLOW_DEFAULTS,
-    },
-    build=_build_diurnal,
+    params=ParamSpace(
+        _BASE_RATE,
+        ParamSpec("period_s", kind="float", default=4.0, unit="s", minimum=0.0,
+                  description="length of one cycle of the profile; must be positive"),
+        ParamSpec("profile", kind="list[float]", default=[0.4, 1.0, 1.7, 1.0], unit="ratio",
+                  description="rate multiplier of each equal-length phase of a cycle"),
+        _HORIZON,
+        *_FLOW_KNOBS,
+    ).with_defaults(horizon_s=8.0),
+    build=_from_stream("diurnal", modulated_flow_events),
 ))
 
 _register(GeneratorDef(
     name="flash_crowd",
     description="Non-homogeneous Poisson flash crowd: ramp to a peak, hold, decay",
-    defaults={
-        "base_rate_per_s": 50.0,
-        "peak_multiplier": 4.0,
-        "start_s": 2.0,
-        "ramp_s": 1.0,
-        "hold_s": 2.0,
-        "decay_s": 1.0,
-        "horizon_s": 8.0,
-        **_FLOW_DEFAULTS,
-    },
-    build=_build_flash_crowd,
+    params=ParamSpace(
+        _BASE_RATE,
+        ParamSpec("peak_multiplier", kind="float", default=4.0, unit="ratio", minimum=1.0,
+                  description="peak rate as a multiple of the baseline"),
+        ParamSpec("start_s", kind="float", default=2.0, unit="s", minimum=0.0,
+                  description="when the ramp begins"),
+        ParamSpec("ramp_s", kind="float", default=1.0, unit="s", minimum=0.0,
+                  description="linear rise from baseline to peak"),
+        ParamSpec("hold_s", kind="float", default=2.0, unit="s", minimum=0.0,
+                  description="time spent at the peak"),
+        ParamSpec("decay_s", kind="float", default=1.0, unit="s", minimum=0.0,
+                  description="linear fall back to baseline"),
+        _HORIZON,
+        *_FLOW_KNOBS,
+    ).with_defaults(base_rate_per_s=50.0, horizon_s=8.0),
+    build=_from_stream("flash_crowd", flash_crowd_flow_events),
 ))
 
 _register(GeneratorDef(
     name="onoff",
     description="Bursty on/off paced streams (non-buffer-filling cross traffic)",
-    defaults={
-        "rate_bps": 6_000_000.0,
-        "mean_on_s": 0.5,
-        "mean_off_s": 0.5,
-        "horizon_s": 8.0,
-        "traffic_class": 0,
-        "group": "cross",
-        "num_src": 1,
-        "num_dst": 1,
-    },
-    build=_build_onoff,
+    params=ParamSpace(
+        ParamSpec("rate_bps", kind="float", default=6_000_000.0, unit="bit/s", minimum=0.0,
+                  description="pacing rate while ON; must be positive"),
+        ParamSpec("mean_on_s", kind="float", default=0.5, unit="s", minimum=0.0,
+                  description="mean ON burst (exponential); must be positive"),
+        ParamSpec("mean_off_s", kind="float", default=0.5, unit="s", minimum=0.0,
+                  description="mean gap between bursts (exponential); must be positive"),
+        _HORIZON,
+        *_ENDPOINT_KNOBS,
+    ).with_defaults(horizon_s=8.0, group="cross"),
+    build=_from_stream("onoff", onoff_stream_events),
 ))
 
 _register(GeneratorDef(
     name="mix",
     description="Deterministic time-merge of component generator traces",
-    defaults={"components": None},  # required: list of generator specs
+    params=ParamSpace(
+        ParamSpec("components", kind="json", required=True, validator=_nonempty_list,
+                  description="the generator specs to merge"),
+    ),
     build=_build_mix,
 ))
 
@@ -594,10 +604,11 @@ _register(GeneratorDef(
 def coerce_generator_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
     """Canonicalize a ``{"generator": name, "params": {...}}`` spec.
 
-    Fills the generator's declared defaults, rejects unknown parameters,
-    canonicalizes every value (so no spelling of a spec can mint a second
-    cache key), and recursively coerces ``sizes`` sub-specs and ``mix``
-    components.
+    Resolves the parameters through the generator's :class:`ParamSpace` —
+    defaults filled, unknown parameters rejected, every value coerced to
+    its declared type and canonicalized (so no spelling of a spec can mint
+    a second cache key) — and recursively coerces ``sizes`` sub-specs and
+    ``mix`` components.
     """
     if not isinstance(spec, Mapping):
         raise TraceSpecError(f"generator spec must be an object, got {spec!r}")
@@ -607,40 +618,16 @@ def coerce_generator_spec(spec: Mapping[str, Any]) -> Dict[str, Any]:
             f"generator spec has unknown key(s) {unknown_top}; accepted: ['generator', 'params']"
         )
     name = spec.get("generator")
-    if name not in GENERATORS:
+    if not isinstance(name, str) or name not in GENERATORS:
         raise TraceSpecError(
             f"unknown trace generator {name!r}; known: {sorted(GENERATORS)}"
         )
-    definition = GENERATORS[name]
-    params = dict(spec.get("params") or {})
-    unknown = sorted(set(params) - set(definition.defaults))
-    if unknown:
-        raise TraceSpecError(
-            f"generator {name!r} does not accept {unknown}; "
-            f"accepted: {sorted(definition.defaults)}"
-        )
-    merged = {**definition.defaults, **params}
-    if "sizes" in merged:
-        merged["sizes"] = coerce_sizes_spec(merged["sizes"])
-    if "group" in merged and merged["group"] not in EVENT_GROUPS:
-        raise TraceSpecError(
-            f"generator {name!r}: group must be one of {EVENT_GROUPS}, "
-            f"got {merged['group']!r}"
-        )
+    params = _resolve(GENERATORS[name].params, spec.get("params") or {}, f"generator {name!r}")
+    if "sizes" in params:
+        params["sizes"] = coerce_sizes_spec(params["sizes"])
     if name == "mix":
-        components = merged.get("components")
-        if not isinstance(components, (list, tuple)) or not components:
-            raise TraceSpecError("mix generator requires a non-empty 'components' list")
-        merged["components"] = [coerce_generator_spec(c) for c in components]
-    missing = sorted(
-        k for k, v in merged.items() if v is None and k not in definition.nullable
-    )
-    if missing:
-        raise TraceSpecError(f"generator {name!r} requires {missing}")
-    try:
-        return canonicalize({"generator": name, "params": merged})
-    except (TypeError, ValueError) as exc:
-        raise TraceSpecError(f"generator {name!r}: {exc}") from None
+        params["components"] = [coerce_generator_spec(c) for c in params["components"]]
+    return {"generator": name, "params": params}
 
 
 def generate_trace(spec: Mapping[str, Any], seed: int) -> Iterator[TraceEvent]:

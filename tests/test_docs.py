@@ -20,6 +20,7 @@ import pytest
 from repro.runner.cli import build_parser, render_scenarios_markdown
 from repro.runner.distributed import DistributedBackend
 from repro.runner.registry import load_builtin_scenarios
+from repro.traffic.generators import GENERATORS, SIZE_DISTRIBUTIONS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS = REPO_ROOT / "docs"
@@ -86,6 +87,29 @@ def test_distributed_md_knob_list_matches_the_constructor():
         if param.kind is inspect.Parameter.KEYWORD_ONLY
     ]
     assert documented == options
+
+
+def test_workloads_md_knob_tables_match_the_declarations():
+    # One row per declared generator / size-distribution knob, carrying the
+    # type (kind, unit, choices, bounds), default and description that
+    # ParamSpace.describe_rows() renders: a knob added, re-bounded or
+    # re-defaulted without touching the page fails here.
+    text = (DOCS / "workloads.md").read_text(encoding="utf-8")
+    catalog = [(name, definition.params) for name, definition in GENERATORS.items()]
+    catalog += [(name, space) for name, (space, _) in SIZE_DISTRIBUTIONS.items()]
+    missing = [
+        row
+        for owner, space in catalog
+        for row in (
+            f"| `{owner}` | `{name}` | {kind} | {default} | {description} |"
+            for name, kind, default, description in space.describe_rows()
+        )
+        if row not in text
+    ]
+    assert not missing, "docs/workloads.md lacks or misstates:\n" + "\n".join(missing)
+    documented = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", text, flags=re.MULTILINE)
+    declared = [(owner, spec.name) for owner, space in catalog for spec in space]
+    assert documented == declared, "a documented knob is no longer declared (or out of order)"
 
 
 def test_runner_md_command_table_matches_the_parser():

@@ -22,7 +22,7 @@ from repro.runner.backends import (
     make_backend,
 )
 from repro.runner.cache import ResultCache
-from repro.runner.engine import run_sweep
+from repro.runner.engine import ResultKeyMismatch, run_sweep
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import ScenarioRegistry, load_builtin_scenarios
 from repro.runner.spec import RunSpec, SweepSpec
@@ -162,6 +162,30 @@ class TestBackendParity:
         assert [r.canonical() for r in auto.results] == [
             r.canonical() for r in default.results
         ]
+
+
+class _SkewedBackend(SerialBackend):
+    """Executes every item as if an older revision of the scenario ran it."""
+
+    def execute(self, items, *, registry=None):
+        outcomes = super().execute(items, registry=registry)
+        outcomes[-1].payload.update(key="0" * 64, scenario_version=0)
+        return outcomes
+
+
+class TestForeignResults:
+    def test_result_keyed_for_another_cell_is_refused_not_cached(self, tmp_path):
+        # A version-skewed worker computes under its own registry, so its
+        # payload carries its own run key: the engine must refuse it (typed,
+        # naming both keys) instead of filing it as this sweep's result.
+        specs = _grid_specs()
+        cache = ResultCache(str(tmp_path / "c"))
+        with pytest.raises(ResultKeyMismatch, match=f"expected [0-9a-f]{{64}}, got {'0' * 64}"):
+            run_sweep(specs, cache=cache, backend=_SkewedBackend())
+        assert cache.get("0" * 64) is None
+        # The cells that came back right were cached; only the skewed one reruns.
+        rerun = run_sweep(specs, cache=cache, backend="serial")
+        assert (rerun.hits, rerun.misses) == (len(specs) - 1, 1)
 
 
 class TestFallbackReporting:

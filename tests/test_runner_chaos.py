@@ -333,6 +333,32 @@ class TestChaosAcceptance:
             r.canonical() for r in recovered.results
         ]
 
+    def test_spill_from_another_code_revision_is_not_harvested(self, tmp_path):
+        # spill_key names a cell by (scenario, params, seed) only, so a
+        # spill left by a different scenario version lands on the same key.
+        # Its payload carries that revision's run key: the harvester must
+        # leave it alone and let the cell execute again.
+        specs = _grid_specs()
+        spill = tmp_path / "spill"
+        run_sweep(specs, cache=ResultCache(str(tmp_path / "first")),
+                  backend=_backend(spill_dir=str(spill)))
+        victim = sorted(spill.glob("*.spill.json"))[0]
+        record = json.loads(victim.read_text())
+        payload = record["outcome"]["payload"]
+        payload["scenario_version"] -= 1
+        payload["key"] = "0" * 64
+        payload["metrics"] = dict.fromkeys(payload["metrics"], -1)
+        victim.write_text(json.dumps(record))
+
+        cache = ResultCache(str(tmp_path / "second"))
+        resumed = run_sweep(specs, cache=cache, backend=_backend(spill_dir=str(spill)))
+        assert resumed.worker_stats["spill_harvested"] == len(specs) - 1
+        assert cache.get("0" * 64) is None
+        serial = run_sweep(specs, cache=ResultCache(str(tmp_path / "ser")), backend="serial")
+        assert [r.canonical() for r in serial.results] == [
+            r.canonical() for r in resumed.results
+        ]
+
     def test_chaos_sweep_warms_serial_cache_to_100_percent(self, tmp_path):
         # The CI gate in one test: a chaos-ridden distributed sweep's cache
         # must serve a serial re-run entirely from warm hits.

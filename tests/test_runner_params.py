@@ -173,6 +173,20 @@ class TestParamSpace:
         assert [r[0] for r in rows] == ["rate", "mode", "cap"]
         assert rows[2][2] == "None"
 
+    def test_required_has_no_default_and_must_be_supplied(self):
+        space = ParamSpace(
+            ParamSpec("points", kind="json", required=True),
+            ParamSpec("cap", kind="int", default=5),
+        )
+        assert space.resolve({"points": [[1, 1.0]]}) == {"points": [[1, 1]], "cap": 5}
+        with pytest.raises(ParamValidationError, match="'points' is required for dist 'x'"):
+            space.resolve({"cap": 1}, context="dist 'x'")
+        with pytest.raises(ParamValidationError, match="may not be None"):
+            space.resolve({"points": None})
+        assert space.describe_rows()[0][1:3] == ("json required", "-")
+        with pytest.raises(ValueError, match="takes no default"):
+            ParamSpec("points", kind="json", required=True, default=[])
+
 
 class TestReviewRegressions:
     def test_big_int_strings_keep_exact_precision(self):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.runner.cli import main
+from repro.runner.params import ParamSpec, ParamValidationError
 from repro.traffic.events import TraceEvent
 from repro.traffic.format import events_digest
 from repro.traffic.generators import (
@@ -50,7 +52,7 @@ class TestSizeDistributions:
         assert sampler.mean() == pytest.approx(4915, rel=0.01)
 
     def test_empirical_requires_points(self):
-        with pytest.raises(TraceSpecError, match="requires"):
+        with pytest.raises(TraceSpecError, match="'points' is required"):
             coerce_sizes_spec({"dist": "empirical"})
         spec = coerce_sizes_spec({"dist": "empirical", "points": [[100, 0.5], [1000, 1.0]]})
         sampler = make_size_sampler(spec)
@@ -59,7 +61,7 @@ class TestSizeDistributions:
     def test_unknown_dist_and_params_rejected(self):
         with pytest.raises(TraceSpecError, match="unknown size distribution"):
             coerce_sizes_spec({"dist": "zipf"})
-        with pytest.raises(TraceSpecError, match="does not accept"):
+        with pytest.raises(TraceSpecError, match=r"unknown parameter\(s\) \['byte'\]"):
             coerce_sizes_spec({"dist": "constant", "byte": 10})
 
 
@@ -177,7 +179,7 @@ class TestSpecCoercion:
     def test_unknown_generator_and_params(self):
         with pytest.raises(TraceSpecError, match="unknown trace generator"):
             coerce_generator_spec({"generator": "tsunami"})
-        with pytest.raises(TraceSpecError, match="does not accept"):
+        with pytest.raises(TraceSpecError, match=r"unknown parameter\(s\) \['rate'\]"):
             coerce_generator_spec({"generator": "poisson", "params": {"rate": 5}})
         with pytest.raises(TraceSpecError, match="unknown key"):
             coerce_generator_spec({"generator": "poisson", "extra": 1})
@@ -199,3 +201,54 @@ class TestSpecCoercion:
             list(generate_trace(
                 {"generator": "diurnal", "params": {"profile": []}}, 1
             ))
+
+
+#: (generator, params, the parameter the error must name): every one of
+#: these ended in a bare TypeError / IndexError, or was silently accepted,
+#: while the generators interpreted their own specs.
+BAD_SPECS = [
+    ("poisson", {"rate_per_s": "fast"}, "rate_per_s"),
+    ("poisson", {"horizon_s": -1}, "horizon_s"),
+    ("poisson", {"num_src": 0}, "num_src"),
+    ("poisson", {"num_src": 1.5}, "num_src"),
+    ("flash_crowd", {"ramp_s": -1}, "ramp_s"),
+    ("diurnal", {"profile": "x"}, "profile"),
+    ("poisson", {"sizes": {"dist": "pareto", "alpha": "big"}}, "alpha"),
+    ("poisson", {"traffic_class": "gold"}, "traffic_class"),
+    ("requests", {"sizes": {"dist": "empirical"}}, "points"),
+]
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(("generator", "params", "culprit"), BAD_SPECS)
+    def test_bad_spec_is_a_typed_error_naming_the_parameter(self, generator, params, culprit):
+        spec = {"generator": generator, "params": params}
+        with pytest.raises(TraceSpecError, match=f"parameter '{culprit}'"):
+            coerce_generator_spec(spec)
+        # The same spec through a trace-kind scenario knob.
+        with pytest.raises(ParamValidationError, match=f"parameter '{culprit}'"):
+            ParamSpec("trace", kind="trace", default={"generator": "poisson"}).coerce(spec)
+
+    def test_cli_reports_a_bad_knob_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        code = main(["trace", "generate", "--generator", "poisson",
+                     "-p", "rate_per_s=fast", "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "rate_per_s" in err
+        assert not out.exists()
+
+    def test_every_spelling_of_a_number_is_one_spec(self):
+        specs = [
+            coerce_generator_spec({"generator": "poisson", "params": {"rate_per_s": value}})
+            for value in ("100", 100, 100.0)
+        ]
+        assert specs[0] == specs[1] == specs[2]
+        assert type(specs[0]["params"]["rate_per_s"]) is int
+        digests = {
+            events_digest(generate_trace(
+                {"generator": "poisson", "params": {"rate_per_s": value, "horizon_s": 1}}, 3
+            )).id
+            for value in ("100", 100, 100.0)
+        }
+        assert len(digests) == 1
