@@ -16,11 +16,12 @@ that changes a qdisc's rate must call :meth:`Link.kick` so a waiting link
 notices the new schedule immediately.
 
 The datapath is closure-free and batched (see ``docs/simcore.md``): finish
-and delivery events are pushed as ``(fn, args)`` heap entries, and
-:meth:`Link._finish_transmit` drains back-to-back departures inline whenever
-the entry it just pushed is still the heap top — an identity check that makes
-batching provably order-identical to popping one event per step.  Zero-delay
-delivery hops are executed inline under the same gate.
+and delivery events are ``(fn, args)`` heap entries, :meth:`Link.send` starts
+an idle link's transmission itself, and :meth:`Link._finish_transmit` drains
+back-to-back departures inline whenever the finish entry it just pushed is
+still the heap top — an identity check that makes batching provably
+order-identical to popping one event per step.  A zero-delay delivery runs in
+place whenever it would be the next event popped, without entering the heap.
 """
 
 from __future__ import annotations
@@ -91,89 +92,102 @@ class Link:
     # -- datapath ---------------------------------------------------------
 
     def send(self, packet: Packet) -> bool:
-        """Enqueue a packet for transmission.  Returns False if it was dropped."""
-        now = self.sim._now
+        """Enqueue a packet for transmission.  Returns False if it was dropped.
+
+        An idle link starts transmitting here — the hot, inlined copy of
+        :meth:`kick` (three sends in four find the link idle and empty).
+        """
+        sim = self.sim
+        now = sim._now
         packet.enqueued_at = now
-        if not self.qdisc.enqueue(packet, now):
+        qdisc = self.qdisc
+        if not qdisc.enqueue(packet, now):
             self.packets_dropped += 1
             if self.drop_probe is not None:
                 self.drop_probe(now)
             if self.drop_recycler is not None:
                 self.drop_recycler(packet)
             return False
-        if not self._busy:
-            self._try_transmit()
-        return True
-
-    def kick(self) -> None:
-        """Re-evaluate the transmit schedule (call after changing qdisc rates)."""
-        if not self._busy:
-            self._try_transmit()
-
-    def _cancel_retry(self) -> None:
+        if self._busy:
+            return True
         if self._retry_token is not None:
             self._retry_token.cancel()
             self._retry_token = None
+        nxt = qdisc.dequeue(now)
+        if nxt is None:
+            if qdisc.backlog_packets > 0:
+                self._poll_later(qdisc, now)
+            return True
+        if self._transmit_hooks:
+            for hook in self._transmit_hooks:
+                hook(nxt, now)
+        self._busy = True
+        sim.stats.events_scheduled += 1
+        finish_at = now + nxt.size * 8.0 / self.rate_bps
+        heappush(sim._queue, (finish_at, next(sim._counter), None, self._finish_transmit, (nxt,)))
+        return True
 
-    def _try_transmit(self) -> None:
-        """Start transmitting the next packet, if the qdisc releases one.
+    def kick(self) -> None:
+        """Re-evaluate the transmit schedule (call after changing qdisc rates).
 
-        Never batches: callers (``send``, ``kick``, the retry timer) continue
-        executing at the current instant after this returns, so the clock
-        must not move under them.  Batched drain lives in
-        :meth:`_finish_transmit`, which only ever runs as the tail of a
-        finish event.
+        Also the retry timer's callback.  Never batches (callers continue at
+        the current instant, so the clock must not move under them), and
+        ``dequeue`` runs on every attempt, backlog or not: a token bucket
+        refills at ``now`` inside it.
         """
         if self._busy:
             return
         if self._retry_token is not None:
             self._retry_token.cancel()
             self._retry_token = None
-        now = self.sim._now
-        packet = self.qdisc.dequeue(now)
+        sim = self.sim
+        now = sim._now
+        qdisc = self.qdisc
+        packet = qdisc.dequeue(now)
         if packet is None:
-            if len(self.qdisc) > 0:
-                ready = self.qdisc.next_ready_time(now)
-                if ready is not None:
-                    # Never re-poll at the exact current time: a qdisc whose
-                    # accounting momentarily disagrees with its contents would
-                    # otherwise livelock the event loop.
-                    self._retry_token = self.sim.at(max(ready, now + 1e-6), self._try_transmit)
+            if qdisc.backlog_packets > 0:
+                self._poll_later(qdisc, now)
             return
         for hook in self._transmit_hooks:
             hook(packet, now)
         self._busy = True
-        tx_time = packet.size * 8.0 / self.rate_bps
-        self.sim.schedule_call(tx_time, self._finish_transmit, packet)
+        sim.schedule_call(packet.size * 8.0 / self.rate_bps, self._finish_transmit, packet)
+
+    def _poll_later(self, qdisc, now: float) -> None:
+        """``qdisc`` holds a backlog but released nothing: re-poll when it says to."""
+        ready = qdisc.next_ready_time(now)
+        if ready is not None:
+            # Never re-poll at the exact current time: a qdisc whose
+            # accounting momentarily disagrees with its contents would
+            # otherwise livelock the event loop.
+            self._retry_token = self.sim.at(max(ready, now + 1e-6), self.kick)
 
     def _finish_transmit(self, packet: Packet) -> None:
         """Complete ``packet``'s serialization; drain the backlog batched.
 
-        Each loop iteration reproduces the historical event sequence for one
-        departure *in the exact order the closure-based datapath pushed it*:
-        delivery first, then the next packet's finish.  Inlining then only
-        happens under heap-top identity gates:
+        Each iteration reproduces the unbatched sequence for one departure —
+        delivery, then the next finish — in the same ``(time, seq)`` order,
+        inlining a step only when the run loop would pop it next anyway:
 
-        * the zero-delay delivery hop is executed in place iff its entry is
-          the very next event (nothing else is queued at the current
-          instant), and
-        * the next finish event is popped and folded into this loop iff its
-          entry is still the heap top after delivery ran (no event —
-          including anything the delivery's receive path just scheduled —
-          lands at or before it) and it does not overrun the active run
-          bound.
+        * the delivery's ``seq`` is reserved where its entry used to be
+          pushed, so everything scheduled later sorts behind it.  With a
+          propagation delay it is pushed there; a zero-delay delivery runs in
+          place iff, once the next finish is queued, the heap top sorts after
+          ``(now, reserved seq)`` — and only otherwise enters the heap;
+        * the next finish is popped and folded into this loop iff its entry is
+          still the heap top after delivery ran (nothing, including what the
+          receive path just scheduled, lands at or before it) and it does not
+          overrun the active run bound.
 
-        Both gates compare against events the old datapath would have popped
-        next anyway, so batching is byte-for-byte order-identical; inlined
-        entries are counted in ``events_processed`` to keep event counts
-        comparable.  See docs/simcore.md.
+        Inlined steps count in ``events_scheduled``/``events_processed`` as if
+        they had gone through the heap.  ``qdisc``, its methods and
+        ``dst.receive`` are looked up per packet: the sendbox swaps the qdisc
+        and the sanitizer wraps those methods.  See docs/simcore.md.
         """
         sim = self.sim
         stats = sim.stats
         queue = sim._queue
         counter = sim._counter
-        qdisc = self.qdisc
-        rate_bps = self.rate_bps
         while True:
             now = sim._now
             self._busy = False
@@ -183,40 +197,35 @@ class Link:
             if self.finish_tap is not None:
                 self.finish_tap(now, size)
             dst = self.dst_node
-            deliver_entry = None
+            deliver_seq = None
             if dst is not None:
                 stats.events_scheduled += 1
-                deliver_entry = (now + self.delay, next(counter), None, dst.receive, (packet, self))
-                heappush(queue, deliver_entry)
-            # Start the next transmission (the old inline _try_transmit):
-            # the finish entry is pushed *after* the delivery entry, exactly
-            # as the closure datapath ordered them.
+                deliver_seq = next(counter)
+                delay = self.delay
+                if delay > 0.0:
+                    heappush(queue, (now + delay, deliver_seq, None, dst.receive, (packet, self)))
+                    deliver_seq = None
             finish_entry = None
+            qdisc = self.qdisc
             nxt = qdisc.dequeue(now)
             if nxt is None:
-                if len(qdisc) > 0:
-                    ready = qdisc.next_ready_time(now)
-                    if ready is not None:
-                        self._retry_token = sim.at(max(ready, now + 1e-6), self._try_transmit)
+                if qdisc.backlog_packets > 0:
+                    self._poll_later(qdisc, now)
             else:
-                for hook in self._transmit_hooks:
-                    hook(nxt, now)
+                if self._transmit_hooks:
+                    for hook in self._transmit_hooks:
+                        hook(nxt, now)
                 self._busy = True
                 stats.events_scheduled += 1
-                finish_entry = (
-                    now + nxt.size * 8.0 / rate_bps,
-                    next(counter),
-                    None,
-                    self._finish_transmit,
-                    (nxt,),
-                )
+                finish_at = now + nxt.size * 8.0 / self.rate_bps
+                finish_entry = (finish_at, next(counter), None, self._finish_transmit, (nxt,))
                 heappush(queue, finish_entry)
-            if deliver_entry is not None and queue[0] is deliver_entry and self.delay == 0.0:
-                # Zero-delay hop: the delivery is the very next event, so run
-                # it in place instead of round-tripping through the heap.
-                heappop(queue)
-                stats.events_processed += 1
-                dst.receive(packet, self)
+            if deliver_seq is not None:
+                if not queue or queue[0] > (now, deliver_seq):
+                    stats.events_processed += 1
+                    dst.receive(packet, self)
+                else:
+                    heappush(queue, (now, deliver_seq, None, dst.receive, (packet, self)))
             if finish_entry is None:
                 return
             until = sim._until

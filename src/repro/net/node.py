@@ -120,6 +120,8 @@ class EcmpGroup:
                 raise ValueError("weights must match number of links")
             self.weights = list(weights)
         total = sum(self.weights)
+        if total <= 0 or min(self.weights) < 0:
+            raise ValueError(f"ECMP weights must be >= 0 with a positive sum: {self.weights}")
         self._cumulative: List[float] = []
         acc = 0.0
         for w in self.weights:
@@ -149,12 +151,16 @@ class Router(Node):
     def __init__(self, sim: Simulator, name: str, address: Optional[int] = None) -> None:
         super().__init__(sim, name, address)
         self._routes: Dict[int, EcmpGroup] = {}
+        #: dst -> link for every plain (single-link) route: what ``receive``
+        #: consults first; ``route_for`` stays the full, public answer.
+        self._next_hop: Dict[int, Link] = {}
         self._default: Optional[EcmpGroup] = None
         self.packets_forwarded = 0
 
     def add_route(self, dst_address: int, link: Link) -> None:
         """Route packets destined to ``dst_address`` over ``link``."""
         self._routes[dst_address] = EcmpGroup([link])
+        self._next_hop[dst_address] = link
 
     def add_ecmp_route(
         self,
@@ -165,6 +171,7 @@ class Router(Node):
     ) -> None:
         """Route packets for ``dst_address`` across several parallel links."""
         self._routes[dst_address] = EcmpGroup(links, mode=mode, weights=weights)
+        self._next_hop.pop(dst_address, None)
 
     def set_default_route(self, link: Link) -> None:
         self._default = EcmpGroup([link])
@@ -181,16 +188,19 @@ class Router(Node):
         if self._taps:
             for tap in self._taps:
                 tap(packet, now)
-        if packet.dst == self.address:
+        dst = packet.dst
+        if dst == self.address:
             agent = self._agents.get(packet.dst_port)
             if agent is not None:
                 agent.on_packet(packet, now)
             return
-        out = self.route_for(packet)
+        out = self._next_hop.get(dst)
         if out is None:
-            # No route: drop.  Topology builders are expected to provide full
-            # reachability, so this usually indicates a test configuration bug.
-            return
+            out = self.route_for(packet)  # ECMP group, default route or none
+            if out is None:
+                # No route: drop.  Topology builders are expected to provide full
+                # reachability, so this usually indicates a test configuration bug.
+                return
         self.packets_forwarded += 1
         out.send(packet)
 

@@ -349,7 +349,7 @@ class Simulator:
                 head = queue[0]
                 time = head[0]
                 if until is not None and time > until:
-                    self._now = until
+                    self._now = max(self._now, until)
                     break
                 pop(queue)
                 token = head[2]

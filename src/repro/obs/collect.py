@@ -22,7 +22,7 @@ import contextlib
 import os
 import threading
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, ContextManager, Dict, Iterator, List, Optional
 
 from repro.obs.probe import PROBE_FORMAT, ProbeSet, probes_enabled
 from repro.obs.stats import merge_counters, simulator_counters
@@ -169,19 +169,19 @@ def collect() -> Iterator[Optional[TelemetryCollector]]:
         sanitizer.finalize()
 
 
-@contextlib.contextmanager
-def span(name: str) -> Iterator[None]:
-    """Time the enclosed block into the active collector's timeline.
+_NO_SPAN = contextlib.nullcontext()
+
+
+def span(name: str) -> ContextManager[None]:
+    """Time the enclosed ``with`` block into the active collector's timeline.
 
     A no-op (beyond one thread-local lookup) when no collector is active,
     so library code can annotate phases unconditionally.
     """
     collector = current_collector()
     if collector is None:
-        yield
-        return
-    with collector.timeline.span(name):
-        yield
+        return _NO_SPAN
+    return collector.timeline.span(name)
 
 
 def timed_iter(name: str, iterator):

@@ -25,7 +25,8 @@ from typing import Any, Dict, List
 class SimStats:
     """Event-loop counters owned by one simulator.
 
-    ``events_scheduled`` counts heap pushes, ``events_processed`` counts
+    ``events_scheduled`` counts events scheduled (heap pushes, plus deliveries a
+    link runs in place of pushing them), ``events_processed`` counts
     callbacks actually fired (cancelled tokens are popped but skipped and
     show up in ``events_cancelled``; work a batched datapath inlines
     instead of queueing is counted here too, so counts stay comparable

@@ -15,9 +15,28 @@ catalogued in ``docs/observability.md``.
 
 from __future__ import annotations
 
-import contextlib
 from time import perf_counter
 from typing import Any, Dict, Iterator
+
+
+class _Span:
+    """One open span: two clock reads and one :meth:`Timeline.add`.
+
+    A plain slotted object, not a ``@contextmanager`` generator — replay
+    opens one per flow.
+    """
+
+    __slots__ = ("_timeline", "_name", "_started")
+
+    def __init__(self, timeline: "Timeline", name: str) -> None:
+        self._timeline = timeline
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._started = perf_counter()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._timeline.add(self._name, perf_counter() - self._started)
 
 
 class Timeline:
@@ -39,14 +58,9 @@ class Timeline:
             entry[0] += 1
             entry[1] += seconds
 
-    @contextlib.contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """Time the enclosed block into ``name`` (monotonic clock)."""
-        started = perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, perf_counter() - started)
+    def span(self, name: str) -> "_Span":
+        """Time the enclosed ``with`` block into ``name`` (monotonic clock)."""
+        return _Span(self, name)
 
     def wrap_iter(self, name: str, iterator) -> Iterator[Any]:
         """Yield from ``iterator``, charging time spent *pulling* items.

@@ -151,6 +151,13 @@ def test_ecmp_rejects_bad_configuration():
         EcmpGroup([link], mode="bogus")
     with pytest.raises(ValueError):
         EcmpGroup([link], weights=[1.0, 2.0])
+    # A zero total used to be a bare ZeroDivisionError; a negative weight was
+    # accepted and silently starved its link.
+    with pytest.raises(ValueError, match=r"\[0, 0\]"):
+        EcmpGroup([link, link], weights=[0, 0])
+    with pytest.raises(ValueError, match=r"\[-1, 2\]"):
+        EcmpGroup([link, link], weights=[-1, 2])
+    assert EcmpGroup([link, link], weights=[0, 2]).weights == [0, 2]
 
 
 def test_duplicate_agent_port_rejected():

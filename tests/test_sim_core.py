@@ -234,6 +234,19 @@ def test_stats_events_pending_snapshot(sim):
     assert sim.stats.events_pending == 0
 
 
+def test_run_until_in_the_past_does_not_rewind_the_clock(sim):
+    sim.at_call(3.0, int)
+    sim.at_call(5.0, int)
+    assert sim.run(until=3.0) == 3.0
+    # The bound is already behind the clock and an event is still pending:
+    # nothing runs, and the clock (and its telemetry copy) stay put.
+    assert sim.run(until=1.0) == 3.0
+    assert sim.now == 3.0
+    assert sim.stats.sim_time_s == 3.0
+    assert sim.pending_events() == 1
+    assert sim.run() == 5.0
+
+
 # ---------------------------------------------------------------------------
 # Allocation footprint
 # ---------------------------------------------------------------------------
