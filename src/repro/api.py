@@ -23,16 +23,17 @@ The surface, by layer:
   :class:`ProcessPoolBackend`, :class:`DistributedBackend`, or
   ``backend="serial"|"process"|"distributed"|"auto"``), returning a
   :class:`SweepOutcome` of :class:`CellOutcome` records, each holding a
-  pure :class:`RunResult` cached by content key under :class:`ResultCache`.
+  pure :class:`RunResult` cached by content key under :class:`ResultCache`
+  as soon as its cell finishes, so an interrupted sweep resumes on rerun.
 * **Distributing** — :class:`DistributedBackend` fans cache-missing cells
   out to worker processes over a :class:`WorkerTransport`
   (:class:`LocalSubprocessTransport` for same-host isolation,
   :class:`SSHTransport` for remote hosts parsed from
   :func:`parse_hosts` / :class:`HostSpec` specs), with heartbeat-based
   hang detection, worker quarantine, and re-dispatch of lost cells; the pool
-  is elastic (``listen=`` admits ``workers join`` processes mid-sweep,
-  leases survive connection blips, ``spill_dir=`` resumes restarted
-  sweeps) and batches frames (``batch_size=``);
+  is elastic (``listen=`` admits ``workers join`` processes mid-sweep; a
+  worker whose connection drops redials and joins again) and batches
+  frames (``batch_size=``);
   ``run_sweep(on_progress=...)`` observes scheduling as
   :class:`ProgressEvent` records and ``SweepOutcome.worker_stats`` carries
   the per-worker accounting.  Deterministic fault schedules for testing
@@ -82,7 +83,6 @@ from repro.runner.aggregate import (
 )
 from repro.runner.backends import (
     BACKEND_CHOICES,
-    BACKENDS,
     ExecutionBackend,
     ProcessPoolBackend,
     ProgressEvent,
@@ -186,7 +186,6 @@ __all__ = [
     "expand_grid",
     "expand_zip",
     # engine + backends
-    "BACKENDS",
     "BACKEND_CHOICES",
     "CellOutcome",
     "ExecutionBackend",

@@ -24,10 +24,15 @@ Built-in backends:
   :class:`WorkOutcome` types defined here).
 
 ``make_backend`` resolves CLI-style names (``serial``, ``process``,
-``distributed``); the determinism contract (results depend only on
-``(scenario, params, seed)``) holds across all backends —
+``auto``, ``distributed``); the determinism contract (results depend only
+on ``(scenario, params, seed)``) holds across all backends —
 ``tests/test_runner_backends.py`` and ``tests/test_runner_distributed.py``
 compare their canonical serializations byte for byte.
+
+Every backend reports each outcome through ``execute(on_outcome=...)`` as
+soon as it exists, on the thread that called ``execute``: the engine
+stores the result in the cache right there, so a sweep that is killed
+half-way resumes from the cells that had finished.
 
 Backends may optionally expose two extras the engine discovers with
 ``getattr``: a ``telemetry()`` method whose dict lands in
@@ -40,11 +45,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import sys
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Sequence
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,11 @@ class ProgressEvent:
         return " ".join(parts)
 
 
+#: What ``execute(on_outcome=...)`` is called with (see
+#: :meth:`ExecutionBackend.execute`).
+OutcomeCallback = Callable[[WorkOutcome], None]
+
+
 class ExecutionBackend(Protocol):
     """Where the engine's cache-missing cells execute.
 
@@ -133,9 +144,19 @@ class ExecutionBackend(Protocol):
     needs_builtin_registry: bool
 
     def execute(
-        self, items: Sequence[WorkItem], *, registry: Optional[Any] = None
+        self,
+        items: Sequence[WorkItem],
+        *,
+        registry: Optional[Any] = None,
+        on_outcome: Optional[OutcomeCallback] = None,
     ) -> List[WorkOutcome]:
-        """Run every item and return outcomes in the same order."""
+        """Run every item and return outcomes in the same order.
+
+        ``on_outcome``, when given, is called exactly once per item, on
+        the thread that called ``execute``, as soon as that item's outcome
+        exists and before ``execute`` returns.  An exception it raises
+        ends the call.
+        """
         ...
 
 
@@ -180,9 +201,19 @@ class SerialBackend:
     needs_builtin_registry = False
 
     def execute(
-        self, items: Sequence[WorkItem], *, registry: Optional[Any] = None
+        self,
+        items: Sequence[WorkItem],
+        *,
+        registry: Optional[Any] = None,
+        on_outcome: Optional[OutcomeCallback] = None,
     ) -> List[WorkOutcome]:
-        return [execute_item(item, registry) for item in items]
+        outcomes = []
+        for item in items:
+            outcome = execute_item(item, registry)
+            if on_outcome is not None:
+                on_outcome(outcome)
+            outcomes.append(outcome)
+        return outcomes
 
     def __repr__(self) -> str:
         return "SerialBackend()"
@@ -206,6 +237,9 @@ def _pool_init(extra_sys_path: List[str]) -> None:
     """Pool-worker initializer: restore the import path, rebuild the registry."""
     from repro.runner.registry import load_builtin_scenarios
 
+    # Ctrl-C is the parent's to handle (it terminates the pool); a child
+    # that also raised KeyboardInterrupt would only add a traceback.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     for path in reversed(extra_sys_path):
         if path not in sys.path:
             sys.path.insert(0, path)
@@ -236,11 +270,15 @@ class ProcessPoolBackend:
         self.workers = workers
 
     def execute(
-        self, items: Sequence[WorkItem], *, registry: Optional[Any] = None
+        self,
+        items: Sequence[WorkItem],
+        *,
+        registry: Optional[Any] = None,
+        on_outcome: Optional[OutcomeCallback] = None,
     ) -> List[WorkOutcome]:
         pool_size = min(self.workers, len(items))
         if pool_size <= 1:
-            return [execute_item(item, registry) for item in items]
+            return SerialBackend().execute(items, registry=registry, on_outcome=on_outcome)
         ctx = multiprocessing.get_context()
         # Spawn-start children must be able to import this module *before*
         # the initializer runs (the initializer itself is unpickled), so the
@@ -252,7 +290,15 @@ class ProcessPoolBackend:
             with ctx.Pool(
                 processes=pool_size, initializer=_pool_init, initargs=(list(sys.path),)
             ) as pool:
-                return pool.map(_pool_run, items)
+                # pool.map's own chunking: the default of 1 would make a
+                # grid of near-empty cells one IPC round trip per cell.
+                chunksize = -(-len(items) // (4 * pool_size))
+                by_index: Dict[int, WorkOutcome] = {}
+                for outcome in pool.imap_unordered(_pool_run, items, chunksize):
+                    if on_outcome is not None:
+                        on_outcome(outcome)
+                    by_index[outcome.index] = outcome
+                return [by_index[item.index] for item in items]
         finally:
             if prior_pythonpath is None:
                 os.environ.pop("PYTHONPATH", None)
@@ -263,48 +309,9 @@ class ProcessPoolBackend:
         return f"ProcessPoolBackend(workers={self.workers})"
 
 
-def _make_distributed_backend(
-    *,
-    workers: int,
-    hosts: Optional[str],
-    batch_size: Optional[int] = None,
-    listen: Optional[str] = None,
-    spill_dir: Optional[str] = None,
-    chaos: Optional[Dict[str, Any]] = None,
-):
-    """Lazy factory: :mod:`repro.runner.distributed` imports this module
-    for the work-item types, so importing it back at top level would be a
-    cycle — it is resolved here, at call time, instead."""
-    from repro.runner.distributed import DistributedBackend
-
-    if hosts is None and listen is None:
-        # No --hosts spec: all slots on this machine, mirroring what the
-        # process backend would do with the same worker count.
-        hosts = f"localhost:{max(workers, 1)}"
-    extras: Dict[str, Any] = {}
-    if batch_size is not None:
-        extras["batch_size"] = batch_size
-    if listen is not None:
-        extras["listen"] = listen
-    if spill_dir is not None:
-        extras["spill_dir"] = spill_dir
-    if chaos is not None:
-        extras["chaos"] = chaos
-    return DistributedBackend(hosts or (), **extras)
-
-
-#: Name → constructor for the built-in backends.  ``distributed`` is a
-#: lazy factory (see :func:`_make_distributed_backend`); third-party
-#: backends can be added here too.
-BACKENDS = {
-    "serial": SerialBackend,
-    "process": ProcessPoolBackend,
-    "distributed": _make_distributed_backend,
-}
-
 #: Names accepted by ``repro-runner sweep --backend`` (``auto`` picks
 #: ``process`` when more than one worker is requested, else ``serial``).
-BACKEND_CHOICES = ("auto", *sorted(BACKENDS))
+BACKEND_CHOICES = ("auto", "distributed", "process", "serial")
 
 
 def make_backend(
@@ -314,7 +321,6 @@ def make_backend(
     hosts: Optional[str] = None,
     batch_size: Optional[int] = None,
     listen: Optional[str] = None,
-    spill_dir: Optional[str] = None,
     chaos: Optional[Dict[str, Any]] = None,
 ) -> ExecutionBackend:
     """Build a backend from a CLI-style name.
@@ -323,40 +329,38 @@ def make_backend(
     when ``workers > 1``, otherwise serial.  ``hosts`` is the
     ``--hosts``-style spec (``"localhost:2,nodeA:4"``) consumed only by
     the ``distributed`` backend; it defaults to ``localhost:<workers>``
-    unless ``listen`` makes the pool join-fed.  ``batch_size``, ``listen``,
-    ``spill_dir``, and ``chaos`` (a fault-plan dict) are likewise
-    distributed-only knobs.
+    unless ``listen`` makes the pool join-fed.  ``batch_size``, ``listen``
+    and ``chaos`` (a fault-plan dict) are likewise distributed-only knobs.
     """
-    extras = {
-        "--hosts": hosts,
-        "--batch-size": batch_size,
-        "--listen": listen,
-        "--spill-dir": spill_dir,
-        "--chaos-plan": chaos,
-    }
-    if name not in ("distributed",):
-        for flag, value in extras.items():
-            if value is not None:
-                raise ValueError(
-                    f"{flag} only applies to the distributed backend, not {name!r}"
-                )
-    if name == "auto":
-        return ProcessPoolBackend(workers) if workers > 1 else SerialBackend()
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKEND_CHOICES}"
-        ) from None
-    if factory is ProcessPoolBackend:
-        return ProcessPoolBackend(max(workers, 1))
-    if factory is _make_distributed_backend:
-        return _make_distributed_backend(
-            workers=workers,
-            hosts=hosts,
-            batch_size=batch_size,
+    if name == "distributed":
+        # Imported here, not at module level: repro.runner.distributed
+        # imports this module for the work-item types.
+        from repro.runner.distributed import DistributedBackend
+
+        if hosts is None and listen is None:
+            # No --hosts spec: all slots on this machine, mirroring what the
+            # process backend would do with the same worker count.
+            hosts = f"localhost:{max(workers, 1)}"
+        return DistributedBackend(
+            hosts or (),
+            batch_size=1 if batch_size is None else batch_size,
             listen=listen,
-            spill_dir=spill_dir,
             chaos=chaos,
         )
-    return factory()
+    for flag, value in (
+        ("--hosts", hosts),
+        ("--batch-size", batch_size),
+        ("--listen", listen),
+        ("--chaos-plan", chaos),
+    ):
+        if value is not None:
+            raise ValueError(
+                f"{flag} only applies to the distributed backend, not {name!r}"
+            )
+    if name == "serial":
+        return SerialBackend()
+    if name == "process":
+        return ProcessPoolBackend(max(workers, 1))
+    if name == "auto":
+        return ProcessPoolBackend(workers) if workers > 1 else SerialBackend()
+    raise ValueError(f"unknown backend {name!r}; expected one of {BACKEND_CHOICES}")

@@ -27,9 +27,11 @@ mapping each key to the run's identity and execution metadata::
 
 The manifest is a derived artifact: :meth:`ResultCache.rebuild_manifest`
 reconstructs it from the record files at any time, so a stale or deleted
-manifest is never fatal.  :meth:`ResultCache.gc` uses it to evict records
-whose ``scenario_version`` no longer matches the registered scenario and
-records older than a caller-given age.
+manifest is never fatal — a sweep flushes it once, when it ends, so after
+a killed sweep it lags the record files until the next load rescans.
+:meth:`ResultCache.gc` uses it to evict records whose ``scenario_version``
+no longer matches the registered scenario and records older than a
+caller-given age.
 """
 
 from __future__ import annotations
@@ -87,10 +89,16 @@ class GcStats:
     trace_files_examined: int = 0
     evicted_orphan_traces: int = 0
     evicted_trace_files: List[str] = field(default_factory=list)
+    #: Temp files a killed writer left in the cache root, past the grace.
+    evicted_tmp_files: List[str] = field(default_factory=list)
 
     @property
     def evicted(self) -> int:
         return self.evicted_stale_version + self.evicted_age
+
+    @property
+    def evicted_stale_tmp(self) -> int:
+        return len(self.evicted_tmp_files)
 
     @property
     def kept(self) -> int:
@@ -107,6 +115,8 @@ class GcStats:
                 f"; {self.trace_files_examined} stored trace(s) examined: "
                 f"{self.evicted_orphan_traces} orphan(s) evicted"
             )
+        if self.evicted_stale_tmp:
+            text += f"; {self.evicted_stale_tmp} stale temp file(s) evicted"
         return text
 
 
@@ -188,8 +198,9 @@ class ResultCache:
 
         ``put`` rewrites the whole manifest file; inside this context it
         only updates the in-memory index, so an n-cell sweep does one
-        manifest write instead of n (the engine wraps its write-back loop
-        in this).  Record files themselves are still written immediately.
+        manifest write instead of n (the engine wraps the backend's
+        ``execute`` call in this).  Record files themselves are still
+        written immediately.
         """
         self._defer_manifest = True
         try:
@@ -264,10 +275,15 @@ class ResultCache:
                 payload = json.load(fh)
             if payload.get("format") != MANIFEST_FORMAT:
                 raise ValueError(f"unsupported manifest format {payload.get('format')!r}")
-            self._manifest = dict(payload["records"])
+            records = dict(payload["records"])
+            if len(records) != len(self._record_names()):
+                # A killed sweep or a second writer left records the file
+                # does not list; flushing it as is would drop them.
+                raise ValueError("manifest out of step with the record files")
+            self._manifest = records
         except (OSError, ValueError, KeyError):
-            # Missing, corrupt, or foreign-format manifest — derive it from
-            # the records, which are the source of truth.
+            # Missing, corrupt, foreign-format, or stale manifest — derive
+            # it from the records, which are the source of truth.
             self._manifest = self._scan_records()
         return self._manifest
 
@@ -345,7 +361,10 @@ class ResultCache:
         so is any unreferenced trace younger than ``trace_grace_s``
         (default :data:`TRACE_GRACE_S`, pass 0 to evict all orphans), so a
         freshly generated ``--store`` trace is not collected before the
-        sweep that will reference it runs.
+        sweep that will reference it runs.  The same grace applies to
+        ``*.tmp`` files in the cache root: a writer killed between creating
+        its temp file and renaming it into place leaves one behind, and a
+        younger one may belong to a writer that is still alive.
 
         The manifest is rebuilt from the record files first, so records
         written by other processes are seen, and rewritten after eviction.
@@ -373,6 +392,7 @@ class ResultCache:
             else:
                 survivors[key] = entry
         self._gc_orphan_traces(survivors, stats, now=now, grace_s=trace_grace_s)
+        self._gc_stale_tmp(stats, now=now, grace_s=trace_grace_s)
         if dry_run:
             return stats
         for key in stats.evicted_keys:
@@ -380,7 +400,7 @@ class ResultCache:
                 os.unlink(self._path(key))
             except OSError:
                 pass
-        for path in stats.evicted_trace_files:
+        for path in stats.evicted_trace_files + stats.evicted_tmp_files:
             try:
                 os.unlink(path)
             except OSError:
@@ -436,6 +456,18 @@ class ResultCache:
                     continue
             stats.evicted_orphan_traces += 1
             stats.evicted_trace_files.append(path)
+
+    def _gc_stale_tmp(self, stats: GcStats, *, now: float, grace_s: float) -> None:
+        for name in sorted(os.listdir(self.root)):
+            if not name.endswith(".tmp"):
+                continue
+            path = os.path.join(self.root, name)
+            try:
+                if now - os.path.getmtime(path) < grace_s:
+                    continue
+            except OSError:
+                continue
+            stats.evicted_tmp_files.append(path)
 
     def load_all(self) -> List[RunResult]:
         return list(self.iter_results())

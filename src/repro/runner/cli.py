@@ -17,8 +17,10 @@ Subcommands:
     ``--backend`` (serial / process / auto / distributed — the latter
     fanning out to ``--hosts host[:slots],...`` over local subprocesses or
     SSH); repeat invocations are served from the result cache, and the
-    summary line reports the cache-hit percentage.  ``--progress`` streams
-    per-cell scheduling events to stderr as they happen.
+    summary line reports the cache-hit percentage.  Cells are cached as
+    they finish, so an interrupted sweep (Ctrl-C exits 130) resumes the
+    same way.  ``--progress`` streams per-cell scheduling events to stderr
+    as they happen.
 ``report``
     Render cached results; ``--aggregate`` groups by (scenario, params)
     with mean ± 95% CI per metric across seeds.  ``--format`` selects
@@ -34,7 +36,8 @@ Subcommands:
     Evict cached records whose scenario version is stale (and, with
     ``--max-age-days``, records older than a cutoff), updating the
     manifest; orphaned generated-trace artifacts under ``<cache>/traces/``
-    — traces no surviving record references — are swept in the same pass.
+    — traces no surviving record references — and temp files left by a
+    killed writer are swept in the same pass.
 ``trace``
     Work with canonical traffic traces (see ``docs/workloads.md``):
     ``generate`` renders a generator spec to a trace file (or the
@@ -342,7 +345,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     distributed_flags = (
         args.hosts is not None
         or args.listen is not None
-        or args.spill_dir is not None
         or chaos_plan is not None
         or args.batch_size is not None
     )
@@ -353,7 +355,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             hosts=args.hosts,
             batch_size=args.batch_size,
             listen=args.listen,
-            spill_dir=args.spill_dir,
             chaos=chaos_plan,
         )
         if getattr(backend, "endpoint", None):
@@ -394,6 +395,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             backend=backend,
             on_progress=on_progress,
         )
+    except KeyboardInterrupt:
+        print(
+            f"interrupted: {cache.stats.hits + cache.stats.writes} of {len(specs)} cells "
+            "are in the cache; rerun the same command to resume",
+            file=sys.stderr,
+        )
+        return 130
     finally:
         if not isinstance(backend, str):
             close = getattr(backend, "close", None)
@@ -649,17 +657,12 @@ def _cmd_workers_join(args: argparse.Namespace) -> int:
         address = parse_endpoint(args.connect)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    print(
-        f"joining scheduler at {address[0]}:{address[1]}"
-        + (f" (spilling to {args.spill_dir})" if args.spill_dir else ""),
-        file=sys.stderr,
-    )
+    print(f"joining scheduler at {address[0]}:{address[1]}", file=sys.stderr)
     # The join conversation owns stdout (wire frames only in the stdio
     # case; here it is just hygiene in case library code prints).
     return connect_and_serve(
         address,
         heartbeat_s=args.heartbeat_s,
-        spill_dir=args.spill_dir,
         leave_after=args.leave_after,
         reconnect_s=args.reconnect_s,
     )
@@ -774,12 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="distributed backend: accept elastic worker joins on this "
              "endpoint (port 0 = ephemeral; workers connect with "
              "'repro-runner workers join')",
-    )
-    p_sweep.add_argument(
-        "--spill-dir", default=None, metavar="DIR",
-        help="distributed backend: workers spill each successful outcome "
-             "to DIR before sending it, and the sweep resumes from "
-             "matching spills after a scheduler restart",
     )
     p_sweep.add_argument(
         "--chaos-plan", default=None, metavar="FILE",
@@ -920,18 +917,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="heartbeat interval while a cell runs (0 disables; default: 2.0)",
     )
     p_join.add_argument(
-        "--spill-dir", default=None, metavar="DIR",
-        help="spill each successful outcome to DIR before sending it "
-             "(defaults to the scheduler's --spill-dir, delivered in-band)",
-    )
-    p_join.add_argument(
         "--leave-after", type=int, default=0, metavar="N",
         help="serve N cells, then leave the pool gracefully (0 = stay)",
     )
     p_join.add_argument(
         "--reconnect-s", type=float, default=10.0, metavar="SECONDS",
         help="keep retrying a lost connection this long before giving up "
-             "the lease (default: 10)",
+             "(default: 10)",
     )
     p_join.set_defaults(fn=_cmd_workers_join)
 
@@ -971,7 +963,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gc.add_argument(
         "--trace-grace-days", type=float, default=1.0, metavar="DAYS",
-        help="keep unreferenced stored traces younger than this many days "
+        help="keep unreferenced stored traces, and temp files a killed "
+             "writer left behind, younger than this many days "
              "(default: 1; 0 evicts every orphan immediately)",
     )
     p_gc.add_argument(

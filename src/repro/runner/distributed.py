@@ -29,35 +29,27 @@ only, so a distributed sweep is byte-for-byte cache-compatible with a
 serial one — the acceptance gate in ``tests/test_runner_distributed.py``
 and, under fault schedules, ``tests/test_runner_chaos.py``.
 
-Every admitted worker is granted a **lease** in its welcome frame.  The
-lease is the unit of fault tolerance for connection loss: a worker whose
-connection drops is *suspended* (in-flight cells re-queued, identity and
-accounting kept) rather than written off; if it reconnects within
-``lease_timeout_s`` presenting its lease, the new connection is
-transplanted onto the existing worker state and the worker resumes.
-Results it produced before the blip are accepted and deduplicated (the
-determinism contract makes any duplicate byte-identical).
-
 A worker's whole life is one state machine (:data:`_LIFECYCLE`):
-``starting → idle ⇄ busy``, ``→ suspended`` while its connection is
-down, and one retirement path (:meth:`_Scheduler._retire`) into a
-terminal state — *quarantined* for workers that misbehave (protocol
-mismatch, malformed frames, hangs, a dead process) or *departed* for
-workers that leave or time their lease out.  Either way the worker's
-statistics freeze at that instant into ``SweepOutcome.worker_stats``
-(marked ``departed: true``) and its in-flight cells re-queue to healthy
-workers; ``max_attempts`` bounds re-dispatch, so a cell that kills every
-worker it touches becomes an error outcome, not a loop.
+``starting → idle ⇄ busy`` and one retirement path
+(:meth:`_Scheduler._retire`) into a terminal state — *quarantined* for
+workers that misbehave (protocol mismatch, malformed frames, hangs, a
+dead process) or *departed* for workers that leave or whose connection
+drops.  Either way the worker's statistics freeze at that instant into
+``SweepOutcome.worker_stats`` (marked ``departed: true``) and its
+in-flight cells re-queue to healthy workers; ``max_attempts`` bounds
+re-dispatch, so a cell that kills every worker it touches becomes an
+error outcome, not a loop.  A handle has exactly one connection: a
+joined worker that loses its socket redials and is admitted through the
+ordinary join path as a new pool member.
 
 Work flows in **batches**: an idle worker receives
 ``min(batch_size, ceil(pending / idle_workers))`` cells in one
 ``work_batch`` frame and answers with one ``outcome_batch``.  A batch of
-one is the same frame shape, not a special case.  With ``spill_dir``
-set, workers persist each successful outcome to that directory before
-sending it (:mod:`repro.runner.spill`), and
-:meth:`DistributedBackend.execute` harvests matching spills *before*
-dispatching — a scheduler restarted after a crash resumes the sweep from
-spilled results instead of re-executing them.
+one is the same frame shape, not a special case.  Each outcome is handed
+to ``execute``'s ``on_outcome`` callback from the dispatch loop — the
+engine caches it there — so a scheduler that dies mid-sweep has already
+stored every cell that came home, and rerunning the sweep executes only
+the rest.
 
 What the scheduler checks, and when:
 
@@ -67,8 +59,8 @@ What the scheduler checks, and when:
 * **heartbeats** — workers beat while a batch runs; a worker silent past
   ``worker_timeout_s`` is presumed hung, killed, and quarantined;
 * **partial-sweep resume** — scenario failures and gave-up cells travel
-  as error *outcomes*; the engine caches every completed cell before
-  surfacing failures, so a re-run resumes from cache.
+  as error *outcomes*; the engine caches every completed cell as it
+  arrives, so a re-run resumes from cache.
 
 Scheduling is pull-based: one dispatch loop feeds idle workers from a
 single pending queue, drains one shared inbox fed by per-connection
@@ -80,7 +72,6 @@ a plan passed as ``chaos=`` ships to every worker in its welcome frame.
 
 from __future__ import annotations
 
-import itertools
 import os
 import queue
 import shlex
@@ -94,13 +85,12 @@ from dataclasses import dataclass
 from typing import Any, BinaryIO, Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple, Union
 
 from repro.runner.backends import (
+    OutcomeCallback,
     ProgressEvent,
     WorkItem,
     WorkOutcome,
     inherited_pythonpath,
 )
-from repro.runner.spill import harvest as harvest_spills
-from repro.runner.spill import spill_key
 from repro.runner.wire import PROTOCOL_VERSION, WireError, read_message, write_message
 
 #: Hosts the local transport treats as "this machine".
@@ -326,29 +316,25 @@ class _Tracked:
 
 
 #: The worker lifecycle: each state and the states it may move to.  A
-#: worker is *live* until it reaches a state with no way out, and
-#: *active* (holding a connection) in every live state but ``suspended``.
+#: worker is *live* until it reaches a state with no way out.
 _LIFECYCLE: Dict[str, Tuple[str, ...]] = {
     "starting": ("idle", "quarantined", "departed"),
-    "idle": ("busy", "suspended", "quarantined", "departed"),
-    "busy": ("idle", "suspended", "quarantined", "departed"),
-    "suspended": ("idle", "quarantined", "departed"),
+    "idle": ("busy", "quarantined", "departed"),
+    "busy": ("idle", "quarantined", "departed"),
     "quarantined": (),
     "departed": (),
 }
 
-#: Inbox entries: (worker or None for joins, connection id, message).
-_InboxEntry = Tuple[Optional["_WorkerHandle"], int, Dict[str, Any]]
+#: Inbox entries: (worker or None for joins, message).
+_InboxEntry = Tuple[Optional["_WorkerHandle"], Dict[str, Any]]
 
 
 class _WorkerHandle:
-    """One pool member: its connection(s), reader thread, and accounting.
+    """One pool member: its connection, reader thread, and accounting.
 
-    A handle outlives any single connection.  ``attach_pipe`` binds a
-    launched subprocess's stdio; ``attach_socket`` binds (or, on lease
-    resume, *re*-binds) a joined worker's socket.  Each attachment bumps
-    ``conn_id`` so late messages from a dead connection's reader thread
-    can be told apart from the live one's.
+    ``attach_pipe`` binds a launched subprocess's stdio, ``attach_socket``
+    a joined worker's socket; a handle has exactly one connection for its
+    whole life.
     """
 
     def __init__(
@@ -358,27 +344,22 @@ class _WorkerHandle:
         inbox: "queue.Queue[_InboxEntry]",
         *,
         site: int,
-        lease: str,
     ) -> None:
         self.id = worker_id
         self.host = host
         self.site = site
-        self.lease = lease
         self.proc: Optional[subprocess.Popen] = None
         self.state = "starting"  # see _LIFECYCLE
         self.items: List[_Tracked] = []
         #: Every index ever dispatched here — outcomes for these are valid
-        #: even after a suspend/resume or a quarantine race.
+        #: even when they lose a race with the worker's retirement.
         self.past_indices: Set[int] = set()
         self.launched_at = time.monotonic()
         self.last_seen = self.launched_at
-        self.suspended_at = 0.0
         self.dispatched = 0
         self.completed = 0
         self.batches = 0
-        self.resumes = 0
         self.retired_reason = ""
-        self.conn_id = 0
         self._inbox = inbox
         self._writer: Optional[BinaryIO] = None
         self._sock: Optional[socket.socket] = None
@@ -391,30 +372,24 @@ class _WorkerHandle:
         self._start_reader(proc.stdout)
 
     def attach_socket(self, sock: socket.socket, reader: BinaryIO, writer: BinaryIO) -> None:
-        self._close_socket()
         self._sock = sock
         self._writer = writer
         self._start_reader(reader)
 
     def _start_reader(self, stream: BinaryIO) -> None:
-        self.conn_id += 1
-        conn = self.conn_id
-        thread = threading.Thread(
-            target=self._read_loop, args=(stream, conn), daemon=True
-        )
-        thread.start()
+        threading.Thread(target=self._read_loop, args=(stream,), daemon=True).start()
 
-    def _read_loop(self, stream: BinaryIO, conn: int) -> None:
+    def _read_loop(self, stream: BinaryIO) -> None:
         while True:
             try:
                 message = read_message(stream)
             except (WireError, OSError, ValueError) as exc:
-                self._inbox.put((self, conn, {"type": "_wire_error", "error": str(exc)}))
+                self._inbox.put((self, {"type": "_wire_error", "error": str(exc)}))
                 return
             if message is None:
-                self._inbox.put((self, conn, {"type": "_eof"}))
+                self._inbox.put((self, {"type": "_eof"}))
                 return
-            self._inbox.put((self, conn, message))
+            self._inbox.put((self, message))
 
     @property
     def is_socket(self) -> bool:
@@ -424,15 +399,11 @@ class _WorkerHandle:
     def live(self) -> bool:
         return bool(_LIFECYCLE[self.state])
 
-    @property
-    def active(self) -> bool:
-        return self.live and self.state != "suspended"
-
     def enter(self, state: str) -> bool:
         """Move to ``state`` if the lifecycle allows it from here.
 
         Returns False, changing nothing, otherwise — which is what makes
-        retiring or suspending a worker twice a no-op.
+        retiring a worker twice a no-op.
         """
         if state not in _LIFECYCLE[self.state]:
             return False
@@ -452,10 +423,6 @@ class _WorkerHandle:
                 pass
             self._sock = None
         self._writer = None
-
-    def suspend_connection(self) -> None:
-        """Drop the transport but keep the identity (lease resume pending)."""
-        self._close_socket()
 
     def shutdown(self, timeout_s: float = 2.0) -> None:
         """Best-effort polite stop, then kill."""
@@ -516,8 +483,6 @@ class DistributedBackend:
         batch_size: int = 1,
         listen: Union[bool, int, str, Tuple[str, int], None] = None,
         join_grace_s: float = 10.0,
-        lease_timeout_s: float = 30.0,
-        spill_dir: Optional[str] = None,
         chaos: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self.hosts = parse_hosts(hosts) if hosts else ()
@@ -539,8 +504,6 @@ class DistributedBackend:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = batch_size
         self.join_grace_s = join_grace_s
-        self.lease_timeout_s = lease_timeout_s
-        self.spill_dir = spill_dir
         if chaos is None:
             self.chaos_plan: Optional[Dict[str, Any]] = None
         elif hasattr(chaos, "to_dict"):
@@ -569,14 +532,12 @@ class DistributedBackend:
         #: plugs the caller's callback in here).
         self.on_progress = None
         self._telemetry: Dict[str, Any] = {}
-        #: Numbers this backend's sweeps; part of every lease token.
-        self._sweep_ids = itertools.count(1)
 
     @property
     def workers(self) -> int:
         # Elastic joins can grow the pool past the provisioned slots (a
         # listen-only sweep provisions zero), so once a sweep has run the
-        # honest count is everyone who ever held a lease.
+        # honest count is everyone who was ever admitted.
         participated = len(self._telemetry.get("workers", ()))
         return max(sum(h.slots for h in self.hosts), participated)
 
@@ -605,11 +566,15 @@ class DistributedBackend:
             self.on_progress(event)
 
     def execute(
-        self, items: Sequence[WorkItem], *, registry: Optional[Any] = None
+        self,
+        items: Sequence[WorkItem],
+        *,
+        registry: Optional[Any] = None,
+        on_outcome: Optional[OutcomeCallback] = None,
     ) -> List[WorkOutcome]:
         if not items:
             return []
-        scheduler = _Scheduler(self, items)
+        scheduler = _Scheduler(self, items, on_outcome)
         try:
             return scheduler.run()
         finally:
@@ -620,8 +585,14 @@ class DistributedBackend:
 class _Scheduler:
     """One :meth:`DistributedBackend.execute` call's mutable state."""
 
-    def __init__(self, backend: DistributedBackend, items: Sequence[WorkItem]) -> None:
+    def __init__(
+        self,
+        backend: DistributedBackend,
+        items: Sequence[WorkItem],
+        on_outcome: Optional[OutcomeCallback] = None,
+    ) -> None:
         self.backend = backend
+        self.on_outcome = on_outcome
         self.items = list(items)
         self.tracked: Dict[int, _Tracked] = {
             item.index: _Tracked(item=item) for item in self.items
@@ -630,34 +601,25 @@ class _Scheduler:
             raise ValueError("work items must have unique indices")
         self.pending: deque = deque(self.tracked.values())
         self.outcomes: Dict[int, WorkOutcome] = {}
+        #: Recorded outcomes ``on_outcome`` has not been called with yet.
+        self.unreported: List[WorkOutcome] = []
         self.inbox: "queue.Queue[_InboxEntry]" = queue.Queue()
         self.workers: List[_WorkerHandle] = []
         self.requeued = 0
         self.gave_up = 0
         self.duplicate_outcomes = 0
         self.joined = 0
-        self.lease_resumes = 0
-        self.suspended = 0
         #: Workers retired so far, by terminal state.
         self.retired = {"quarantined": 0, "departed": 0}
-        self.spill_harvested = 0
         #: Stats of retired workers, frozen at that instant (a
         #: live-computed view would keep their clocks ticking); merged
         #: into telemetry() under the same ids.
         self.departed_stats: Dict[str, Dict[str, Any]] = {}
-        # A listening backend outlives one sweep, so a worker suspended at
-        # the end of the last one may redial into this one: its token must
-        # not equal any lease minted here.
-        self._lease_prefix = f"lease-{os.getpid():x}-{next(backend._sweep_ids)}"
         self._pool_empty_since: Optional[float] = None
         self._accept_stop: Optional[threading.Event] = None
         self._accept_thread: Optional[threading.Thread] = None
 
     # -- lifecycle ------------------------------------------------------
-
-    def _new_lease(self, site: int) -> str:
-        # An identity token for resume, not a secret.
-        return f"{self._lease_prefix}-{site}"
 
     def _launch_workers(self) -> None:
         backend = self.backend
@@ -677,9 +639,7 @@ class _Scheduler:
                         f"distributed backend could not launch worker {worker_id} "
                         f"via {backend.transport.name}: {exc}"
                     ) from exc
-                handle = _WorkerHandle(
-                    worker_id, host, self.inbox, site=site, lease=self._new_lease(site)
-                )
+                handle = _WorkerHandle(worker_id, host, self.inbox, site=site)
                 handle.attach_pipe(proc)
                 self.workers.append(handle)
 
@@ -725,23 +685,21 @@ class _Scheduler:
                 pass
             return
         self.inbox.put(
-            (None, 0, {"type": "_join", "hello": hello, "sock": conn,
-                       "reader": reader, "writer": writer})
+            (None, {"type": "_join", "hello": hello, "sock": conn,
+                    "reader": reader, "writer": writer})
         )
 
     def close(self) -> None:
         if self._accept_stop is not None:
             self._accept_stop.set()
         for worker in self.workers:
-            if worker.active:
+            if worker.live:
                 worker.shutdown()
-            elif worker.live:
-                worker.suspend_connection()  # idempotent socket close
         # Joins still parked in the inbox would leave their workers
         # blocked on a welcome that will never come.
         while True:
             try:
-                worker, _conn, message = self.inbox.get_nowait()
+                worker, message = self.inbox.get_nowait()
             except queue.Empty:
                 break
             if worker is None and message.get("type") == "_join":
@@ -763,7 +721,6 @@ class _Scheduler:
             "completed": w.completed,
             "last_seen_age_s": round(now - w.last_seen, 3),
             **({"batches": w.batches} if w.batches else {}),
-            **({"lease_resumes": w.resumes} if w.resumes else {}),
             **(
                 {"quarantine_reason": w.retired_reason}
                 if w.state == "quarantined"
@@ -795,10 +752,7 @@ class _Scheduler:
             "gave_up": self.gave_up,
             "duplicate_outcomes": self.duplicate_outcomes,
             "joined": self.joined,
-            "lease_resumes": self.lease_resumes,
-            "suspended": self.suspended,
             "departed": self.retired["departed"],
-            "spill_harvested": self.spill_harvested,
             **(
                 {"endpoint": list(self.backend.endpoint)}
                 if self.backend.endpoint
@@ -822,58 +776,24 @@ class _Scheduler:
             )
         )
 
-    # -- spill resume ---------------------------------------------------
-
-    def _harvest_spills(self) -> None:
-        spill_dir = self.backend.spill_dir
-        if not spill_dir:
-            return
-        from repro.runner.engine import resolve_cell
-        from repro.runner.spec import RunSpec
-
-        wanted = {
-            spill_key(t.item.scenario, t.item.params, t.item.seed): t
-            for t in self.tracked.values()
-        }
-        for key, raw in harvest_spills(spill_dir, wanted).items():
-            tracked = wanted[key]
-            if tracked.done:
-                continue
-            try:
-                outcome = WorkOutcome(
-                    # Re-key to *this* sweep's index: spills identify cells
-                    # by content, and a restarted sweep may number them
-                    # differently.
-                    index=tracked.item.index,
-                    payload=raw.get("payload"),
-                    elapsed_s=float(raw.get("elapsed_s", 0.0)),
-                    error=raw.get("error"),
-                    telemetry=raw.get("telemetry"),
-                )
-            except (TypeError, ValueError):
-                continue
-            if outcome.error or not isinstance(outcome.payload, dict):
-                continue
-            # spill_key names the cell, not the code that ran it: a spill
-            # left by another scenario version carries that version's run
-            # key, and the cell must execute again rather than adopt it.
-            # (Workers only know the built-in registry, and so does this.)
-            item = tracked.item
-            cell = RunSpec(scenario=item.scenario, params=item.params, seed=item.seed)
-            if outcome.payload.get("key") != resolve_cell(cell)[2]:
-                continue
-            tracked.done = True
-            self.outcomes[tracked.item.index] = outcome
-            self.spill_harvested += 1
-            self._emit("harvested", tracked=tracked, detail="spilled outcome")
-
     # -- failure handling ----------------------------------------------
+
+    def _record(self, outcome: WorkOutcome) -> None:
+        self.outcomes[outcome.index] = outcome
+        self.unreported.append(outcome)
+
+    def _report_outcomes(self) -> None:
+        """Hand every outcome recorded since the last call to ``on_outcome``."""
+        reported, self.unreported = self.unreported, []
+        if self.on_outcome is not None:
+            for outcome in reported:
+                self.on_outcome(outcome)
 
     def _give_up(self, tracked: _Tracked, reason: str) -> None:
         tracked.done = True
         self.gave_up += 1
-        self.outcomes[tracked.item.index] = WorkOutcome(
-            index=tracked.item.index, payload=None, elapsed_s=0.0, error=reason
+        self._record(
+            WorkOutcome(index=tracked.item.index, payload=None, elapsed_s=0.0, error=reason)
         )
         self._emit("gave-up", tracked=tracked, detail=reason)
 
@@ -903,8 +823,8 @@ class _Scheduler:
 
         ``quarantined`` is for misbehaviour (protocol mismatch, malformed
         frames, hangs, a dead process); ``departed`` for pool life (a
-        ``leave``, an expired lease).  Both freeze the worker's stats at
-        this instant (``departed: true``) and re-queue its cells.
+        ``leave``, a dropped connection).  Both freeze the worker's stats
+        at this instant (``departed: true``) and re-queue its cells.
         """
         if not worker.enter(terminal_state):
             return
@@ -915,23 +835,11 @@ class _Scheduler:
         self._emit(terminal_state, worker=worker, detail=reason)
         self._release_items(worker, f"worker {worker.id} {reason}")
 
-    def _suspend(self, worker: _WorkerHandle, reason: str) -> None:
-        """Connection lost, lease kept: hold the identity for a reconnect."""
-        if not worker.enter("suspended"):
-            return
-        worker.suspended_at = time.monotonic()
-        worker.suspend_connection()
-        self.suspended += 1
-        self._emit("suspended", worker=worker, detail=reason)
-        self._release_items(worker, f"worker {worker.id} {reason}")
-
     def _connection_lost(self, worker: _WorkerHandle, reason: str) -> None:
-        """Route a dead connection: lease-capable workers suspend, launched
-        (pipe) workers are gone for good."""
-        if worker.is_socket:
-            self._suspend(worker, reason)
-        else:
-            self._retire(worker, "quarantined", reason)
+        """Route a dead connection: a joined (socket) worker has departed
+        and may redial as a new member; a launched (pipe) worker that loses
+        its pipe is broken."""
+        self._retire(worker, "departed" if worker.is_socket else "quarantined", reason)
 
     # -- message handling ----------------------------------------------
 
@@ -940,11 +848,8 @@ class _Scheduler:
         message: Dict[str, Any] = {
             "type": "welcome",
             "protocol": PROTOCOL_VERSION,
-            "lease": worker.lease,
             "worker": worker.site,
         }
-        if backend.spill_dir:
-            message["spill_dir"] = backend.spill_dir
         if backend.chaos_plan:
             message["chaos"] = backend.chaos_plan
         try:
@@ -979,54 +884,25 @@ class _Scheduler:
             sock.settimeout(None)  # handshake deadline no longer applies
         except OSError:
             pass
-        lease = hello.get("lease")
-        if lease:
-            for worker in self.workers:
-                if worker.lease == lease and worker.live:
-                    # Lease resume: transplant the fresh connection onto
-                    # the existing identity.  Anything re-queued during
-                    # the outage stays re-queued; results the worker
-                    # still holds are valid via past_indices.  If the
-                    # redial won the race against the old connection's
-                    # EOF, the worker was never suspended — do it now:
-                    # the restarted serve loop has no memory of its cells.
-                    self._suspend(worker, "reconnected before the old connection closed")
-                    worker.attach_socket(sock, reader, writer)
-                    worker.enter("idle")
-                    worker.last_seen = time.monotonic()
-                    worker.resumes += 1
-                    self.lease_resumes += 1
-                    self._welcome(worker)
-                    self._emit("resumed", worker=worker, detail="lease resumed")
-                    return
-            # Unknown or expired lease: fall through and admit as new.
         site = len(self.workers)
         host_name = str(hello.get("host") or "joined")
         worker_id = f"{host_name}/{site}"
-        worker = _WorkerHandle(
-            worker_id,
-            HostSpec(host=host_name),
-            self.inbox,
-            site=site,
-            lease=self._new_lease(site),
-        )
+        worker = _WorkerHandle(worker_id, HostSpec(host=host_name), self.inbox, site=site)
         worker.attach_socket(sock, reader, writer)
         worker.enter("idle")
         self.workers.append(worker)
         self.joined += 1
         if self._welcome(worker):
-            self._emit("joined", worker=worker, detail=f"lease {worker.lease}")
+            self._emit("joined", worker=worker)
 
-    def _handle(self, worker: _WorkerHandle, conn: int, message: Dict[str, Any]) -> None:
+    def _handle(self, worker: _WorkerHandle, message: Dict[str, Any]) -> None:
         kind = message.get("type")
-        if conn != worker.conn_id and kind in ("_eof", "_wire_error"):
-            return  # a transplanted-away connection's reader winding down
         worker.last_seen = time.monotonic()
         if kind == "_eof":
-            if not worker.active:
+            if not worker.live:
                 return
             if worker.is_socket:
-                self._suspend(worker, "disconnected (connection closed)")
+                self._retire(worker, "departed", "disconnected (connection closed)")
             else:
                 # Pipe EOF can arrive before the child is reapable; give it
                 # a beat so the quarantine reason carries the real code.
@@ -1074,8 +950,8 @@ class _Scheduler:
             return
         target = self.tracked.get(outcome.index)
         # past_indices — not the current assignment — decides legitimacy:
-        # a lease-resumed worker may deliver results for cells re-queued
-        # (or even re-completed elsewhere) during its outage.
+        # a hung or quarantined worker's last reply may arrive after its
+        # cells were re-queued (or even re-completed elsewhere).
         if target is None or outcome.index not in worker.past_indices:
             self._retire(
                 worker, "quarantined",
@@ -1095,7 +971,7 @@ class _Scheduler:
             self.duplicate_outcomes += 1  # lost a race; result identical
             return
         target.done = True
-        self.outcomes[outcome.index] = outcome
+        self._record(outcome)
         self._emit("completed", tracked=target, worker=worker)
 
     # -- dispatch -------------------------------------------------------
@@ -1161,7 +1037,6 @@ class _Scheduler:
 
     def _check_timeouts(self) -> None:
         now = time.monotonic()
-        lease_timeout_s = self.backend.lease_timeout_s
         for worker in self.workers:
             if worker.state == "starting":
                 if now - worker.launched_at > self.backend.hello_timeout_s:
@@ -1175,12 +1050,6 @@ class _Scheduler:
                         worker, "quarantined",
                         f"silent for {now - worker.last_seen:.1f}s (presumed hung)",
                     )
-            elif worker.state == "suspended":
-                if now - worker.suspended_at > lease_timeout_s:
-                    self._retire(
-                        worker, "departed",
-                        f"lease expired ({lease_timeout_s:.0f}s without reconnect)",
-                    )
 
     # -- main loop ------------------------------------------------------
 
@@ -1188,21 +1057,21 @@ class _Scheduler:
         """Handle everything queued, waiting up to ``wait_s`` for the first."""
         while True:
             try:
-                worker, conn, message = self.inbox.get(block=wait_s > 0, timeout=wait_s)
+                worker, message = self.inbox.get(block=wait_s > 0, timeout=wait_s)
             except queue.Empty:
                 break
             wait_s = 0.0
             if worker is None:
                 self._handle_join(message)
             else:
-                self._handle(worker, conn, message)
+                self._handle(worker, message)
 
     def _pool_exhausted(self) -> bool:
         """True when nothing can make progress and nothing may appear.
 
-        Suspended workers may reconnect and a listening pool may grow, so
-        neither counts as exhaustion by itself; a listening pool with no
-        members gets ``join_grace_s`` before the sweep gives up.
+        A listening pool may grow — a worker whose connection dropped
+        redials as a new member — so an empty one gets ``join_grace_s``
+        before the sweep gives up.
         """
         if any(w.live for w in self.workers):
             self._pool_empty_since = None
@@ -1216,10 +1085,8 @@ class _Scheduler:
         return now - self._pool_empty_since > self.backend.join_grace_s
 
     def run(self) -> List[WorkOutcome]:
-        self._harvest_spills()
-        if len(self.outcomes) < len(self.items):
-            self._launch_workers()
-            self._start_acceptor()
+        self._launch_workers()
+        self._start_acceptor()
         while len(self.outcomes) < len(self.items):
             if self._pool_exhausted():
                 # Results can already sit in the inbox when the last worker
@@ -1238,8 +1105,12 @@ class _Scheduler:
                         )
                 break
             self._fill_idle_workers()
+            # After the refill, so the engine's cache write overlaps the
+            # workers' next cell instead of delaying its dispatch.
+            self._report_outcomes()
             # Draining whatever else already arrived before re-checking
             # timeouts keeps big sweeps from being poll-bound.
             self._drain_inbox(self.backend.poll_s)
             self._check_timeouts()
+        self._report_outcomes()
         return [self.outcomes[item.index] for item in self.items]

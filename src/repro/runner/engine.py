@@ -12,8 +12,11 @@ Given a list of :class:`~repro.runner.spec.RunSpec` cells, the engine
    :class:`~repro.runner.distributed.DistributedBackend`, or any drop-in
    implementation of the protocol — each cell with a deterministic seed
    derived via :func:`repro.util.rng.derive_seed`;
-4. validates fresh metrics against the scenario's ``MetricSchema``, writes
-   results back to the cache, and returns everything in spec order.
+4. stores each fresh result in the cache the moment its backend reports
+   it (``execute(on_outcome=...)``) — a sweep that fails, is interrupted
+   or is killed resumes from the cells that had finished — and returns
+   everything in spec order.  Fresh metrics were validated against the
+   scenario's ``MetricSchema`` where the cell executed.
 
 Determinism contract: a run's :class:`RunResult` depends only on
 ``(scenario, params, seed)`` — never on the backend, worker count,
@@ -42,6 +45,7 @@ from repro.runner.backends import (
     ProgressEvent,
     SerialBackend,
     WorkItem,
+    WorkOutcome,
     make_backend,
 )
 from repro.runner.cache import ResultCache
@@ -339,7 +343,33 @@ def run_sweep(
     # keeps firing a previous sweep's callback.
     if hasattr(backend, "on_progress"):
         backend.on_progress = on_progress
-    completed = backend.execute(pending, registry=registry) if pending else []
+
+    failures: List[Tuple[RunSpec, str]] = []
+    foreign: List[str] = []
+
+    def store(work: WorkOutcome) -> None:
+        """Cache one finished cell the moment its backend reports it, so a
+        sweep that fails or is killed later resumes from it on rerun."""
+        spec, _, key = resolved[work.index]
+        if work.error is not None:
+            failures.append((spec, work.error))
+            return
+        if work.payload.get("key") != key:
+            # A version-skewed worker ran another revision of the scenario:
+            # caching this would serve that revision's numbers as ours.
+            foreign.append(f"{spec.describe()}: expected {key}, got {work.payload.get('key')}")
+            return
+        result = RunResult.from_payload(work.payload, telemetry=work.telemetry)
+        cache.put(result, elapsed_s=work.elapsed_s)
+        outcomes[work.index] = CellOutcome(
+            spec=spec, result=result, cached=False, elapsed_s=work.elapsed_s
+        )
+
+    # Record files are written as cells finish; the manifest is flushed
+    # once when the block exits, however it exits.
+    with cache.deferred_manifest():
+        if pending:
+            backend.execute(pending, registry=registry, on_outcome=store)
     # Collected unconditionally (not only when cells executed): a backend
     # like the distributed scheduler probes its workers even when a sweep
     # turns out fully cache-warm, and dropping that accounting made
@@ -351,27 +381,6 @@ def run_sweep(
         # admitted workers beyond the count provisioned at resolve time.
         requested_workers = max(requested_workers, getattr(backend, "workers", 0))
 
-    # Cache every finished cell before surfacing failures, so a partially
-    # failed sweep still resumes from the completed cells on rerun.  The
-    # manifest is flushed once for the whole batch, not per record.
-    failures: List[Tuple[RunSpec, str]] = []
-    foreign: List[str] = []
-    with cache.deferred_manifest():
-        for work in completed:
-            spec, _, key = resolved[work.index]
-            if work.error is not None:
-                failures.append((spec, work.error))
-                continue
-            if work.payload.get("key") != key:
-                # A version-skewed worker ran another revision of the scenario:
-                # caching this would serve that revision's numbers as ours.
-                foreign.append(f"{spec.describe()}: expected {key}, got {work.payload.get('key')}")
-                continue
-            result = RunResult.from_payload(work.payload, telemetry=work.telemetry)
-            cache.put(result, elapsed_s=work.elapsed_s)
-            outcomes[work.index] = CellOutcome(
-                spec=spec, result=result, cached=False, elapsed_s=work.elapsed_s
-            )
     if foreign:
         raise ResultKeyMismatch(
             f"{len(foreign)} result(s) came back keyed for a different cell — is a worker "
@@ -385,6 +394,12 @@ def run_sweep(
             f"({cached_count} completed cells were cached and will be reused on rerun):\n"
             f"{details}"
         )
+    lost = sum(1 for item in pending if outcomes[item.index] is None)
+    if lost:
+        raise RuntimeError(
+            f"sweep lost cells — the {backend.name} backend returned without reporting "
+            f"{lost} of {len(pending)} pending cell(s) through on_outcome"
+        )
 
     # Duplicates only arise on cache misses (hits are served per-cell above),
     # so they are fresh-result reuses, not cache hits.
@@ -395,16 +410,13 @@ def run_sweep(
             spec=resolved[dup_index][0], result=source.result, cached=False, deduped=True
         )
 
-    finished = [o for o in outcomes if o is not None]
-    if len(finished) != len(outcomes):
-        raise RuntimeError("sweep lost cells — worker pool returned incomplete results")
     # Report the caller's requested worker count, not the transient pool
     # size — a fully cache-served sweep spawns no pool but still ran "with"
     # the requested concurrency.  The only real cap is the custom-registry
     # serial fallback, and only when cells actually executed under it.
     fallback_executed = serial_fallback and bool(pending)
     return SweepOutcome(
-        outcomes=finished,
+        outcomes=outcomes,
         workers=1 if fallback_executed else requested_workers,
         backend=backend.name if fallback_executed or not serial_fallback else requested_name,
         elapsed_s=time.perf_counter() - started,

@@ -41,7 +41,11 @@ from typing import Any, BinaryIO, Dict, Optional
 #: v2: welcome/lease handshake, work_batch/outcome_batch frames, join and
 #: leave messages for the elastic pool.
 #: v3: a batch of N >= 1 is the only work/result frame; the single-cell
-#: work/outcome frames left the vocabulary.
+#: work/outcome frames left the vocabulary.  Still v3: hello and welcome
+#: no longer carry a ``lease`` token, nor the welcome a directory for
+#: workers to persist outcomes in.  All three fields were optional in both
+#: directions, so v3 peers from older checkouts interoperate: a ``lease``
+#: such a worker presents is ignored and it joins as a new pool member.
 PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame's JSON payload.  Far above any real

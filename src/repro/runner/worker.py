@@ -10,21 +10,20 @@ scheduler one of two ways:
 * **joined** — it connects to a scheduler's listening endpoint
   (``--connect host:port``, surfaced as ``repro-runner workers join``)
   and speaks over the socket.  Joined workers are *elastic*: they can
-  arrive mid-sweep, leave gracefully, and — because the scheduler grants
-  them a lease — survive a connection blip by reconnecting and resuming.
+  arrive mid-sweep, leave gracefully, and survive a connection blip by
+  redialling — the scheduler admits the new connection as a new pool
+  member and re-queues what the old one held.
 
 Either way the conversation is the length-prefixed JSON protocol of
 :mod:`repro.runner.wire`:
 
-* on (re)connect it sends ``{"type": "hello", "protocol": ..., "pid":
-  ..., "host": ..., "python": ..., "scenarios": N}`` after re-importing
-  :mod:`repro.experiments` (the registry travels as *code*, never as
-  pickled state); a reconnecting worker adds its ``"lease"`` token so the
-  scheduler can transplant the new connection onto its existing state;
-* the scheduler replies ``{"type": "welcome", "protocol": ..., "lease":
-  ..., "worker": site}``, optionally carrying a ``spill_dir`` (adopted if
-  the worker was not given one on the command line) and a ``chaos`` fault
-  plan (:mod:`repro.testing.chaos`) which the worker activates — in-band
+* on every connection it sends ``{"type": "hello", "protocol": ...,
+  "pid": ..., "host": ..., "python": ..., "scenarios": N}`` after
+  re-importing :mod:`repro.experiments` (the registry travels as *code*,
+  never as pickled state);
+* the scheduler replies ``{"type": "welcome", "protocol": ..., "worker":
+  site}``, optionally carrying a ``chaos`` fault plan
+  (:mod:`repro.testing.chaos`) which the worker activates — in-band
   delivery is how fault-injection tests reach launched workers without
   touching the transport;
 * for ``{"type": "work_batch", "items": [{...}, ...]}`` — one cell or
@@ -36,16 +35,13 @@ Either way the conversation is the length-prefixed JSON protocol of
   Failures travel *inside* outcomes (``error`` carries the traceback),
   never as a dead pipe; a frame type the worker does not know is
   answered with an ``error`` frame and the worker keeps serving;
-* with a spill directory configured, every successful outcome is written
-  there (:mod:`repro.runner.spill`) *before* it is sent — crash
-  insurance a restarted scheduler harvests;
 * while a cell or batch runs, a daemon thread emits ``{"type":
   "heartbeat"}`` every ``--heartbeat-s`` seconds so the scheduler can
   tell "slow cell" from "hung worker";
 * ``{"type": "ping"}`` gets ``{"type": "pong"}``; ``{"type": "shutdown"}``
   (or EOF) ends the process; a worker departing on its own terms sends
-  ``{"type": "leave"}`` first so the scheduler retires it gracefully
-  instead of suspecting a crash.
+  ``{"type": "leave"}`` first so the scheduler retires it at once
+  instead of waiting to notice the closed connection.
 
 stdout carries *only* wire frames: ``sys.stdout`` is rebound to stderr for
 the worker's lifetime, so a scenario that prints cannot corrupt the frame
@@ -70,7 +66,6 @@ from dataclasses import asdict
 from typing import Any, BinaryIO, Dict, Optional, Sequence, Tuple
 
 from repro.runner.backends import WorkItem, execute_item
-from repro.runner.spill import write_spill
 from repro.runner.wire import PROTOCOL_VERSION, WireError, read_message, write_message
 
 
@@ -112,22 +107,21 @@ def _maybe_activate_env_chaos() -> None:
 
 
 def _handle_welcome(message: Dict[str, Any], state: Dict[str, Any]) -> None:
-    """Adopt the scheduler's welcome: lease, site index, spill dir, chaos."""
-    state["lease"] = message.get("lease") or state.get("lease")
-    if message.get("worker") is not None:
-        state["worker"] = message["worker"]
-    if not state.get("spill_dir") and message.get("spill_dir"):
-        state["spill_dir"] = message["spill_dir"]
+    """Adopt the scheduler's welcome: note the admission, activate chaos."""
+    state["welcomed"] = True
     plan = message.get("chaos")
-    if plan:
+    # Once per process: a redial is admitted under a new site index, and
+    # a session made for it would let spent ``count=1`` rules fire again.
+    if plan and not state.get("chaos_active"):
         from repro.testing import chaos
 
-        site = state.get("worker")
+        site = message.get("worker")
         chaos.activate(
             chaos.FaultPlan.from_dict(plan),
             site=f"worker{site}" if site is not None else "worker",
             worker_index=site if isinstance(site, int) else None,
         )
+        state["chaos_active"] = True
 
 
 def serve(
@@ -135,7 +129,6 @@ def serve(
     stdout: BinaryIO,
     *,
     heartbeat_s: float = 0.0,
-    spill_dir: Optional[str] = None,
     leave_after: int = 0,
     state: Optional[Dict[str, Any]] = None,
 ) -> int:
@@ -143,16 +136,14 @@ def serve(
 
     Factored from :func:`main` so tests can drive a worker over in-memory
     streams without spawning a process.  ``state`` (shared across
-    reconnects by :func:`connect_and_serve`) carries the lease and the
-    welcome-adopted settings; ``state["exit_reason"]`` reports why the
-    call returned — ``"shutdown"``, ``"eof"``, ``"leave"``,
-    ``"wire_error"``, or ``"conn_lost"``.
+    reconnects by :func:`connect_and_serve`) remembers that the worker was
+    welcomed and that it activated a chaos plan; ``state["exit_reason"]``
+    reports why the call returned — ``"shutdown"``, ``"eof"``,
+    ``"leave"``, ``"wire_error"``, or ``"conn_lost"``.
     """
     from repro.runner.registry import load_builtin_scenarios
 
     state = state if state is not None else {}
-    if spill_dir:
-        state["spill_dir"] = spill_dir
     _maybe_activate_env_chaos()
     registry = load_builtin_scenarios()
     send_lock = threading.Lock()
@@ -178,12 +169,6 @@ def serve(
             return None
         outcome = asdict(execute_item(item))
         served += 1
-        if state.get("spill_dir"):
-            try:
-                write_spill(state["spill_dir"], raw, outcome)
-            except OSError as exc:
-                print(f"worker: spill failed ({exc}); outcome travels wire-only",
-                      file=sys.stderr)
         return outcome
 
     hello: Dict[str, Any] = {
@@ -196,10 +181,6 @@ def serve(
         "python": platform.python_version(),
         "scenarios": len(registry),
     }
-    if state.get("lease"):
-        # Additive field: a reconnect after a blip presents the lease so
-        # the scheduler resumes this worker instead of admitting a stranger.
-        hello["lease"] = state["lease"]
     try:
         send(hello)
     except (OSError, ValueError):
@@ -248,7 +229,7 @@ def serve(
                 return 0
     except (OSError, ValueError):
         # The peer vanished mid-conversation (broken pipe / reset /
-        # closed stream).  Joined workers reconnect on their lease.
+        # closed stream).  Joined workers redial and join again.
         state["exit_reason"] = "conn_lost"
         return 1
 
@@ -273,18 +254,18 @@ def connect_and_serve(
     address: Tuple[str, int],
     *,
     heartbeat_s: float = 2.0,
-    spill_dir: Optional[str] = None,
     leave_after: int = 0,
     reconnect_s: float = 10.0,
     retry_delay_s: float = 0.2,
 ) -> int:
-    """Join a scheduler's endpoint and serve; reconnect on blips.
+    """Join a scheduler's endpoint and serve; redial on blips.
 
     Each outage (including the scheduler not accepting yet at startup)
-    opens a fresh ``reconnect_s`` window of connection attempts.  Once a
-    lease is held, a re-established connection presents it and the
-    scheduler resumes the worker in place; in-flight work the scheduler
-    re-queued in the meantime is deduplicated by its determinism contract.
+    opens a fresh ``reconnect_s`` window of connection attempts.  A worker
+    that has been welcomed once redials whenever its connection ends
+    without a ``shutdown`` or its own ``leave``; the scheduler admits the
+    new connection as a new pool member, having re-queued whatever the
+    old one held.
     """
     state: Dict[str, Any] = {}
     while True:
@@ -310,7 +291,6 @@ def connect_and_serve(
                 reader,
                 writer,
                 heartbeat_s=heartbeat_s,
-                spill_dir=spill_dir,
                 leave_after=leave_after,
                 state=state,
             )
@@ -329,9 +309,9 @@ def connect_and_serve(
         reason = state.get("exit_reason")
         if reason in ("shutdown", "leave"):
             return code
-        if not state.get("lease"):
+        if not state.get("welcomed"):
             return code
-        # Connection lost while holding a lease: loop and re-present it.
+        # Connection lost after an admission: loop and join again.
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -349,11 +329,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="join the scheduler listening at HOST:PORT instead of serving stdio",
     )
     parser.add_argument(
-        "--spill-dir", metavar="DIR", default=None,
-        help="spill every successful outcome to DIR before sending it "
-        "(crash insurance; a welcome-provided directory is used otherwise)",
-    )
-    parser.add_argument(
         "--leave-after", type=int, default=0, metavar="N",
         help="serve N cells, then leave the pool gracefully (0 = stay; "
         "mainly for elasticity tests and bounded borrowed capacity)",
@@ -361,7 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--reconnect-s", type=float, default=10.0, metavar="SECONDS",
         help="with --connect: keep retrying a lost connection this long "
-        "before giving up the lease (default: 10.0)",
+        "before giving up (default: 10.0)",
     )
     args = parser.parse_args(argv)
     # Anything the scenarios (or stray library code) print must not tear
@@ -373,17 +348,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return connect_and_serve(
             parse_endpoint(args.connect),
             heartbeat_s=args.heartbeat_s,
-            spill_dir=args.spill_dir,
             leave_after=args.leave_after,
             reconnect_s=args.reconnect_s,
         )
-    return serve(
-        stdin,
-        stdout,
-        heartbeat_s=args.heartbeat_s,
-        spill_dir=args.spill_dir,
-        leave_after=args.leave_after,
-    )
+    return serve(stdin, stdout, heartbeat_s=args.heartbeat_s, leave_after=args.leave_after)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Deterministic fault injection for the distributed pool.
 
-Elasticity claims — leases survive network blips, batches survive worker
-deaths, spilled results survive scheduler restarts — are only worth
-anything if they are *tested*, and timing-based fault tests are flaky by
-construction.  This module replaces timing luck with a seeded
-:class:`FaultPlan`: a JSON-serializable schedule of frame-level faults
+Elasticity claims — a sweep survives network blips, batches survive
+worker deaths — are only worth anything if they are *tested*, and
+timing-based fault tests are flaky by construction.  This module
+replaces timing luck with a seeded :class:`FaultPlan`: a
+JSON-serializable schedule of frame-level faults
 (drop / delay / duplicate / truncate) and process-level faults (kill /
 stall) that the wire layer (:mod:`repro.runner.wire`) consults at every
 frame it sends or receives.  The same plan with the same seed produces
@@ -28,7 +28,7 @@ whatever the batch size) — ``heartbeat`` counts depend on wall time and
 make ``nth`` matching timing-sensitive again.
 
 Faults are injected, never simulated: a ``disconnect`` really severs the
-connection (the peer sees EOF; a leased worker redials), a ``truncate``
+connection (the peer sees EOF; a joined worker redials), a ``truncate``
 really corrupts the byte stream (the peer hangs mid-frame until the hang
 detector quarantines), a ``kill`` really exits the process.  The
 scheduler code under test cannot tell a planned fault from a real one.
@@ -59,8 +59,7 @@ KILL_EXIT_CODE = 118
 
 #: Frame-level actions operate on one encoded frame; a connection-level
 #: ``disconnect`` severs the stream at a precise protocol point (the
-#: lease-reconnect drill); process-level actions take down the whole
-#: endpoint.
+#: redial drill); process-level actions take down the whole endpoint.
 FRAME_ACTIONS = ("drop", "delay", "duplicate", "truncate")
 CONNECTION_ACTIONS = ("disconnect",)
 PROCESS_ACTIONS = ("kill", "stall")
@@ -81,8 +80,8 @@ class ChaosDisconnect(ConnectionError):
 
     Subclasses :class:`ConnectionError` so the consulting process's
     ordinary connection-loss handling runs: the worker's serve loop exits
-    ``conn_lost``, closes its socket (the scheduler sees EOF and suspends
-    the lease), and redials.
+    ``conn_lost``, closes its socket (the scheduler sees EOF and retires
+    the pool member), and redials.
     """
 
 
@@ -205,9 +204,9 @@ class FaultSession:
 
     Installed into :mod:`repro.runner.wire` via :func:`activate`; the wire
     layer calls :meth:`on_send` / :meth:`on_recv` for every frame.  State
-    persists for the process lifetime — a worker that reconnects after a
+    persists for the process lifetime — a worker that redials after a
     blip keeps its counters, so a ``count=1`` rule does not re-fire on the
-    resumed connection.
+    new connection.
     """
 
     def __init__(self, plan: FaultPlan, *, site: str = "worker",
@@ -306,9 +305,9 @@ def activate(plan: FaultPlan, *, site: str = "worker",
 
     Idempotent per plan identity: re-activating the *same* plan (same
     JSON) at the same site keeps the existing session and its counters —
-    this is what stops a ``count=1`` rule from re-firing after a lease
-    reconnect re-delivers the welcome frame.  A different plan replaces
-    the session.
+    a redialling worker consults :func:`activate_from_env` again on every
+    connection, and a spent ``count=1`` rule must stay spent.  A different
+    plan replaces the session.
     """
     from repro.runner import wire
 
@@ -382,22 +381,11 @@ class _PlanLibrary:
         )
 
     @staticmethod
-    def kill_all_before_reply(*, seed: int = 1) -> FaultPlan:
-        """Every worker dies before its first result frame — the
-        scheduler-restart drill: nothing comes home except via spill."""
-        return FaultPlan(
-            seed=seed,
-            rules=(
-                FaultRule(action="kill", point="send", message_type="outcome_batch", nth=1),
-            ),
-        )
-
-    @staticmethod
     def sever_on_result(nth: int = 1, *, seed: int = 1,
                         workers: Optional[Sequence[int]] = None) -> FaultPlan:
         """Sever the connection as the nth result frame would leave — the
-        network-blip drill: the batch is lost, the scheduler suspends the
-        lease on EOF, the worker redials and re-earns the cells."""
+        network-blip drill: the batch is lost, the scheduler retires the
+        member on EOF, the worker redials, joins anew and re-earns cells."""
         return FaultPlan(
             seed=seed,
             rules=(

@@ -123,3 +123,30 @@ def test_runner_md_command_table_matches_the_parser():
         if isinstance(action, argparse._SubParsersAction)
     ]
     assert sorted(documented) == sorted(subcommands.choices)
+
+
+def _option_strings(parser):
+    """Every ``--flag`` of ``parser`` and, recursively, of its subcommands."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _option_strings(sub)
+    return flags
+
+
+@pytest.mark.parametrize("page", ["distributed.md", "runner.md"])
+def test_every_documented_flag_exists(page, capsys):
+    # A flag deleted from the CLI (or the worker entry point) while a page
+    # still tells people to pass it fails here.
+    from repro.runner import worker
+
+    with pytest.raises(SystemExit):
+        worker.main(["--help"])
+    known = _option_strings(build_parser()) | set(
+        re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)
+    )
+    text = (DOCS / page).read_text(encoding="utf-8")
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    assert documented <= known, f"docs/{page} names flags no parser has: {documented - known}"

@@ -19,7 +19,7 @@ import re
 import pytest
 
 from repro.obs import OBS_ENV
-from repro.runner.backends import execute_item, make_backend
+from repro.runner.backends import SerialBackend, execute_item, make_backend
 from repro.runner.cache import ResultCache
 from repro.runner.engine import execute_run, run_sweep
 from repro.runner.registry import load_builtin_scenarios
@@ -166,8 +166,8 @@ class _StatsBackend:
         self.telemetry_calls += 1
         return {"probes": self.telemetry_calls}
 
-    def execute(self, items, *, registry=None):
-        return [execute_item(item, registry) for item in items]
+    def execute(self, items, *, registry=None, on_outcome=None):
+        return SerialBackend().execute(items, registry=registry, on_outcome=on_outcome)
 
 
 class TestSweepTelemetry:

@@ -152,6 +152,23 @@ class TestManifest:
             pass
         assert not (root / MANIFEST_NAME).exists()
 
+    def test_stale_manifest_is_rescanned_not_persisted(self, tmp_path):
+        # A killed sweep (or any second writer) leaves record files the
+        # manifest file does not list.  The next writer must not load that
+        # file as is and flush an index missing records the cache serves.
+        root = str(tmp_path / "cache")
+        first = ResultCache(root)
+        for seed in (1, 2, 3):
+            first.put(_result(seed=seed))
+        killed = ResultCache(root)
+        sweep = killed.deferred_manifest()
+        sweep.__enter__()  # and never exits: killed before its flush
+        killed.put(_result(seed=4))
+        ResultCache(root).put(_result(seed=5))
+        with open(os.path.join(root, MANIFEST_NAME)) as fh:
+            on_disk = json.load(fh)["records"]
+        assert set(on_disk) == {_result(seed=s).key for s in (1, 2, 3, 4, 5)}
+
     def test_pre_manifest_records_get_mtime_created_at(self, tmp_path):
         # A record written before the manifest existed (simulated by
         # stripping created_at) still gets an age from the file mtime.
@@ -229,3 +246,28 @@ class TestGc:
         assert "2 record(s) examined" in stats.summary()
         assert "1 evicted" in stats.summary()
         assert "1 kept" in stats.summary()
+
+    def test_killed_writers_temp_files_are_collected_after_the_grace(self, tmp_path):
+        # A writer killed between mkstemp and os.replace leaves <random>.tmp
+        # in the cache root; gc collects it once it is older than the grace
+        # it gives orphan traces (a younger one may have a live writer).
+        root = tmp_path / "cache"
+        cache = ResultCache(str(root))
+        result = _result()
+        cache.put(result)
+        old, young = root / "killed.tmp", root / "inflight.tmp"
+        old.write_text('{"result": {"trunc')
+        young.write_text("")
+        two_days_ago = os.path.getmtime(old) - 2 * ResultCache.TRACE_GRACE_S
+        os.utime(old, (two_days_ago, two_days_ago))
+
+        dry = cache.gc(dry_run=True)
+        assert dry.evicted_stale_tmp == 1 and old.exists()
+        stats = cache.gc()
+        assert stats.evicted_stale_tmp == 1
+        assert stats.evicted_tmp_files == [str(old)]
+        assert "1 stale temp file(s) evicted" in stats.summary()
+        assert not old.exists() and young.exists()
+        assert stats.evicted == 0 and cache.get(result.key) is not None
+        assert cache.gc(trace_grace_s=0.0).evicted_stale_tmp == 1
+        assert not young.exists()

@@ -5,21 +5,21 @@ Two layers of coverage:
 * **Plan mechanics** (no subprocesses) — :class:`FaultRule` validation,
   JSON round-trips, seeded-decision determinism, the frame-mangling
   semantics of :meth:`FaultSession.on_send` / :meth:`on_recv`, and the
-  idempotent-activation contract that keeps ``count=1`` rules from
-  re-firing across a lease reconnect.
+  activation contract that keeps ``count=1`` rules from re-firing when
+  a worker redials.
 
-* **Acceptance drills** (``distributed`` marker) — the three pinned
-  plans the CI chaos job runs, each proving an elasticity claim with a
-  byte-parity gate against a serial sweep of the same spec:
+* **Acceptance drills** (``distributed`` marker) — the two pinned plans
+  the CI chaos job runs and the redial drill, each proving an elasticity
+  claim with a byte-parity gate against a serial sweep of the same spec:
 
   - ``worker_kill_mid_batch``: a worker dies at the exact point it would
     reply with its first batch; the batch re-queues and the sweep still
     matches serial byte-for-byte.
   - ``frame_delay_30pct``: a seeded 30% of frames are delayed both ways;
     scheduling order changes, results don't.
-  - ``scheduler_restart_spill``: every worker dies before replying but
-    after spilling; the failed sweep's spill files resume a fresh
-    scheduler to a complete, serial-identical result set.
+  - ``sever_on_result`` against a real ``--connect`` worker process: its
+    first result frame is cut off with the connection; it redials, joins
+    as a new pool member and the sweep still matches serial.
 
 The pinned plans are committed under ``tests/fixtures/chaos/`` and must
 stay byte-identical to the :data:`repro.testing.chaos.PLANS` builders —
@@ -29,11 +29,15 @@ the two would quietly change what CI tests.
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.runner import worker as worker_mod
+from repro.runner.backends import inherited_pythonpath
 from repro.runner.cache import ResultCache
 from repro.runner.distributed import DistributedBackend
 from repro.runner.engine import run_sweep
@@ -153,8 +157,9 @@ class TestActivation:
         plan = chaos.PLANS.delay_frames(0.1)
         first = chaos.activate(plan, site="worker")
         first.on_send({"type": "x"}, b"d")
-        # Re-delivered welcome (lease reconnect): same plan, same site —
-        # the session and its counters must survive.
+        # A redialling worker re-reads the environment plan on every
+        # connection: same plan, same site — the session and its counters
+        # must survive.
         assert chaos.activate(plan, site="worker") is first
         # A different plan replaces the session.
         assert chaos.activate(chaos.PLANS.delay_frames(0.9), site="worker") is not first
@@ -167,7 +172,7 @@ class TestActivation:
         assert session.worker_index == 3
 
     def test_activate_from_env(self, monkeypatch, tmp_path):
-        plan = chaos.PLANS.kill_all_before_reply()
+        plan = chaos.PLANS.kill_worker_mid_batch()
         monkeypatch.setenv(chaos.CHAOS_PLAN_ENV, plan.to_json())
         session = chaos.activate_from_env()
         assert session.plan == plan
@@ -190,7 +195,7 @@ class TestResultFramePlans:
 
     @pytest.mark.parametrize("plan", [
         chaos.PLANS.kill_worker_mid_batch(0),
-        chaos.PLANS.kill_all_before_reply(),
+        chaos.PLANS.kill_worker_mid_batch(1),
         chaos.PLANS.sever_on_result(2),
         chaos.PLANS.truncate_result(2),
     ], ids=lambda plan: plan.rules[0].action)
@@ -205,7 +210,7 @@ class TestResultFramePlans:
                  for i in range(3)]
         stdin, stdout = io.BytesIO(), io.BytesIO()
         for frame in (
-            {"type": "welcome", "protocol": PROTOCOL_VERSION, "lease": "l", "worker": 0,
+            {"type": "welcome", "protocol": PROTOCOL_VERSION, "worker": 0,
              "chaos": chaos.PLANS.sever_on_result(nth=2).to_dict()},
             {"type": "work_batch", "items": cells[:1]},
             {"type": "work_batch", "items": cells[1:]},
@@ -224,6 +229,28 @@ class TestResultFramePlans:
         assert [r["type"] for r in replies] == ["hello", "outcome_batch"]
         assert [o["index"] for o in replies[1]["outcomes"]] == [0]
 
+    def test_a_redial_under_a_new_site_index_keeps_the_session(self):
+        # A worker that redials is admitted as a new pool member, so its
+        # second welcome names another site index.  The plan the first
+        # welcome activated — session, counters, worker index — must stay,
+        # or an untargeted count=1 rule would fire on every redial.
+        plan = chaos.PLANS.sever_on_result(nth=1).to_dict()
+        cell = {"index": 0, "scenario": "no_such_scenario", "params": {}, "seed": 0}
+        state = {}
+        for site, exit_code in ((0, 1), (1, 0)):
+            stdin, stdout = io.BytesIO(), io.BytesIO()
+            for frame in (
+                {"type": "welcome", "protocol": PROTOCOL_VERSION, "worker": site, "chaos": plan},
+                {"type": "work_batch", "items": [cell]},
+                {"type": "shutdown"},
+            ):
+                write_message(stdin, frame)
+            stdin.seek(0)
+            assert worker_mod.serve(stdin, stdout, state=state) == exit_code
+        assert state["exit_reason"] == "shutdown"
+        assert chaos_session().worker_index == 0
+        assert chaos_session().log == [("disconnect", "send", "outcome_batch", 1)]
+
 
 class TestPinnedPlanFixtures:
     """The committed CI plans must match the library builders exactly."""
@@ -231,7 +258,6 @@ class TestPinnedPlanFixtures:
     @pytest.mark.parametrize("name, plan", [
         ("worker_kill_mid_batch", chaos.PLANS.kill_worker_mid_batch(0)),
         ("frame_delay_30pct", chaos.PLANS.delay_frames(0.3, 0.02)),
-        ("scheduler_restart_spill", chaos.PLANS.kill_all_before_reply()),
     ])
     def test_fixture_matches_builder(self, name, plan):
         committed = json.loads((FIXTURES / f"{name}.json").read_text())
@@ -305,59 +331,39 @@ class TestChaosAcceptance:
             r.canonical() for r in dist.results
         ]
 
-    def test_scheduler_restart_resumes_from_spill(self, tmp_path):
-        # Round 1: every worker dies after spilling, before replying — the
-        # sweep fails, but each executed cell left a spill file behind.
+    def test_severed_worker_process_redials_and_joins_as_a_new_member(self, tmp_path):
+        # The real redial loop, end to end: a ``--connect`` worker process
+        # joins a listening sweep, the plan cuts its connection as its first
+        # result frame would leave, and connect_and_serve dials again.
         specs = _grid_specs()
-        spill = tmp_path / "spill"
-        spill.mkdir()
-        plan = chaos.PLANS.kill_all_before_reply()
-        with pytest.raises(RuntimeError, match="failed"):
-            run_sweep(
-                specs,
-                cache=ResultCache(str(tmp_path / "crashed")),
-                backend=_backend(max_attempts=2, spill_dir=str(spill), chaos=plan.to_dict()),
-            )
-        assert list(spill.glob("*.spill.json")), "workers died without spilling"
-
-        # Round 2: a fresh scheduler (the "restart") harvests the spill —
-        # and must not re-execute harvested cells.
-        recovered = run_sweep(
-            specs,
-            cache=ResultCache(str(tmp_path / "resumed")),
-            backend=_backend(spill_dir=str(spill)),
+        serial = run_sweep(specs, cache=ResultCache(str(tmp_path / "ser")), backend="serial")
+        backend = DistributedBackend(
+            (), listen=True, poll_s=0.02, join_grace_s=30, batch_size=2,
+            chaos=chaos.PLANS.sever_on_result(1),
         )
-        assert recovered.worker_stats["spill_harvested"] >= 1
-        serial = run_sweep(specs, cache=ResultCache(str(tmp_path / "ser")), backend="serial")
+        host, port = backend.endpoint
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.runner.worker", "--connect", f"{host}:{port}",
+             "--heartbeat-s", "0.2"],
+            env=dict(os.environ, PYTHONPATH=inherited_pythonpath()),
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            dist = run_sweep(specs, cache=ResultCache(str(tmp_path / "dist")), backend=backend)
+            assert worker.wait(timeout=30) == 0  # shut down by the scheduler
+        finally:
+            backend.close()
+            worker.kill()
+            worker.wait(timeout=30)
         assert [r.canonical() for r in serial.results] == [
-            r.canonical() for r in recovered.results
+            r.canonical() for r in dist.results
         ]
-
-    def test_spill_from_another_code_revision_is_not_harvested(self, tmp_path):
-        # spill_key names a cell by (scenario, params, seed) only, so a
-        # spill left by a different scenario version lands on the same key.
-        # Its payload carries that revision's run key: the harvester must
-        # leave it alone and let the cell execute again.
-        specs = _grid_specs()
-        spill = tmp_path / "spill"
-        run_sweep(specs, cache=ResultCache(str(tmp_path / "first")),
-                  backend=_backend(spill_dir=str(spill)))
-        victim = sorted(spill.glob("*.spill.json"))[0]
-        record = json.loads(victim.read_text())
-        payload = record["outcome"]["payload"]
-        payload["scenario_version"] -= 1
-        payload["key"] = "0" * 64
-        payload["metrics"] = dict.fromkeys(payload["metrics"], -1)
-        victim.write_text(json.dumps(record))
-
-        cache = ResultCache(str(tmp_path / "second"))
-        resumed = run_sweep(specs, cache=cache, backend=_backend(spill_dir=str(spill)))
-        assert resumed.worker_stats["spill_harvested"] == len(specs) - 1
-        assert cache.get("0" * 64) is None
-        serial = run_sweep(specs, cache=ResultCache(str(tmp_path / "ser")), backend="serial")
-        assert [r.canonical() for r in serial.results] == [
-            r.canonical() for r in resumed.results
-        ]
+        stats = dist.worker_stats
+        assert (stats["joined"], stats["departed"], stats["quarantined"]) == (2, 1, 0)
+        assert stats["requeued"] == 2  # the severed batch, nothing else
+        severed, redialled = sorted(stats["workers"].values(), key=lambda w: w["completed"])
+        assert severed["departed_reason"] == "disconnected (connection closed)"
+        assert (severed["completed"], redialled["completed"]) == (0, len(specs))
 
     def test_chaos_sweep_warms_serial_cache_to_100_percent(self, tmp_path):
         # The CI gate in one test: a chaos-ridden distributed sweep's cache

@@ -7,6 +7,8 @@ import pytest
 from repro.runner.cli import SMOKE_SPEC, _parse_grid, _parse_params, _parse_value, main
 from repro.runner.spec import SweepSpec
 
+from test_runner_engine import _ReportsThenFails
+
 
 class TestParsing:
     def test_parse_value(self):
@@ -255,6 +257,36 @@ class TestBackendFlag:
     def test_rejects_unknown_backend(self, capsys):
         with pytest.raises(SystemExit):
             main(["sweep", "--smoke", "--backend", "smoke-signals"])
+
+
+class TestInterrupt:
+    def test_ctrl_c_exits_130_with_finished_cells_cached(self, tmp_path, capsys, monkeypatch):
+        # Ctrl-C arrives while the sweep waits for its fourth outcome.
+        monkeypatch.setattr(
+            "repro.runner.engine.make_backend",
+            lambda name, **_: _ReportsThenFails(3, KeyboardInterrupt()),
+        )
+        cache_dir = tmp_path / "cache"
+        argv = [
+            "--cache-dir", str(cache_dir), "sweep", "--scenario", "ablation_pi_gains",
+            "-g", "alpha=4,8", "-g", "beta=4,8,16", "--backend", "serial",
+        ]
+        assert main(argv) == 130
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert (
+            "interrupted: 3 of 6 cells are in the cache; rerun the same command to resume"
+            in captured.err
+        )
+        manifest = json.loads((cache_dir / "manifest.json").read_text())
+        assert len(manifest["records"]) == 3
+        assert len(list(cache_dir.glob("*.json"))) == 3 + 1
+        # The rerun counts what it found: hits and fresh writes alike.
+        assert main(argv) == 130
+        assert "interrupted: 6 of 6 cells" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert "6 served from cache (100% cache hits)" in capsys.readouterr().out
 
 
 class TestReportFormats:

@@ -5,26 +5,24 @@ scheduler — no subprocesses, no timing luck.  A :class:`ScriptedWorker`
 connects to ``backend.endpoint``, performs the hello/welcome handshake,
 and answers work frames with *synthesized* deterministic outcomes, so
 each test scripts an exact sequence of pool events (join, serve, blip,
-lease redial, leave) and asserts the scheduler's telemetry frame by
-frame.
+redial, leave) and asserts the scheduler's telemetry frame by frame.
 
 The pool contract under test:
 
 * joins are admitted mid-sweep and handed work immediately;
-* a lost connection *suspends* the lease (items re-queue, identity and
-  stats survive); redialing with the lease token resumes in place;
-* an unknown lease degrades to a fresh admission, never an error;
-* a worker that leaves (or whose lease expires) departs: stats freeze
-  with ``departed: true`` and its cells re-route;
-* late/duplicate outcomes from a resumed worker are deduplicated via
-  ``past_indices`` — recorded as ``duplicate_outcomes``, never a
-  quarantine.
+* a worker that leaves, or whose connection drops, departs: stats freeze
+  with ``departed: true`` and its cells re-route at once;
+* a redial is a join: the worker is admitted as a new pool member, and
+  what it was handed under its old membership is not its to deliver —
+  replaying it gets the newcomer quarantined;
+* a result frame that arrives twice on a worker's own connection is
+  deduplicated via ``past_indices`` — recorded as
+  ``duplicate_outcomes``, never a quarantine.
 """
 
 import os
 import socket
 import threading
-import time
 
 import pytest
 
@@ -51,7 +49,6 @@ def _synth_payload(item):
 def _backend(**kwargs):
     kwargs.setdefault("listen", True)
     kwargs.setdefault("join_grace_s", 10.0)
-    kwargs.setdefault("lease_timeout_s", 10.0)
     kwargs.setdefault("heartbeat_s", 0.0)
     kwargs.setdefault("worker_timeout_s", 10.0)
     kwargs.setdefault("poll_s", 0.005)
@@ -61,22 +58,19 @@ def _backend(**kwargs):
 class ScriptedWorker:
     """A test-controlled wire peer: connects, hellos, serves on command."""
 
-    def __init__(self, endpoint, *, lease=None, protocol=PROTOCOL_VERSION, host="scripted"):
+    def __init__(self, endpoint, *, protocol=PROTOCOL_VERSION, host="scripted"):
         self.sock = socket.create_connection(endpoint, timeout=10)
         self.sock.settimeout(10)
         self.reader = self.sock.makefile("rb")
         self.writer = self.sock.makefile("wb")
-        hello = {
+        self.send({
             "type": "hello",
             "protocol": protocol,
             "pid": os.getpid(),
             "host": host,
             "python": "scripted",
             "scenarios": 0,
-        }
-        if lease:
-            hello["lease"] = lease
-        self.send(hello)
+        })
 
     def send(self, message):
         write_message(self.writer, message)
@@ -187,7 +181,7 @@ class TestElasticJoin:
             worker = ScriptedWorker(backend.endpoint)
             welcome = worker.expect("welcome")
             assert welcome["protocol"] == PROTOCOL_VERSION
-            assert welcome["lease"]
+            assert welcome["worker"] == 0
             worker.serve_until_shutdown()
             _assert_complete(sweep.finish(), items)
             telemetry = backend.telemetry()
@@ -271,120 +265,75 @@ class TestLeaveAndLeases:
         finally:
             backend.close()
 
-    def test_disconnect_suspends_then_lease_resumes(self):
+
+class TestRedial:
+    def test_dropped_connection_departs_and_a_redial_joins_anew(self):
         items = _items(4)
         backend = _backend(batch_size=2)
         try:
             sweep = _Sweep(backend, items)
-            worker = ScriptedWorker(backend.endpoint)
-            lease = worker.expect("welcome")["lease"]
+            worker = ScriptedWorker(backend.endpoint, host="blippy")
+            assert worker.expect("welcome")["worker"] == 0
             worker.take_work()  # hold the batch, then vanish mid-flight
             worker.close()
-            resumed = ScriptedWorker(backend.endpoint, lease=lease)
-            welcome = resumed.expect("welcome")
-            assert welcome["lease"] == lease  # same identity, not a new admit
-            resumed.serve_until_shutdown()
+            # The pool is empty now; join_grace_s is the window for this.
+            redial = ScriptedWorker(backend.endpoint, host="blippy")
+            assert redial.expect("welcome")["worker"] == 1  # a new member
+            redial.serve_until_shutdown()
             _assert_complete(sweep.finish(), items)
             telemetry = backend.telemetry()
-            assert telemetry["lease_resumes"] == 1
-            assert telemetry["joined"] == 1  # resume is not a second join
-            assert telemetry["requeued"] >= 1  # the vanished batch re-queued
-            stats = next(iter(telemetry["workers"].values()))
-            assert stats["lease_resumes"] == 1
+            assert (telemetry["joined"], telemetry["departed"]) == (2, 1)
+            assert telemetry["quarantined"] == 0
+            assert telemetry["requeued"] == 2  # the vanished batch re-queued
+            old, new = telemetry["workers"]["blippy/0"], telemetry["workers"]["blippy/1"]
+            assert old["departed"] is True and old["completed"] == 0
+            assert "disconnected" in old["departed_reason"]
+            assert new["completed"] == len(items)
         finally:
             backend.close()
 
-    def test_unknown_lease_degrades_to_fresh_admission(self):
-        items = _items(2)
-        backend = _backend()
-        try:
-            sweep = _Sweep(backend, items)
-            worker = ScriptedWorker(backend.endpoint, lease="lease-from-another-life")
-            welcome = worker.expect("welcome")
-            assert welcome["lease"] != "lease-from-another-life"
-            worker.serve_until_shutdown()
-            _assert_complete(sweep.finish(), items)
-            assert backend.telemetry()["lease_resumes"] == 0
-        finally:
-            backend.close()
-
-    def test_stale_lease_from_previous_sweep_is_not_transplanted(self):
-        # A listening backend outlives one sweep.  A worker left over from
-        # sweep 1 that redials into sweep 2 must not be mistaken for sweep
-        # 2's worker at the same site: lease tokens differ per sweep.
-        backend = _backend()
-        try:
-            sweep = _Sweep(backend, _items(2))
-            veteran = ScriptedWorker(backend.endpoint, host="veteran")
-            old_lease = veteran.expect("welcome")["lease"]
-            veteran.serve_until_shutdown()
-            veteran.close()
-            sweep.finish()
-
-            items = _items(4)
-            sweep = _Sweep(backend, items)
-            newcomer = ScriptedWorker(backend.endpoint, host="newcomer")
-            new_lease = newcomer.expect("welcome")["lease"]
-            assert new_lease != old_lease  # both are site 0 of their sweep
-            redial = ScriptedWorker(backend.endpoint, lease=old_lease, host="veteran")
-            assert redial.expect("welcome")["lease"] not in (old_lease, new_lease)
-            threading.Thread(target=redial.serve_until_shutdown, daemon=True).start()
-            newcomer.serve_until_shutdown()
-            _assert_complete(sweep.finish(), items)
-            telemetry = backend.telemetry()
-            assert telemetry["lease_resumes"] == 0
-            assert telemetry["joined"] == 2
-        finally:
-            backend.close()
-
-    def test_lease_expiry_departs_the_absentee(self):
+    def test_stranger_replaying_a_batch_it_was_never_handed_is_quarantined(self):
         items = _items(4)
-        backend = _backend(batch_size=2, lease_timeout_s=0.2)
+        backend = _backend(batch_size=2)
         try:
             sweep = _Sweep(backend, items)
-            ghost = ScriptedWorker(backend.endpoint, host="ghost")
-            ghost.expect("welcome")
-            ghost.take_work()
-            ghost.close()  # never comes back; lease expires in 0.2s
+            worker = ScriptedWorker(backend.endpoint, host="veteran")
+            worker.expect("welcome")
+            batch = worker.take_work()
+            worker.reply(batch)
+            worker.close()
+            # Same machine, new connection: to the scheduler a stranger.
+            stranger = ScriptedWorker(backend.endpoint, host="veteran")
+            stranger.expect("welcome")
+            stranger.reply(batch)
             finisher = ScriptedWorker(backend.endpoint, host="finisher")
             finisher.expect("welcome")
-            # Hold the first reply until well past the expiry deadline, so
-            # the sweep is still live when the scheduler's timeout sweep
-            # departs the ghost.
-            held = finisher.take_work()
-            time.sleep(0.5)
-            finisher.reply(held)
             finisher.serve_until_shutdown()
             _assert_complete(sweep.finish(), items)
             telemetry = backend.telemetry()
-            assert telemetry["suspended"] == 1
-            assert telemetry["departed"] == 1
-            stats = next(w for w in telemetry["workers"].values()
-                         if w["host"] == "ghost")
-            assert stats["departed"] is True
-            assert "lease expired" in stats["departed_reason"]
+            assert telemetry["quarantined"] == 1
+            assert telemetry["duplicate_outcomes"] == 0
+            reason = telemetry["workers"]["veteran/1"]["quarantine_reason"]
+            assert reason.startswith("returned outcome for unassigned index")
         finally:
             backend.close()
 
-    def test_duplicate_outcome_after_resume_is_deduped_not_punished(self):
+    def test_result_frame_delivered_twice_is_deduped_not_punished(self):
         items = _items(4)
         backend = _backend(batch_size=2)
         try:
             sweep = _Sweep(backend, items)
             worker = ScriptedWorker(backend.endpoint)
-            lease = worker.expect("welcome")["lease"]
+            worker.expect("welcome")
             batch = worker.take_work()
-            worker.reply([batch[0]])  # first cell lands...
-            worker.close()  # ...then the connection dies
-            resumed = ScriptedWorker(backend.endpoint, lease=lease)
-            resumed.expect("welcome")
-            # Replay the already-recorded cell — legitimate via
-            # past_indices, deduplicated by the determinism contract.
-            resumed.reply([batch[0]])
-            resumed.serve_until_shutdown()
+            worker.reply(batch)
+            # The same frame again on the same connection — legitimate via
+            # past_indices, absorbed by the determinism contract.
+            worker.reply(batch)
+            worker.serve_until_shutdown()
             _assert_complete(sweep.finish(), items)
             telemetry = backend.telemetry()
-            assert telemetry["duplicate_outcomes"] >= 1
+            assert telemetry["duplicate_outcomes"] == len(batch)
             assert telemetry["quarantined"] == 0
         finally:
             backend.close()

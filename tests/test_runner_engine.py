@@ -6,9 +6,18 @@ cache-behavior tests use a counting toy registry to observe exactly which
 cells execute.
 """
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+
 import pytest
 
-from repro.runner.cache import ResultCache
+from repro.runner.backends import SerialBackend, WorkItem, inherited_pythonpath, make_backend
+from repro.runner.cache import MANIFEST_NAME, ResultCache
 from repro.runner.engine import effective_seed, execute_run, run_spec, run_sweep
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import ScenarioRegistry
@@ -251,3 +260,138 @@ class TestPartialFailure:
         with pytest.raises(RuntimeError, match="1 of 3 sweep cell"):
             run_sweep(specs, cache=cache, registry=registry)
         assert calls == [1, 2, 3, 2]
+
+
+class _ReportsThenFails(SerialBackend):
+    """Reports the first ``k`` outcomes, then dies like a killed scheduler."""
+
+    def __init__(self, k, exc):
+        self.k = k
+        self.exc = exc
+
+    def execute(self, items, *, registry=None, on_outcome=None):
+        super().execute(items[: self.k], registry=registry, on_outcome=on_outcome)
+        raise self.exc
+
+
+class _ForgetsTheLastCell(SerialBackend):
+    def execute(self, items, *, registry=None, on_outcome=None):
+        return super().execute(items[:-1], registry=registry, on_outcome=on_outcome)
+
+
+class TestOutcomesReachTheCacheAsTheyFinish:
+    def test_cells_reported_before_the_backend_dies_are_cached(self, tmp_path):
+        registry, calls = _counting_registry()
+        cache = ResultCache(str(tmp_path / "cache"))
+        specs = [RunSpec("toy", {"x": x}) for x in (1, 2, 3, 4, 5)]
+        with pytest.raises(OSError, match="scheduler host fell over"):
+            run_sweep(
+                specs,
+                cache=cache,
+                registry=registry,
+                backend=_ReportsThenFails(3, OSError("scheduler host fell over")),
+            )
+        assert len(cache) == 3, "exactly the reported cells are on disk"
+        # ... and indexed: the manifest is flushed however the sweep ends.
+        with open(os.path.join(cache.root, MANIFEST_NAME)) as fh:
+            assert len(json.load(fh)["records"]) == 3
+        resumed = run_sweep(specs, cache=ResultCache(cache.root), registry=registry)
+        assert (resumed.hits, resumed.misses) == (3, 2)
+        assert [x for _, x in calls] == [1, 2, 3, 4, 5]
+
+    def test_a_backend_that_skips_a_cell_is_a_lost_cells_error(self, tmp_path):
+        registry, _ = _counting_registry()
+        cache = ResultCache(str(tmp_path / "cache"))
+        specs = [RunSpec("toy", {"x": x}) for x in (1, 2, 3)]
+        with pytest.raises(RuntimeError, match="lost cells.*without reporting 1 of 3"):
+            run_sweep(specs, cache=cache, registry=registry, backend=_ForgetsTheLastCell())
+        assert len(cache) == 2
+
+    @pytest.mark.distributed
+    @pytest.mark.parametrize("name", ["serial", "process", "distributed"])
+    def test_on_outcome_runs_on_the_callers_thread(self, name):
+        # The engine's callback writes the cache and appends to plain
+        # lists; it takes no lock because no backend calls it from a thread
+        # of its own.
+        items = [
+            WorkItem(index=10 + i, scenario="ablation_pi_gains",
+                     params={"alpha": 5.0 + i, "beta": 10.0}, seed=1)
+            for i in range(6)
+        ]
+        seen = []
+        backend = make_backend(name, workers=2)
+        returned = backend.execute(
+            items, on_outcome=lambda o: seen.append((threading.get_ident(), o))
+        )
+        assert {ident for ident, _ in seen} == {threading.get_ident()}
+        assert sorted(o.index for _, o in seen) == [item.index for item in items]
+        assert [o.index for o in returned] == [item.index for item in items]
+        assert {o.index: o for _, o in seen} == {o.index: o for o in returned}
+
+
+#: A grid of 10 cells of roughly 0.3-0.6 s each: long enough that a sweep
+#: is caught mid-flight, short enough for tier-1.
+_KILL_GRID = SweepSpec(
+    scenario="fig09_slowdown",
+    base=dict(TINY, bottleneck_mbps=24.0, duration_s=6.0, max_requests=2000),
+    grid={"mode": ["status_quo", "bundler_sfq"]},
+    seeds=(1, 2, 3, 4, 5),
+)
+
+
+def _record_files(root):
+    try:
+        names = os.listdir(root)
+    except FileNotFoundError:
+        return []
+    return [n for n in names if n.endswith(".json") and n != MANIFEST_NAME]
+
+
+@pytest.fixture(scope="module")
+def serial_reference(tmp_path_factory):
+    cache = ResultCache(str(tmp_path_factory.mktemp("kill-serial")))
+    return run_spec(_KILL_GRID, cache=cache, backend="serial")
+
+
+@pytest.mark.distributed
+class TestKilledSweepResumes:
+    @pytest.mark.parametrize("name", ["serial", "process", "distributed"])
+    def test_sigkill_mid_sweep_keeps_finished_cells(self, name, tmp_path, serial_reference):
+        cells = len(_KILL_GRID.expand())
+        root = str(tmp_path / "cache")
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(_KILL_GRID.to_dict()))
+        env = dict(os.environ, PYTHONPATH=inherited_pythonpath())
+        sweep = subprocess.Popen(
+            [sys.executable, "-m", "repro.runner", "--cache-dir", root, "sweep",
+             "--spec", str(spec_file), "--backend", name, "--workers", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,  # one group: pool children and workers die with it
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while len(_record_files(root)) < 3:
+                assert sweep.poll() is None, "the sweep ended before it could be killed"
+                assert time.monotonic() < deadline, "no records appeared"
+                time.sleep(0.02)
+            # Mid-flight means still executing a while after the third
+            # record: a sweep that writes everything in one burst when it
+            # ends is done by now.
+            time.sleep(0.3)
+            assert sweep.poll() is None, "the records came in a burst at the end"
+        finally:
+            os.killpg(sweep.pid, signal.SIGKILL)
+            sweep.wait(timeout=30)
+        survived = len(_record_files(root))
+        assert 3 <= survived < cells
+
+        cache = ResultCache(root)
+        resumed = run_spec(_KILL_GRID, workers=2, cache=cache, backend=name)
+        assert resumed.hits >= survived
+        assert resumed.hits + resumed.misses == cells
+        assert [r.canonical() for r in resumed.results] == [
+            r.canonical() for r in serial_reference.results
+        ]
+        # What the killed sweep left on disk is what a serial sweep writes.
+        for result in serial_reference.results:
+            assert ResultCache(root).get(result.key).canonical() == result.canonical()

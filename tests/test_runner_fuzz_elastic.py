@@ -4,16 +4,18 @@ Each iteration derives a schedule from a seed (via the same
 :func:`repro.util.rng.derive_seed` splitter the simulator uses) and plays
 it against a listening scheduler sweeping a 64-cell synthetic grid:
 scripted in-process TCP workers join, serve a few batches, then suffer a
-seeded fate — vanish mid-batch, vanish and redial on their lease, replay
-an already-delivered batch, or leave cleanly — until a final reliable
-worker drains whatever is left.  No subprocesses, no real scenarios:
-workers synthesize outcomes as a pure function of the work item, so the
-invariant is exact:
+seeded fate — vanish mid-batch, vanish and redial (to the scheduler, a
+stranger), deliver a batch twice and then replay it as a stranger, or
+leave cleanly — until a final reliable worker drains whatever is left.
+No subprocesses, no real scenarios: workers synthesize outcomes as a pure
+function of the work item, so the invariant is exact:
 
 * every schedule completes all 64 cells with the correct payload bytes;
-* nothing is ever quarantined — crashes and leaves are pool-lifecycle
-  facts, not protocol violations;
-* duplicate deliveries are absorbed as ``duplicate_outcomes``.
+* nothing but a stranger replaying a batch it was never handed is
+  quarantined — crashes, redials and leaves are pool-lifecycle facts,
+  not protocol violations;
+* a frame delivered twice on a worker's own connection is absorbed as
+  ``duplicate_outcomes``.
 
 The default 200 iterations run in tier-1 (chunked so a failure names its
 seed range); set ``REPRO_FUZZ_ITERS`` to widen the sweep, e.g.::
@@ -55,10 +57,10 @@ def _expected(item):
     return _synth_payload({"index": item.index, "seed": item.seed, "params": item.params})
 
 
-def _join(endpoint, *, lease=None, host="fuzz"):
-    worker = ScriptedWorker(endpoint, lease=lease, host=host)
-    welcome = worker.expect("welcome")
-    return worker, welcome["lease"]
+def _join(endpoint, host):
+    worker = ScriptedWorker(endpoint, host=host)
+    worker.expect("welcome")
+    return worker
 
 
 def _play_schedule(seed):
@@ -69,7 +71,6 @@ def _play_schedule(seed):
         (),
         listen=True,
         join_grace_s=20.0,
-        lease_timeout_s=0.25,
         heartbeat_s=0.0,
         worker_timeout_s=20.0,
         poll_s=0.005,
@@ -81,35 +82,39 @@ def _play_schedule(seed):
         target=lambda: outcomes.extend(backend.execute(items)), daemon=True
     )
     thread.start()
+    replays = 0
     try:
         for lifecycle in range(rng.randint(1, 3)):
-            worker, lease = _join(backend.endpoint, host=f"chaotic{lifecycle}")
+            host = f"chaotic{lifecycle}"
+            worker = _join(backend.endpoint, host)
             for _ in range(rng.randint(0, 2)):
                 worker.reply(worker.take_work())
-            fate = rng.choice(["crash", "resume", "replay", "leave", "stall"])
+            fate = rng.choice(["crash", "redial", "replay", "leave", "stall"])
             if fate == "crash":
-                # Vanish mid-batch: cells re-queue, lease expires, departs.
+                # Vanish mid-batch: the member departs, its cells re-queue.
                 worker.take_work()
                 worker.close()
-            elif fate == "resume":
-                # Vanish, then redial on the lease — sometimes so fast the
-                # redial races the EOF of the dead connection.
+            elif fate == "redial":
+                # Vanish, then dial again — sometimes so fast the join
+                # beats the EOF of the dead connection.  A new member.
                 worker.take_work()
                 worker.close()
-                worker, _ = _join(backend.endpoint, lease=lease)
+                worker = _join(backend.endpoint, host)
                 worker.reply(worker.take_work())
                 worker.send({"type": "leave"})
                 worker.close()
             elif fate == "replay":
-                # Deliver a batch, blip, redial, deliver the same batch
-                # again: past_indices legitimizes it, dedupe absorbs it.
+                # Deliver a batch twice (absorbed: it was this member's),
+                # blip, redial, deliver it a third time — refused: the
+                # newcomer was never handed those cells.
                 batch = worker.take_work()
                 worker.reply(batch)
-                worker.close()
-                worker, _ = _join(backend.endpoint, lease=lease)
                 worker.reply(batch)
-                worker.send({"type": "leave"})
                 worker.close()
+                worker = _join(backend.endpoint, host)
+                worker.reply(batch)
+                worker.close()
+                replays += 1
             elif fate == "leave":
                 worker.send({"type": "leave"})
                 worker.close()
@@ -129,9 +134,11 @@ def _play_schedule(seed):
                 f"seed {seed} cell {item.index}: wrong payload"
             )
         telemetry = backend.telemetry()
-        assert telemetry["quarantined"] == 0, (
-            f"seed {seed}: chaos lifecycle misread as misbehavior: {telemetry}"
-        )
+        reasons = [w["quarantine_reason"] for w in telemetry["workers"].values()
+                   if w["state"] == "quarantined"]
+        assert len(reasons) == telemetry["quarantined"] == replays and all(
+            r.startswith("returned outcome for unassigned index") for r in reasons
+        ), f"seed {seed}: chaos lifecycle misread as misbehavior: {telemetry}"
         return telemetry
     finally:
         backend.close()
@@ -147,11 +154,11 @@ def test_seeded_chaos_schedules(chunk):
 
 def test_schedules_actually_exercise_every_fate():
     # A meta-check on the generator: across the first 32 seeds, the fuzz
-    # must hit lease resumes, departures, suspensions, and duplicate
+    # must hit joins, departures, re-queues, refused replays and duplicate
     # deliveries — otherwise the schedule space quietly collapsed and the
     # 200 iterations above prove less than they claim.
-    totals = {"lease_resumes": 0, "departed": 0, "suspended": 0,
-              "duplicate_outcomes": 0, "requeued": 0}
+    totals = {"joined": 0, "departed": 0, "requeued": 0,
+              "quarantined": 0, "duplicate_outcomes": 0}
     for seed in range(32):
         telemetry = _play_schedule(seed)
         for key in totals:

@@ -6,8 +6,7 @@ the worker answers with — replayed here through the *real* worker loop
 (:func:`repro.runner.worker.serve`) over in-memory streams.  Volatile
 fields (pid, hostname, payload bytes, timings) are normalized to
 placeholders; everything structural — frame order, frame types, key
-sets, protocol numbers, lease echoes — must match the committed file
-byte-for-byte.
+sets, protocol numbers — must match the committed file byte-for-byte.
 
 Changing the protocol therefore fails twice, on purpose: the RPR040
 wire-snapshot lint catches vocabulary drift at the source level, and
@@ -28,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from repro.runner import worker as worker_mod
-from repro.runner.spill import iter_spills, spill_key
 from repro.runner.wire import PROTOCOL_VERSION, read_message, write_message
 from repro.testing import chaos
 
@@ -39,7 +37,7 @@ REGEN = bool(os.environ.get("REPRO_REGEN_GOLDEN"))
 # an unknown scenario travels the whole execute path and comes back as an
 # error outcome without depending on any scenario's numerics.
 _ERROR_ITEM = {"index": 7, "scenario": "golden_nonexistent", "params": {}, "seed": 3}
-# A real, fast scenario for the success-outcome and spill conversations.
+# A real, fast scenario for the success-outcome conversation.
 _REAL_ITEM = {
     "index": 2,
     "scenario": "ablation_pi_gains",
@@ -77,14 +75,14 @@ def _normalize(frame):
     return out
 
 
-def _converse(scheduler_frames, *, state=None, spill_dir=None):
+def _converse(scheduler_frames):
     """Drive the real worker loop over a scripted scheduler side."""
     stdin = io.BytesIO()
     for frame in scheduler_frames:
         write_message(stdin, frame)
     stdin.seek(0)
     stdout = io.BytesIO()
-    code = worker_mod.serve(stdin, stdout, spill_dir=spill_dir, state=state)
+    code = worker_mod.serve(stdin, stdout)
     assert code == 0
     stdout.seek(0)
     replies = []
@@ -121,59 +119,23 @@ def _check(name, scheduler_frames, worker_frames):
 class TestGoldenConversations:
     def test_hello_welcome(self):
         scheduler = [
-            {"type": "welcome", "protocol": PROTOCOL_VERSION,
-             "lease": "lease-golden-0", "worker": 0},
+            {"type": "welcome", "protocol": PROTOCOL_VERSION, "worker": 0},
             {"type": "ping"},
             {"type": "shutdown"},
         ]
         _check("hello_welcome", scheduler, _converse(scheduler))
-
-    def test_lease_resume(self):
-        # A reconnecting worker presents its lease in the hello; the
-        # re-welcome confirms the same token.
-        state = {"lease": "lease-golden-0", "worker": 0}
-        scheduler = [
-            {"type": "welcome", "protocol": PROTOCOL_VERSION,
-             "lease": "lease-golden-0", "worker": 0},
-            {"type": "shutdown"},
-        ]
-        _check("lease_resume", scheduler, _converse(scheduler, state=state))
 
     def test_work_batch(self):
         # A mixed batch: one real cell, one failing cell — a single
         # outcome_batch reply carrying both, order preserved.  Then a
         # batch of one: the same frame shape, not a special case.
         scheduler = [
-            {"type": "welcome", "protocol": PROTOCOL_VERSION,
-             "lease": "lease-golden-0", "worker": 0},
+            {"type": "welcome", "protocol": PROTOCOL_VERSION, "worker": 0},
             {"type": "work_batch", "items": [_REAL_ITEM, _ERROR_ITEM]},
             {"type": "work_batch", "items": [_ERROR_ITEM]},
             {"type": "shutdown"},
         ]
         _check("work_batch", scheduler, _converse(scheduler))
-
-    def test_spill(self, tmp_path):
-        # The welcome's spill_dir is adopted; every non-error outcome is
-        # also written as a spill file keyed by content identity.
-        spill_dir = str(tmp_path / "spill")
-        os.makedirs(spill_dir)
-        scheduler = [
-            {"type": "welcome", "protocol": PROTOCOL_VERSION,
-             "lease": "lease-golden-0", "worker": 0, "spill_dir": "<spill_dir>"},
-            {"type": "work_batch", "items": [_REAL_ITEM]},
-            {"type": "shutdown"},
-        ]
-        live = [dict(f, spill_dir=spill_dir) if "spill_dir" in f else f
-                for f in scheduler]
-        worker_frames = _converse(live)
-        _check("spill", scheduler, worker_frames)
-        spills = list(iter_spills(spill_dir))
-        assert len(spills) == 1
-        key, record = spills[0]
-        assert key == spill_key(
-            _REAL_ITEM["scenario"], _REAL_ITEM["params"], _REAL_ITEM["seed"]
-        )
-        assert record["outcome"]["index"] == _REAL_ITEM["index"]
 
     def test_chaos_welcome(self):
         # In-band fault-plan delivery: the worker activates the plan on
@@ -181,7 +143,7 @@ class TestGoldenConversations:
         try:
             scheduler = [
                 {"type": "welcome", "protocol": PROTOCOL_VERSION,
-                 "lease": "lease-golden-0", "worker": 0, "chaos": _INERT_PLAN},
+                 "worker": 0, "chaos": _INERT_PLAN},
                 {"type": "work_batch", "items": [_ERROR_ITEM]},
                 {"type": "shutdown"},
             ]
@@ -198,8 +160,7 @@ class TestGoldenConversations:
         if REGEN:
             pytest.skip("regenerating")
         names = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
-        assert names == ["chaos_welcome", "hello_welcome", "lease_resume",
-                         "spill", "work_batch"]
+        assert names == ["chaos_welcome", "hello_welcome", "work_batch"]
         for name in names:
             committed = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
             assert committed["protocol"] == PROTOCOL_VERSION
