@@ -11,12 +11,16 @@ durations, thousands rather than millions of requests) so the whole suite
 runs in minutes.  The scale knobs live in :data:`repro.testing.BENCH_SCALE`
 and can be raised for a closer-to-paper run.
 
-Every figure benchmark routes through the :mod:`repro.api` engine facade via
-the :func:`bench_sweep` fixture: cells are executed on a small worker pool
-and cached under ``.repro-cache/``, so re-running a figure only simulates
-what changed.  Assertions go through :func:`repro.api.aggregate_outcome`
-— per-(scenario, params) cells with mean/CI across seeds — so a benchmark
-that sweeps several seeds asserts on the aggregate, not on one draw.
+Every figure benchmark but one routes through the :mod:`repro.api` engine
+facade via the :func:`bench_sweep` fixture: cells are executed on a small
+worker pool and cached under ``.repro-cache/``, so re-running a figure only
+simulates what changed.  Assertions go through
+:func:`repro.api.aggregate_outcome` — per-(scenario, params) cells with
+mean/CI across seeds — so a benchmark that sweeps several seeds asserts on
+the aggregate, not on one draw.  The exception is
+``test_fig05_fig06_estimates.py``, which calls ``run_estimate_sweep``
+directly: it pools the estimate errors of all four cells before taking the
+80th percentile, which per-cell metrics cannot express.
 """
 
 import os

@@ -37,17 +37,16 @@ component's path.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, Dict, List, Optional
 
-SANITIZE_ENV = "REPRO_SANITIZE"
+from repro.util.env import env_flag
 
-_FALSY = ("", "0", "false", "no", "off")
+SANITIZE_ENV = "REPRO_SANITIZE"
 
 
 def sanitize_enabled() -> bool:
     """Is the event-loop sanitizer requested via ``REPRO_SANITIZE``?"""
-    return os.environ.get(SANITIZE_ENV, "").strip().lower() not in _FALSY
+    return env_flag(SANITIZE_ENV, False)
 
 
 class SanitizerViolation(RuntimeError):

@@ -61,16 +61,3 @@ def source_address_classifier(
         return None
 
     return classify
-
-
-def multi_bundle_classifier(bundles: Iterable[Bundle]) -> BundleClassifier:
-    """Classifier for a box handling several bundles (first match wins)."""
-    bundle_list = list(bundles)
-
-    def classify(packet: Packet) -> Optional[int]:
-        for bundle in bundle_list:
-            if bundle.matches(packet):
-                return bundle.bundle_id
-        return None
-
-    return classify

@@ -25,7 +25,7 @@ fields of :class:`ScenarioConfig`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import BundlerConfig, BundlerPair, install_bundler
@@ -90,11 +90,6 @@ class ScenarioConfig:
     @property
     def offered_load_bps(self) -> float:
         return self.load_fraction * mbps_to_bps(self.bottleneck_mbps)
-
-    def with_mode(self, mode: str) -> "ScenarioConfig":
-        """Copy of this config with a different mode (same seed and workload)."""
-        return replace(self, mode=mode)
-
 
 @dataclass
 class ScenarioResult:

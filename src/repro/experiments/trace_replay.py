@@ -9,7 +9,7 @@ adversarial bursty cross traffic.
 
 The ``trace`` parameter is a trace *spec* — a generator spec (synthetic,
 regenerated deterministically from ``(spec, seed)`` wherever the cell
-executes), a trace file, or a store digest.  Cache keys are
+executes) or a trace file.  Cache keys are
 digest-addressed: identical trace content yields identical keys regardless
 of where the trace lives (see ``docs/workloads.md``).
 
@@ -140,8 +140,8 @@ def run_trace_replay(
 TRACE_REPLAY_PARAMS = ParamSpace(
     ParamSpec("trace", kind="trace",
               default={"generator": "diurnal"},
-              description="trace spec: generator, file path, or store digest "
-                          "(digest-addressed in cache keys)"),
+              description="trace spec: generator or file path "
+                          "(files are digest-addressed in cache keys)"),
     SCENARIO_PARAMS.get("mode"),
     replace(BOTTLENECK_MBPS, default=12.0),
     replace(RTT_MS, default=40.0),

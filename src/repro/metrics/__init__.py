@@ -9,7 +9,7 @@
 
 from repro.metrics.fct import FctAnalysis, ideal_fct, slowdown
 from repro.metrics.stats import DistributionSummary, improvement, summarize
-from repro.metrics.reporting import Table, format_comparison
+from repro.metrics.reporting import Table
 
 __all__ = [
     "FctAnalysis",
@@ -19,5 +19,4 @@ __all__ = [
     "summarize",
     "improvement",
     "Table",
-    "format_comparison",
 ]

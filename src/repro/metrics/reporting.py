@@ -8,7 +8,7 @@ with no external dependencies.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 class Table:
@@ -57,25 +57,6 @@ def _format_cell(value) -> str:
             return f"{value:.2f}"
         return f"{value:.4f}"
     return str(value)
-
-
-def format_comparison(
-    title: str,
-    results: Dict[str, Dict[str, float]],
-    *,
-    metrics: Iterable[str] = ("median", "p99"),
-) -> str:
-    """Render a {configuration: {metric: value}} mapping as a table."""
-    metric_list = list(metrics)
-    table = Table(["configuration", *metric_list], title=title)
-    for config, values in results.items():
-        table.add_row(config, *[values.get(metric, float("nan")) for metric in metric_list])
-    return table.render()
-
-
-def paper_expectation_note(expectation: str, measured: str) -> str:
-    """One-line paper-vs-measured note used in benchmark output."""
-    return f"paper: {expectation} | measured: {measured}"
 
 
 def _metric_header(name: str, schema) -> str:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from repro.net.trace import percentile
 
@@ -67,23 +66,3 @@ def improvement(baseline: float, treatment: float) -> float:
     if baseline <= 0:
         raise ValueError("baseline must be positive")
     return (baseline - treatment) / baseline
-
-
-def geometric_mean(samples: Sequence[float]) -> float:
-    """Geometric mean of positive samples."""
-    if not samples:
-        raise ValueError("geometric mean of empty sequence")
-    if any(s <= 0 for s in samples):
-        raise ValueError("geometric mean requires positive samples")
-    return math.exp(sum(math.log(s) for s in samples) / len(samples))
-
-
-def jains_fairness(shares: Sequence[float]) -> float:
-    """Jain's fairness index of a set of throughput shares (1.0 = perfectly fair)."""
-    if not shares:
-        raise ValueError("fairness of empty sequence")
-    total = sum(shares)
-    squares = sum(s * s for s in shares)
-    if squares == 0:
-        return 1.0
-    return (total * total) / (len(shares) * squares)

@@ -29,7 +29,7 @@ a bounded free list.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.util.fnv import hash_fields
 
@@ -118,10 +118,6 @@ class Packet:
         if cached is None:
             cached = self._header_hash = hash_fields((self.ip_id, self.dst, self.dst_port))
         return cached
-
-    def five_tuple(self) -> Tuple[int, int, int, int, int]:
-        """(src, dst, src_port, dst_port, flow_id) — used by per-flow hashing."""
-        return (self.src, self.dst, self.src_port, self.dst_port, self.flow_id)
 
     def flow_hash(self) -> int:
         """Hash of the flow identity (not per-packet), used by SFQ and ECMP."""

@@ -12,7 +12,8 @@ Four layers (see ``docs/observability.md`` for the full catalogue):
   ``RunResult.telemetry``, which flows through the cache envelope, the
   manifest, sweep summaries, exports, and distributed workers'
   ``WorkOutcome`` frames;
-* **in-simulation probes** — :class:`~repro.obs.probe.ProbeSet` samples
+* **in-simulation probes**, on request (``REPRO_PROBES=1``, or
+  ``trace-export`` for one cell) — :class:`~repro.obs.probe.ProbeSet` samples
   per-link backlog/utilization, per-qdisc backlog, per-flow cwnd/rate and
   sendbox epoch state on the simulator's deterministic tick grid into
   bounded rings (with mergeable :mod:`~repro.obs.sketch` quantile

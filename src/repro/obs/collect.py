@@ -19,7 +19,6 @@ produce an empty telemetry dict.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from time import perf_counter
 from typing import Any, ContextManager, Dict, Iterator, List, Optional
@@ -27,6 +26,7 @@ from typing import Any, ContextManager, Dict, Iterator, List, Optional
 from repro.obs.probe import PROBE_FORMAT, ProbeSet, probes_enabled
 from repro.obs.stats import merge_counters, simulator_counters
 from repro.obs.timeline import Timeline
+from repro.util.env import env_flag
 
 #: Environment kill-switch: set to ``0`` / ``false`` / ``off`` to disable
 #: telemetry collection (counters still tick — they are part of the
@@ -41,12 +41,7 @@ _active = threading.local()
 
 def obs_enabled() -> bool:
     """Whether telemetry collection is enabled (default: yes)."""
-    return os.environ.get(OBS_ENV, "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
+    return env_flag(OBS_ENV, True)
 
 
 def current_collector() -> Optional["TelemetryCollector"]:

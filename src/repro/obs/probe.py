@@ -27,8 +27,11 @@ reorders the simulation's own events; every callback is a pure read.
 Result payloads and cache keys are therefore byte-identical with probes
 on or off — ``tests/test_probes.py`` pins this the same way
 ``tests/test_obs_parity.py`` pins the PR 6 layer.  Probe data rides the
-telemetry *envelope* only (``telemetry["probes"]``), governed by
-``REPRO_PROBES`` on top of the ``REPRO_OBS`` kill-switch.
+telemetry *envelope* only (``telemetry["probes"]``), and only when asked
+for: ``REPRO_PROBES=1`` (on top of the ``REPRO_OBS`` kill-switch) records
+them for every run, ``repro-runner trace-export`` for one cell.  The series
+are a pure function of the ``(scenario, version, params, seed)`` a record
+already holds, so a default record leaves them out and stays ~400x smaller.
 
 Callbacks registered via :meth:`ProbeSet.register_probe` must be
 module-level functions or bound methods — no lambdas or local closures
@@ -37,14 +40,14 @@ module-level functions or bound methods — no lambdas or local closures
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.sketch import QuantileSketch
+from repro.util.env import env_flag
 
-#: Environment switch for the probe layer (on by default, like REPRO_OBS;
-#: probes additionally require REPRO_OBS itself to be enabled, since their
-#: output rides the telemetry envelope).
+#: Environment switch for the probe layer (off unless set, like
+#: REPRO_SANITIZE; probes additionally require REPRO_OBS to be enabled,
+#: since their output rides the telemetry envelope).
 PROBES_ENV = "REPRO_PROBES"
 
 #: Layout version of ``telemetry["probes"]``.
@@ -74,13 +77,8 @@ SERIES_SKETCH_ALPHA = 0.05
 
 
 def probes_enabled() -> bool:
-    """Whether in-simulation probes are enabled (default: yes)."""
-    return os.environ.get(PROBES_ENV, "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
+    """Whether in-simulation probe series are recorded (default: no)."""
+    return env_flag(PROBES_ENV, False)
 
 
 def _is_probe_callback(fn: Callable[..., Any]) -> bool:

@@ -84,10 +84,6 @@ class Qdisc:
         """
         raise NotImplementedError
 
-    def peek_backlog(self) -> int:
-        """Bytes currently queued (alias for :attr:`backlog_bytes`)."""
-        return self.backlog_bytes
-
     def walk(self):
         """Yield this discipline and every wrapped inner one, outermost first.
 

@@ -84,11 +84,6 @@ class GcStats:
     evicted_age: int = 0
     #: Keys that were (or, under ``dry_run``, would have been) removed.
     evicted_keys: List[str] = field(default_factory=list)
-    #: Generated-trace store files examined / evicted as orphans (no
-    #: surviving record references their digest).
-    trace_files_examined: int = 0
-    evicted_orphan_traces: int = 0
-    evicted_trace_files: List[str] = field(default_factory=list)
     #: Temp files a killed writer left in the cache root, past the grace.
     evicted_tmp_files: List[str] = field(default_factory=list)
 
@@ -110,11 +105,6 @@ class GcStats:
             f"({self.evicted_stale_version} stale version, {self.evicted_age} expired), "
             f"{self.kept} kept"
         )
-        if self.trace_files_examined:
-            text += (
-                f"; {self.trace_files_examined} stored trace(s) examined: "
-                f"{self.evicted_orphan_traces} orphan(s) evicted"
-            )
         if self.evicted_stale_tmp:
             text += f"; {self.evicted_stale_tmp} stale temp file(s) evicted"
         return text
@@ -326,11 +316,9 @@ class ResultCache:
 
     # -- garbage collection ------------------------------------------------
 
-    #: Default orphan-trace grace period: a stored trace younger than this
-    #: is never evicted even when unreferenced, so ``trace generate
-    #: --store`` output survives routine gc until a sweep records it (and
-    #: a concurrent sweep's store write cannot race the sweep's record).
-    TRACE_GRACE_S = 86_400.0
+    #: A ``*.tmp`` file in the cache root younger than this may belong to a
+    #: writer that is still alive, so gc leaves it alone.
+    TMP_GRACE_S = 86_400.0
 
     def gc(
         self,
@@ -339,7 +327,6 @@ class ResultCache:
         max_age_s: Optional[float] = None,
         now: Optional[float] = None,
         dry_run: bool = False,
-        trace_grace_s: Optional[float] = None,
     ) -> GcStats:
         """Evict stale records; returns what was examined and removed.
 
@@ -354,24 +341,15 @@ class ResultCache:
         * ``max_age_s`` — records whose ``created_at`` (file mtime for
           pre-manifest records) is older than this many seconds are evicted.
 
-        Alongside the records, the generated-trace store (``<root>/traces/``)
-        is swept for **orphans**: trace files whose digest no surviving
-        record references in its params.  A trace only a just-evicted record
-        used goes with it; a trace any live record still names is kept — and
-        so is any unreferenced trace younger than ``trace_grace_s``
-        (default :data:`TRACE_GRACE_S`, pass 0 to evict all orphans), so a
-        freshly generated ``--store`` trace is not collected before the
-        sweep that will reference it runs.  The same grace applies to
-        ``*.tmp`` files in the cache root: a writer killed between creating
-        its temp file and renaming it into place leaves one behind, and a
-        younger one may belong to a writer that is still alive.
+        Alongside the records, ``*.tmp`` files in the cache root older than
+        :data:`TMP_GRACE_S` are swept: a writer killed between creating its
+        temp file and renaming it into place leaves one behind.
 
         The manifest is rebuilt from the record files first, so records
         written by other processes are seen, and rewritten after eviction.
         With ``dry_run`` nothing is deleted; the stats report what would be.
         """
         now = now if now is not None else time.time()  # repro: noqa[RPR030] -- gc age policy compares envelope created_at stamps; never touches cached payloads
-        trace_grace_s = self.TRACE_GRACE_S if trace_grace_s is None else trace_grace_s
         entries = self.rebuild_manifest()
         stats = GcStats(examined=len(entries))
         survivors: Dict[str, Dict[str, Any]] = {}
@@ -391,8 +369,7 @@ class ResultCache:
                 stats.evicted_keys.append(key)
             else:
                 survivors[key] = entry
-        self._gc_orphan_traces(survivors, stats, now=now, grace_s=trace_grace_s)
-        self._gc_stale_tmp(stats, now=now, grace_s=trace_grace_s)
+        self._gc_stale_tmp(stats, now=now)
         if dry_run:
             return stats
         for key in stats.evicted_keys:
@@ -400,7 +377,7 @@ class ResultCache:
                 os.unlink(self._path(key))
             except OSError:
                 pass
-        for path in stats.evicted_trace_files + stats.evicted_tmp_files:
+        for path in stats.evicted_tmp_files:
             try:
                 os.unlink(path)
             except OSError:
@@ -408,69 +385,17 @@ class ResultCache:
         self._write_manifest(survivors)
         return stats
 
-    @staticmethod
-    def _referenced_trace_digests(entries: Mapping[str, Mapping[str, Any]]) -> set:
-        """Hex digests of every trace referenced by the given records' params."""
-        digests: set = set()
-
-        def walk(value: Any) -> None:
-            if isinstance(value, dict):
-                digest = value.get("digest")
-                if isinstance(digest, str) and digest.startswith("sha256:"):
-                    digests.add(digest.split(":", 1)[1])
-                for child in value.values():
-                    walk(child)
-            elif isinstance(value, list):
-                for child in value:
-                    walk(child)
-
-        for entry in entries.values():
-            walk(entry.get("params"))
-        return digests
-
-    def _gc_orphan_traces(
-        self,
-        survivors: Dict[str, Dict[str, Any]],
-        stats: GcStats,
-        *,
-        now: float,
-        grace_s: float,
-    ) -> None:
-        traces_dir = os.path.join(self.root, "traces")
-        if not os.path.isdir(traces_dir):
-            return
-        referenced = self._referenced_trace_digests(survivors)
-        for name in sorted(os.listdir(traces_dir)):
-            if not (name.endswith(".jsonl") or name.endswith(".jsonl.gz")):
-                continue
-            stats.trace_files_examined += 1
-            hexdigest = name.split(".", 1)[0]
-            if hexdigest in referenced:
-                continue
-            path = os.path.join(traces_dir, name)
-            if grace_s > 0:
-                try:
-                    if now - os.path.getmtime(path) < grace_s:
-                        continue  # too young to call an orphan
-                except OSError:
-                    continue
-            stats.evicted_orphan_traces += 1
-            stats.evicted_trace_files.append(path)
-
-    def _gc_stale_tmp(self, stats: GcStats, *, now: float, grace_s: float) -> None:
+    def _gc_stale_tmp(self, stats: GcStats, *, now: float) -> None:
         for name in sorted(os.listdir(self.root)):
             if not name.endswith(".tmp"):
                 continue
             path = os.path.join(self.root, name)
             try:
-                if now - os.path.getmtime(path) < grace_s:
+                if now - os.path.getmtime(path) < self.TMP_GRACE_S:
                     continue
             except OSError:
                 continue
             stats.evicted_tmp_files.append(path)
-
-    def load_all(self) -> List[RunResult]:
-        return list(self.iter_results())
 
     def by_scenario(self) -> Dict[str, List[RunResult]]:
         grouped: Dict[str, List[RunResult]] = {}

@@ -35,15 +35,14 @@ Subcommands:
 ``gc``
     Evict cached records whose scenario version is stale (and, with
     ``--max-age-days``, records older than a cutoff), updating the
-    manifest; orphaned generated-trace artifacts under ``<cache>/traces/``
-    — traces no surviving record references — and temp files left by a
-    killed writer are swept in the same pass.
+    manifest; temp files left by a killed writer are swept in the same
+    pass.
 ``trace``
     Work with canonical traffic traces (see ``docs/workloads.md``):
-    ``generate`` renders a generator spec to a trace file (or the
-    content-addressed store), ``inspect`` streams a trace and prints its
-    digest and summary without ever materializing it, ``validate`` checks
-    record schema and time-ordering, exiting non-zero on a bad file.
+    ``generate`` renders a generator spec to a trace file, ``inspect``
+    streams a trace and prints its digest and summary without ever
+    materializing it, ``validate`` checks record schema and
+    time-ordering, exiting non-zero on a bad file.
 ``workers``
     Distributed-fleet helpers: ``doctor --hosts ...`` probes every host's
     transport (hello handshake, ping round-trip, python/scenario report)
@@ -237,36 +236,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The trace-store value this process's CLI invocations exported, so a
-#: later invocation (tests drive ``main`` in-process) can tell its own
-#: earlier export apart from a user-provided override.
-_trace_store_exported: Optional[str] = None
-
-
-def _point_trace_store_at_cache(args: argparse.Namespace) -> None:
-    """Resolve digest-only trace specs against this invocation's cache dir.
-
-    Scenario code reads the store through ``trace_store_dir()`` (it never
-    sees ``--cache-dir``), so align the environment override with the
-    cache the user selected — otherwise ``trace generate --store`` under a
-    custom cache dir would write where no sweep looks.  An explicit
-    user-set ``REPRO_TRACE_STORE`` still wins; local worker subprocesses
-    inherit the setting, remote SSH workers need it in their
-    ``remote_env``.
-    """
-    global _trace_store_exported
-    from repro.traffic.format import TRACE_STORE_ENV, trace_store_dir
-
-    current = os.environ.get(TRACE_STORE_ENV)
-    if current is not None and current != _trace_store_exported:
-        return  # the user's own override outranks --cache-dir
-    value = trace_store_dir(args.cache_dir)
-    os.environ[TRACE_STORE_ENV] = value
-    _trace_store_exported = value
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    _point_trace_store_at_cache(args)
     registry = load_builtin_scenarios()
     spec = RunSpec(scenario=args.scenario, params=_parse_params(args.param), seed=args.seed)
     outcome = run_sweep(
@@ -328,7 +298,6 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _point_trace_store_at_cache(args)
     registry = load_builtin_scenarios()
     sweep = _load_sweep_spec(args)
     specs = sweep.expand()
@@ -439,8 +408,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         table = timeseries_long_table(results)
         if not table.rows:
             print(
-                "note: no cached run carries probe series (REPRO_PROBES was "
-                "off, or records predate the probe layer)",
+                "note: no cached run carries probe series; they are recorded "
+                "on request — rerun the sweep with REPRO_PROBES=1, or use "
+                "trace-export for one cell",
                 file=sys.stderr,
             )
         sys.stdout.write(table.to_csv() if args.format == "csv" else table.to_jsonl())
@@ -495,43 +465,26 @@ def _trace_spec_from_args(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _cmd_trace_generate(args: argparse.Namespace) -> int:
-    from repro.traffic.format import TraceWriter, store_trace_path, trace_store_dir
+    from repro.traffic.format import TraceWriter
     from repro.traffic.generators import coerce_generator_spec, generate_trace
 
     spec = coerce_generator_spec(_trace_spec_from_args(args))
-    if bool(args.out) == bool(args.store):
-        raise SystemExit("trace generate needs exactly one of --out PATH or --store")
-    path = args.out
-    if args.store:
-        # Content-addressed names need the digest, which needs the events:
-        # write to a temp name in the store dir, then rename into place.
-        import tempfile
-
-        store_dir = trace_store_dir(args.cache_dir)
-        os.makedirs(store_dir, exist_ok=True)
-        fd, path = tempfile.mkstemp(dir=store_dir, suffix=".jsonl.gz")
-        os.close(fd)
     meta = {"spec": spec, "seed": args.seed}
     try:
-        with TraceWriter(path, meta=meta) as writer:
+        with TraceWriter(args.out, meta=meta) as writer:
             for event in generate_trace(spec, args.seed):
                 writer.write(event)
     except BaseException:
         # Never leave a truncated trace behind — a partial file would still
         # digest as a valid (shorter) trace.
         try:
-            os.unlink(path)
+            os.unlink(args.out)
         except OSError:
             pass
         raise
-    digest = writer.digest
-    if args.store:
-        final = store_trace_path(digest.id, args.cache_dir)
-        os.replace(path, final)
-        path = final
-    print(f"wrote {path}")
+    print(f"wrote {args.out}")
     table = Table(["property", "value"])
-    for row in digest.summary_rows():
+    for row in writer.digest.summary_rows():
         table.add_row(*row)
     print(table.render())
     return 0
@@ -575,7 +528,6 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
     from repro.obs.probe import PROBES_ENV
     from repro.runner.engine import execute_run
 
-    _point_trace_store_at_cache(args)
     # Force the telemetry and probe layers on for this one run, whatever
     # the environment says — a trace export without probes is empty.  The
     # run executes fresh (no cache): probe payloads only exist on records
@@ -671,7 +623,6 @@ def _cmd_workers_join(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profiling import profile_run
 
-    _point_trace_store_at_cache(args)
     profile_run(
         args.scenario,
         params=_parse_params(args.param),
@@ -688,12 +639,7 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     cache = ResultCache(args.cache_dir)
     registry = None if args.keep_stale_versions else load_builtin_scenarios()
     max_age_s = args.max_age_days * 86400.0 if args.max_age_days is not None else None
-    stats = cache.gc(
-        registry=registry,
-        max_age_s=max_age_s,
-        dry_run=args.dry_run,
-        trace_grace_s=args.trace_grace_days * 86400.0,
-    )
+    stats = cache.gc(registry=registry, max_age_s=max_age_s, dry_run=args.dry_run)
     prefix = "gc (dry run): " if args.dry_run else "gc: "
     print(f"{prefix}{stats.summary()} in {cache.root!r}")
     return 0
@@ -826,13 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--spec", help="JSON generator-spec file (instead of --generator)")
     p_generate.add_argument("--seed", type=int, default=1, help="generation seed (default: 1)")
     p_generate.add_argument(
-        "-o", "--out", metavar="PATH",
+        "-o", "--out", required=True, metavar="PATH",
         help="output trace path (.jsonl or .jsonl.gz)",
-    )
-    p_generate.add_argument(
-        "--store", action="store_true",
-        help="write into the content-addressed trace store "
-             "(<cache>/traces/<digest>.jsonl.gz) instead of --out",
     )
     p_generate.set_defaults(fn=_cmd_trace_generate)
 
@@ -960,12 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument(
         "--keep-stale-versions", action="store_true",
         help="skip the default eviction of records with outdated scenario versions",
-    )
-    p_gc.add_argument(
-        "--trace-grace-days", type=float, default=1.0, metavar="DAYS",
-        help="keep unreferenced stored traces, and temp files a killed "
-             "writer left behind, younger than this many days "
-             "(default: 1; 0 evicts every orphan immediately)",
     )
     p_gc.add_argument(
         "--dry-run", action="store_true",

@@ -176,11 +176,11 @@ def timeseries_long_table(results) -> LongTable:
     """One row per retained probe sample across ``results``.
 
     Reads the probe payload from each run's telemetry envelope (see
-    :mod:`repro.obs.probe`); runs recorded without probes (``REPRO_PROBES=0``
-    or pre-probe cache records) contribute no rows.  Series samples carry
-    their declared ``unit`` and ``kind`` (gauge/counter); instant streams
-    (drops, epoch boundaries) export as ``kind: "event"`` rows with
-    ``value: 1`` at each instant.
+    :mod:`repro.obs.probe`); runs recorded without probes (the default —
+    series are kept only under ``REPRO_PROBES=1``) contribute no rows.
+    Series samples carry their declared ``unit`` and ``kind``
+    (gauge/counter); instant streams (drops, epoch boundaries) export as
+    ``kind: "event"`` rows with ``value: 1`` at each instant.
     """
     results = list(results)
     columns = _assemble(

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 from repro.util.canonical import canonicalize
 
 #: Parameter kinds a :class:`ParamSpec` may declare.  ``trace`` is a trace
-#: spec (generator / file / digest — see :mod:`repro.traffic.spec`): it
+#: spec (generator / file — see :mod:`repro.traffic.spec`): it
 #: coerces through the traffic subsystem and is *digest-addressed* in cache
 #: keys (a file-backed trace is keyed by content, never by path).
 PARAM_KINDS = (

@@ -48,10 +48,12 @@ from typing import Any, BinaryIO, Dict, Optional
 #: such a worker presents is ignored and it joins as a new pool member.
 PROTOCOL_VERSION = 3
 
-#: Upper bound on one frame's JSON payload.  Far above any real
-#: WorkOutcome (metrics are flat scalar dicts); its job is to turn a
-#: corrupt or misaligned length prefix into an immediate WireError instead
-#: of a multi-gigabyte read.
+#: Upper bound on one frame's JSON payload; its job is to turn a corrupt or
+#: misaligned length prefix into an immediate WireError instead of a
+#: multi-gigabyte read.  An outcome is ~2 KB by default but 100-650 KB with
+#: ``REPRO_PROBES=1`` (its telemetry then carries the probe series), so a
+#: large batch's outcomes can pass the bound: the worker splits its reply
+#: into several ``outcome_batch`` frames (:mod:`repro.runner.worker`).
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")

@@ -30,11 +30,17 @@ Either way the conversation is the length-prefixed JSON protocol of
   many, the only work frame — it resolves each scenario, runs it via
   :func:`repro.runner.backends.execute_item` (which validates fresh
   metrics against the scenario's
-  :class:`~repro.runner.schema.MetricSchema`), and replies a single
-  ``{"type": "outcome_batch", "outcomes": [{...}, ...]}`` in item order.
-  Failures travel *inside* outcomes (``error`` carries the traceback),
-  never as a dead pipe; a frame type the worker does not know is
-  answered with an ``error`` frame and the worker keeps serving;
+  :class:`~repro.runner.schema.MetricSchema`), and replies
+  ``{"type": "outcome_batch", "outcomes": [{...}, ...]}`` in item order:
+  one frame, unless the outcomes gathered so far would pass a quarter of
+  :data:`~repro.runner.wire.MAX_MESSAGE_BYTES` (``REPRO_PROBES=1`` makes
+  an outcome hundreds of KB), in which case they go out and the rest
+  follow in further ``outcome_batch`` frames — the scheduler takes a reply
+  one outcome at a time either way.  Failures travel *inside* outcomes
+  (``error`` carries the traceback, or says that the outcome alone was
+  too large to frame), never as a dead pipe; a frame type the worker does
+  not know is answered with an ``error`` frame and the worker keeps
+  serving;
 * while a cell or batch runs, a daemon thread emits ``{"type":
   "heartbeat"}`` every ``--heartbeat-s`` seconds so the scheduler can
   tell "slow cell" from "hung worker";
@@ -65,8 +71,15 @@ import time
 from dataclasses import asdict
 from typing import Any, BinaryIO, Dict, Optional, Sequence, Tuple
 
+from repro.runner import wire
 from repro.runner.backends import WorkItem, execute_item
-from repro.runner.wire import PROTOCOL_VERSION, WireError, read_message, write_message
+from repro.runner.wire import (
+    PROTOCOL_VERSION,
+    WireError,
+    encode_message,
+    read_message,
+    write_message,
+)
 
 
 class _Heartbeat:
@@ -122,6 +135,24 @@ def _handle_welcome(message: Dict[str, Any], state: Dict[str, Any]) -> None:
             worker_index=site if isinstance(site, int) else None,
         )
         state["chaos_active"] = True
+
+
+def _reply(outcomes) -> Dict[str, Any]:
+    return {"type": "outcome_batch", "outcomes": outcomes}
+
+
+def _framed(outcome: Dict[str, Any]) -> Tuple[Dict[str, Any], int]:
+    """``outcome`` and the size of the frame that would carry it alone.
+
+    That size bounds what the outcome adds to a frame it shares.  An
+    outcome no frame can hold comes back as an error outcome for its index.
+    """
+    try:
+        return outcome, len(encode_message(_reply([outcome])))
+    except WireError as exc:
+        outcome = {**outcome, "payload": None, "telemetry": None,
+                   "error": f"outcome could not be sent: {exc}"}
+        return outcome, len(encode_message(_reply([outcome])))
 
 
 def serve(
@@ -214,15 +245,22 @@ def serve(
             if kind != "work_batch":
                 send({"type": "error", "error": f"unknown message type {kind!r}"})
                 continue
-            outcomes = []
+            # One reply frame per batch — the framing amortization the
+            # batch exists for — until its outcomes would pass the budget.
+            budget = wire.MAX_MESSAGE_BYTES // 4
+            outcomes, gathered = [], 0
             with _Heartbeat(send, heartbeat_s):
                 for raw in message.get("items") or []:
                     outcome = run_item(raw)
-                    if outcome is not None:
-                        outcomes.append(outcome)
-            # One reply per batch regardless of size: the framing
-            # amortization the batch exists for.
-            send({"type": "outcome_batch", "outcomes": outcomes})
+                    if outcome is None:
+                        continue
+                    outcome, size = _framed(outcome)
+                    if outcomes and gathered + size > budget:
+                        send(_reply(outcomes))
+                        outcomes, gathered = [], 0
+                    outcomes.append(outcome)
+                    gathered += size
+            send(_reply(outcomes))
             if leave_after and served >= leave_after:
                 send({"type": "leave"})
                 state["exit_reason"] = "leave"

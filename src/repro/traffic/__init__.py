@@ -4,14 +4,13 @@ The subsystem turns workloads from code into **data**:
 
 * :mod:`repro.traffic.events` — the canonical trace record
   (:class:`TraceEvent`): one line per flow/stream event.
-* :mod:`repro.traffic.format` — streaming JSONL(+gzip) reader/writer,
-  content digests (:class:`TraceDigest`), and the content-addressed
-  generated-trace store.
+* :mod:`repro.traffic.format` — streaming JSONL(+gzip) reader/writer and
+  content digests (:class:`TraceDigest`).
 * :mod:`repro.traffic.generators` — composable deterministic generators
   that *emit traces* (Poisson, diurnal Markov-modulated, flash crowd,
   on/off bursty streams, mixes; Pareto/lognormal/empirical sizes).
-* :mod:`repro.traffic.spec` — trace *specs* (generator / file / digest)
-  and their cache-key projection.
+* :mod:`repro.traffic.spec` — trace *specs* (generator / file) and their
+  cache-key projection.
 * :mod:`repro.traffic.replay` — :class:`TraceReplayWorkload`, replaying
   any trace through the simulator's transport stack (its
   ``poisson_requests`` constructor is the §7.1 request load).
@@ -30,15 +29,12 @@ from repro.traffic.events import (
     TraceFormatError,
 )
 from repro.traffic.format import (
-    TRACE_STORE_ENV,
     TraceDigest,
     TraceWriter,
     events_digest,
     file_trace_digest,
     read_trace,
-    store_trace_path,
     trace_digest,
-    trace_store_dir,
     validate_trace,
     write_trace,
 )
@@ -59,7 +55,6 @@ __all__ = [
     "EVENT_GROUPS",
     "EVENT_KINDS",
     "TRACE_FORMAT",
-    "TRACE_STORE_ENV",
     "GENERATORS",
     "GeneratorDef",
     "TraceDigest",
@@ -78,9 +73,7 @@ __all__ = [
     "merge_event_streams",
     "open_trace",
     "read_trace",
-    "store_trace_path",
     "trace_digest",
-    "trace_store_dir",
     "trace_cache_view",
     "validate_trace",
     "write_trace",

@@ -12,10 +12,6 @@ excluding the header.  It is therefore independent of compression, of
 metadata, and of how any particular writer spelled a record — the same
 logical trace always hashes to the same :class:`TraceDigest`, which is what
 the runner folds into cache keys (see ``docs/workloads.md``).
-
-Generated traces can be kept in a content-addressed **store**
-(``<cache>/traces/<hexdigest>.jsonl.gz``); ``repro-runner gc`` evicts store
-files no surviving cache record references.
 """
 
 from __future__ import annotations
@@ -37,14 +33,6 @@ from repro.traffic.events import (
 
 #: Digest algorithm baked into trace ids (``sha256:<hex>``).
 DIGEST_ALGO = "sha256"
-
-#: Environment override for the generated-trace store directory.
-TRACE_STORE_ENV = "REPRO_TRACE_STORE"
-
-#: Default store location.  Kept in sync with
-#: :data:`repro.runner.cache.DEFAULT_CACHE_DIR` by value (importing it here
-#: would invert the layering: the runner builds on the traffic subsystem).
-DEFAULT_TRACE_STORE = os.path.join(".repro-cache", "traces")
 
 
 @dataclass(frozen=True)
@@ -271,21 +259,6 @@ def validate_trace(
     return acc.finish(), errors
 
 
-# -- the generated-trace store -------------------------------------------------
-
-
-def trace_store_dir(cache_root: Optional[str] = None) -> str:
-    """Directory of the content-addressed generated-trace store.
-
-    ``cache_root`` (the runner's ``--cache-dir``) wins when given; otherwise
-    the :data:`TRACE_STORE_ENV` environment override, then the default
-    ``.repro-cache/traces``.
-    """
-    if cache_root:
-        return os.path.join(cache_root, "traces")
-    return os.environ.get(TRACE_STORE_ENV) or DEFAULT_TRACE_STORE
-
-
 def parse_digest_id(value: str) -> str:
     """Validate a ``sha256:<hex>`` trace id; returns the bare hexdigest."""
     algo, sep, hexdigest = value.partition(":")
@@ -298,12 +271,6 @@ def parse_digest_id(value: str) -> str:
             f"bad trace digest {value!r}: expected 64 lowercase hex characters"
         )
     return hexdigest
-
-
-def store_trace_path(digest_id: str, cache_root: Optional[str] = None) -> str:
-    """Store path of the trace named ``sha256:<hex>``."""
-    hexdigest = parse_digest_id(digest_id)
-    return os.path.join(trace_store_dir(cache_root), f"{hexdigest}.jsonl.gz")
 
 
 #: Digest cache keyed by ``(abspath, mtime_ns, size)`` so repeated cache-key

@@ -1,7 +1,7 @@
 """Trace *specs*: how a scenario parameter names a trace.
 
 A ``trace``-kind scenario parameter (see :mod:`repro.runner.params`)
-accepts three spec shapes:
+accepts two spec shapes:
 
 ``{"generator": name, "params": {...}}``
     A synthetic trace, generated on the fly.  Generation is deterministic
@@ -10,10 +10,8 @@ accepts three spec shapes:
 ``{"file": path}``
     A trace file on disk.  Coercion streams the file once to compute its
     digest; the canonical value carries both (``{"digest": ..., "file":
-    ...}``) so the run is keyed by *content*, not by path.
-``{"digest": "sha256:<hex>"}``
-    A trace in the content-addressed store (``<cache>/traces/``), named
-    purely by content.
+    ...}``) so the run is keyed by *content*, not by path.  The file
+    must exist, at that path, on every host that executes the cell.
 
 :func:`trace_cache_view` is the cache-key projection the engine applies:
 file-backed specs collapse to their digest (two paths to identical bytes
@@ -25,34 +23,26 @@ coerced spec into a lazy event stream.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Iterator, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, Mapping, Union
 
 from repro.traffic.events import TraceEvent, TraceFormatError
-from repro.traffic.format import (
-    file_trace_digest,
-    parse_digest_id,
-    read_trace,
-    store_trace_path,
-)
+from repro.traffic.format import DIGEST_ALGO, file_trace_digest, parse_digest_id, read_trace
 from repro.traffic.generators import TraceSpecError, coerce_generator_spec, generate_trace
 
 
 def coerce_trace_spec(value: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
     """Canonicalize a trace spec (see the module docstring for the shapes).
 
-    A bare string is sugar: ``"sha256:<hex>"`` becomes a digest spec, any
-    other string a file spec.  Raises :class:`TraceSpecError` on anything
-    malformed — including a file spec whose file cannot be read, since its
-    digest is part of the run's identity.
+    A bare string is sugar for a file spec.  Raises :class:`TraceSpecError`
+    on anything malformed — including a file spec whose file cannot be
+    read, since its digest is part of the run's identity, and a digest
+    with no file: nothing resolves a trace from its digest alone.
     """
     if isinstance(value, str):
-        if value.startswith("sha256:"):
-            value = {"digest": value}
-        else:
-            value = {"file": value}
+        value = {"digest": value} if value.startswith(f"{DIGEST_ALGO}:") else {"file": value}
     if not isinstance(value, Mapping):
         raise TraceSpecError(
-            f"trace spec must be an object (or a path / sha256:<hex> string), got {value!r}"
+            f"trace spec must be an object (or a path string), got {value!r}"
         )
     if "generator" in value:
         return coerce_generator_spec(value)
@@ -69,7 +59,8 @@ def coerce_trace_spec(value: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
             # exist — e.g. on a distributed worker that received the spec
             # from the scheduling host.  The declared digest *is* the
             # content identity (the scheduler hashed the bytes); keep it so
-            # open_trace can fall back to the worker's local store.
+            # the worker derives the scheduler's cache key and open_trace
+            # reports the missing file as the typed error.
             try:
                 parse_digest_id(declared)
             except TraceFormatError as exc:
@@ -88,19 +79,12 @@ def coerce_trace_spec(value: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
             )
         return {"digest": digest.id, "file": path}
     if "digest" in value:
-        unknown = sorted(set(value) - {"digest"})
-        if unknown:
-            raise TraceSpecError(f"digest trace spec has unknown key(s) {unknown}")
-        digest_id = value["digest"]
-        if not isinstance(digest_id, str):
-            raise TraceSpecError(f"trace spec 'digest' must be a string, got {digest_id!r}")
-        try:
-            parse_digest_id(digest_id)
-        except TraceFormatError as exc:
-            raise TraceSpecError(str(exc)) from None
-        return {"digest": digest_id}
+        raise TraceSpecError(
+            f"trace spec names {value['digest']!r} by digest alone; pass the "
+            f"trace file itself as {{\"file\": PATH}} (its digest is computed)"
+        )
     raise TraceSpecError(
-        f"trace spec needs a 'generator', 'file', or 'digest' key; got {sorted(value)}"
+        f"trace spec needs a 'generator' or 'file' key; got {sorted(value)}"
     )
 
 
@@ -116,30 +100,20 @@ def trace_cache_view(value: Any) -> Any:
     return value
 
 
-def open_trace(
-    spec: Union[str, Mapping[str, Any]],
-    *,
-    seed: int = 0,
-    cache_root: Optional[str] = None,
-) -> Iterator[TraceEvent]:
+def open_trace(spec: Union[str, Mapping[str, Any]], *, seed: int = 0) -> Iterator[TraceEvent]:
     """Stream the events a (possibly un-coerced) trace spec names.
 
     Generator specs generate lazily under ``seed``; file specs stream from
-    disk; digest-only specs resolve through the content-addressed store
-    (``trace_store_dir(cache_root)``).
+    disk.
     """
     coerced = coerce_trace_spec(spec)
     if "generator" in coerced:
         return generate_trace(coerced, seed)
-    path = coerced.get("file")
-    if path is None or not os.path.exists(path):
-        store = store_trace_path(coerced["digest"], cache_root)
-        if not os.path.exists(store):
-            raise TraceSpecError(
-                f"trace {coerced['digest']} not found"
-                + (f" at {path!r} or" if path else "")
-                + f" in the store ({store}); regenerate it with "
-                f"'repro-runner trace generate ... --store'"
-            )
-        path = store
+    path = coerced["file"]
+    if not os.path.exists(path):
+        raise TraceSpecError(
+            f"trace file {path!r} ({coerced['digest']}) not found on this host; "
+            f"copy it to the same path on every worker, or name the trace "
+            f"by its generator spec"
+        )
     return read_trace(path)

@@ -12,9 +12,10 @@ This subpackage holds small, dependency-free building blocks:
   experiments.
 * :mod:`repro.util.canonical` — canonical JSON and stable content digests
   used by the sweep runner's result cache.
+* :mod:`repro.util.env` — the one parser behind the ``REPRO_*`` on/off
+  switches.
 """
 
-from repro.util.fnv import fnv1a_32, fnv1a_64
 from repro.util.units import (
     BYTES_PER_PACKET,
     bits_to_bytes,
@@ -29,14 +30,11 @@ from repro.util.windowed import (
     MaxFilter,
     MinFilter,
     SlidingWindow,
-    TimeWindowedSum,
 )
-from repro.util.rng import derive_seed, make_rng, spawn_rngs
+from repro.util.rng import derive_seed, make_rng
 from repro.util.canonical import canonical_json, canonicalize, stable_digest
 
 __all__ = [
-    "fnv1a_32",
-    "fnv1a_64",
     "BYTES_PER_PACKET",
     "bits_to_bytes",
     "bytes_to_bits",
@@ -48,10 +46,8 @@ __all__ = [
     "MaxFilter",
     "MinFilter",
     "SlidingWindow",
-    "TimeWindowedSum",
     "derive_seed",
     "make_rng",
-    "spawn_rngs",
     "canonical_json",
     "canonicalize",
     "stable_digest",

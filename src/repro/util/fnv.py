@@ -25,24 +25,6 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a_32(data: bytes) -> int:
-    """Return the 32-bit FNV-1a hash of ``data``."""
-    h = _FNV32_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV32_PRIME) & _MASK32
-    return h
-
-
-def fnv1a_64(data: bytes) -> int:
-    """Return the 64-bit FNV-1a hash of ``data``."""
-    h = _FNV64_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV64_PRIME) & _MASK64
-    return h
-
-
 def hash_fields(fields: Iterable[int], bits: int = 32) -> int:
     """Hash a sequence of integer header fields.
 

@@ -10,25 +10,11 @@ paper runs each experiment across 10 seeds and reports the aggregate.
 from __future__ import annotations
 
 import random
-from typing import List
 
 
 def make_rng(seed: int) -> random.Random:
     """Create a :class:`random.Random` seeded with ``seed``."""
     return random.Random(seed)
-
-
-def spawn_rngs(seed: int, count: int) -> List[random.Random]:
-    """Derive ``count`` independent generators from a root ``seed``.
-
-    Each child is seeded from the root generator's stream, so different
-    components never share a generator (which would make results depend on
-    the interleaving of draws).
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    root = random.Random(seed)
-    return [random.Random(root.getrandbits(64)) for _ in range(count)]
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -177,67 +177,6 @@ class SlidingWindow:
         return len(self._samples)
 
 
-class TimeWindowedSum:
-    """Sum of values observed within a trailing time window.
-
-    Used to turn byte counters into rates: the receive rate over the last
-    window is ``windowed_sum_of_bytes * 8 / window`` — except during
-    warm-up, before the estimator has observed a full window of time, when
-    :meth:`rate` divides by the elapsed span instead (see there).
-    """
-
-    def __init__(self, window: float) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._samples: Deque[_TimedSample] = deque()
-        self._sum = 0.0
-        #: Time of the first sample ever added — the start of observation,
-        #: which (unlike the oldest *retained* sample) survives idle gaps.
-        self._started: Optional[float] = None
-
-    def add(self, now: float, value: float) -> None:
-        if self._started is None:
-            self._started = now
-        self._samples.append(_TimedSample(now, value))
-        self._sum += value
-        self._evict(now)
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window
-        while self._samples and self._samples[0].time < cutoff:
-            self._sum -= self._samples.popleft().value
-
-    def total(self, now: Optional[float] = None) -> float:
-        if now is not None:
-            self._evict(now)
-        return self._sum
-
-    def rate(self, now: float) -> float:
-        """Average per-second rate of the summed quantity over the window.
-
-        During warm-up — before a full window of time has elapsed since
-        observation *started* — the divisor is the elapsed span, not the
-        window, so early rates are not underestimated.  The warm-up test is
-        against the first sample ever, not the oldest retained one: after an
-        idle gap evicts everything, a fresh burst is still averaged over the
-        full window (dividing by the tiny span since the burst began would
-        report a spurious spike).  A first sample with no elapsed span falls
-        back to the full window (the span carries no rate information yet,
-        and an infinite rate would be worse than a low one).
-        """
-        self._evict(now)
-        if not self._samples or self._started is None:
-            return 0.0
-        span = min(self.window, now - self._started)
-        if span <= 0.0:
-            span = self.window
-        return self._sum / span
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-
 def mean(values: Iterable[float]) -> float:
     """Arithmetic mean of a non-empty iterable."""
     values = list(values)

@@ -72,19 +72,6 @@ class EmpiricalSizeDistribution:
         """Numerical mean of the distribution (trapezoidal over quantiles)."""
         return _quantile_mean(tuple(self._sizes), tuple(self._probs), samples)
 
-    def fraction_at_or_below(self, size_bytes: float) -> float:
-        """Cumulative probability at ``size_bytes`` (log-linear interpolation)."""
-        if size_bytes <= self._sizes[0]:
-            return self._probs[0]
-        if size_bytes >= self._sizes[-1]:
-            return 1.0
-        idx = bisect.bisect_left(self._sizes, size_bytes)
-        s_lo, s_hi = self._sizes[idx - 1], self._sizes[idx]
-        p_lo, p_hi = self._probs[idx - 1], self._probs[idx]
-        frac = (math.log(size_bytes) - math.log(s_lo)) / (math.log(s_hi) - math.log(s_lo))
-        return p_lo + frac * (p_hi - p_lo)
-
-
 @functools.lru_cache(maxsize=32)
 def _quantile_mean(
     sizes: Tuple[float, ...], probs: Tuple[float, ...], samples: int
@@ -124,10 +111,3 @@ _INTERNET_CORE_POINTS: Tuple[Tuple[float, float], ...] = (
 def internet_core_cdf() -> EmpiricalSizeDistribution:
     """The synthetic stand-in for the paper's Internet-core request-size CDF."""
     return EmpiricalSizeDistribution(_INTERNET_CORE_POINTS)
-
-
-def uniform_sizes(size_bytes: int) -> EmpiricalSizeDistribution:
-    """Degenerate distribution: every flow has (approximately) the same size."""
-    if size_bytes <= 1:
-        raise ValueError("size_bytes must exceed 1")
-    return EmpiricalSizeDistribution(((size_bytes - 1, 0.0), (size_bytes, 1.0)))

@@ -5,7 +5,7 @@ import pytest
 from repro.cc import make_window_cc
 from repro.cc.base import BundleMeasurement
 from repro.core import BundlerConfig, install_bundler
-from repro.core.bundle import Bundle, multi_bundle_classifier, source_address_classifier
+from repro.core.bundle import source_address_classifier
 from repro.core.config import BundlerConfig as Config
 from repro.core.controller import BundleController, BundlerMode
 from repro.net.packet import PacketFactory
@@ -25,17 +25,6 @@ class TestBundleClassifier:
         assert classify(in_bundle) == 7
         assert classify(other) is None
         assert classify(control) is None
-
-    def test_multi_bundle_classifier(self):
-        factory = PacketFactory()
-        bundles = [
-            Bundle(bundle_id=0, source_addresses={1}),
-            Bundle(bundle_id=1, source_addresses={2}),
-        ]
-        classify = multi_bundle_classifier(bundles)
-        assert classify(factory.make(flow_id=1, src=1, dst=9, src_port=1, dst_port=2)) == 0
-        assert classify(factory.make(flow_id=1, src=2, dst=9, src_port=1, dst_port=2)) == 1
-        assert classify(factory.make(flow_id=1, src=3, dst=9, src_port=1, dst_port=2)) is None
 
 
 class TestBundlerConfig:

@@ -21,13 +21,6 @@ class TestScenarioConfig:
         cfg = ScenarioConfig(bottleneck_mbps=24, load_fraction=0.5)
         assert cfg.offered_load_bps == pytest.approx(12e6)
 
-    def test_with_mode_copies(self):
-        cfg = ScenarioConfig(mode="status_quo", seed=9)
-        other = cfg.with_mode("bundler_sfq")
-        assert other.mode == "bundler_sfq"
-        assert other.seed == 9
-        assert cfg.mode == "status_quo"
-
     def test_all_modes_enumerated(self):
         assert "status_quo" in ALL_MODES and "bundler_sfq" in ALL_MODES
 

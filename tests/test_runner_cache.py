@@ -59,7 +59,7 @@ class TestResultCache:
         with open(path, "w") as fh:
             fh.write("{not json")
         assert cache.get(result.key) is None
-        assert cache.load_all() == []
+        assert list(cache.iter_results()) == []
 
     def test_put_stores_elapsed_in_envelope_not_result(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
@@ -82,7 +82,7 @@ class TestResultCache:
         cache.put(_result())
         assert (root / MANIFEST_NAME).exists()
         assert len(cache) == 1
-        assert len(cache.load_all()) == 1
+        assert len(list(cache.iter_results())) == 1
 
 
 class TestManifest:
@@ -249,25 +249,41 @@ class TestGc:
 
     def test_killed_writers_temp_files_are_collected_after_the_grace(self, tmp_path):
         # A writer killed between mkstemp and os.replace leaves <random>.tmp
-        # in the cache root; gc collects it once it is older than the grace
-        # it gives orphan traces (a younger one may have a live writer).
+        # in the cache root; gc collects it once it is older than the fixed
+        # grace (a younger one may have a live writer).  Aged through now=.
         root = tmp_path / "cache"
         cache = ResultCache(str(root))
         result = _result()
         cache.put(result)
-        old, young = root / "killed.tmp", root / "inflight.tmp"
-        old.write_text('{"result": {"trunc')
-        young.write_text("")
-        two_days_ago = os.path.getmtime(old) - 2 * ResultCache.TRACE_GRACE_S
-        os.utime(old, (two_days_ago, two_days_ago))
+        killed = root / "killed.tmp"
+        killed.write_text('{"result": {"trunc')
+        written = os.path.getmtime(killed)
 
-        dry = cache.gc(dry_run=True)
-        assert dry.evicted_stale_tmp == 1 and old.exists()
-        stats = cache.gc()
+        young = cache.gc(now=written + 0.5 * ResultCache.TMP_GRACE_S)
+        assert young.evicted_stale_tmp == 0 and killed.exists()
+        assert "temp file" not in young.summary()
+        later = written + 2 * ResultCache.TMP_GRACE_S
+        dry = cache.gc(now=later, dry_run=True)
+        assert dry.evicted_stale_tmp == 1 and killed.exists()
+        stats = cache.gc(now=later)
         assert stats.evicted_stale_tmp == 1
-        assert stats.evicted_tmp_files == [str(old)]
+        assert stats.evicted_tmp_files == [str(killed)]
         assert "1 stale temp file(s) evicted" in stats.summary()
-        assert not old.exists() and young.exists()
+        assert not killed.exists()
         assert stats.evicted == 0 and cache.get(result.key) is not None
-        assert cache.gc(trace_grace_s=0.0).evicted_stale_tmp == 1
-        assert not young.exists()
+
+    def test_traces_dir_left_by_an_older_checkout_is_ignored(self, tmp_path):
+        # Older checkouts kept generated traces under <cache>/traces/; gc no
+        # longer knows the directory: nothing in it is examined or deleted,
+        # however old, and it is not mistaken for a record.
+        root = tmp_path / "cache"
+        cache = ResultCache(str(root))
+        cache.put(_result())
+        leftover = root / "traces" / ("ab" * 32 + ".jsonl.gz")
+        leftover.parent.mkdir()
+        leftover.write_bytes(b"")
+        stats = cache.gc(now=os.path.getmtime(leftover) + 30 * 86_400.0)
+        assert stats.examined == 1 and stats.evicted == 0
+        assert leftover.exists()
+        assert "trace" not in stats.summary()
+        assert len(cache) == 1

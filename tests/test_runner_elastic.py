@@ -205,6 +205,31 @@ class TestElasticJoin:
         finally:
             backend.close()
 
+    def test_one_batch_answered_in_two_partial_frames_completes(self):
+        # A worker whose outcomes outgrow the frame bound (REPRO_PROBES=1)
+        # answers one work_batch with several outcome_batch frames; the
+        # scheduler takes a reply one outcome at a time, hands the worker
+        # no new work until its last item is home, and punishes nobody.
+        items = _items(4)
+        backend = _backend(batch_size=4)
+        try:
+            sweep = _Sweep(backend, items)
+            worker = ScriptedWorker(backend.endpoint)
+            worker.expect("welcome")
+            batch = worker.take_work()
+            assert len(batch) == 4
+            worker.reply(batch[:3])
+            worker.reply(batch[3:])
+            worker.serve_until_shutdown()
+            _assert_complete(sweep.finish(), items)
+            telemetry = backend.telemetry()
+            assert telemetry["quarantined"] == 0
+            assert telemetry["requeued"] == 0 and telemetry["duplicate_outcomes"] == 0
+            (stats,) = telemetry["workers"].values()
+            assert stats["completed"] == 4 and stats["batches"] == 1
+        finally:
+            backend.close()
+
     def test_protocol_mismatch_rejected_at_the_door(self):
         items = _items(2)
         backend = _backend(join_grace_s=5.0)

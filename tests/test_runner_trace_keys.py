@@ -1,12 +1,14 @@
-"""Trace specs in the runner: digest-addressed keys, backend parity, gc.
+"""Trace specs in the runner: digest-addressed keys, backend parity.
 
 The acceptance gates of the trace subsystem's runner plumbing:
 
-* identical trace **content** yields identical cache keys, however the
-  trace is named (two file paths, file vs store digest);
+* identical trace **content** yields identical cache keys, whatever path
+  the file lives at;
+* a trace is named by generator spec or by file, never by digest alone —
+  and a worker that lacks the file still derives the scheduler's key, so
+  the failure is the typed missing-file error, not a key mismatch;
 * serial, process-pool, and distributed replay sweeps are byte-for-byte
-  cache-compatible (the same contract every other scenario enjoys);
-* ``gc`` evicts orphaned generated traces but keeps referenced ones.
+  cache-compatible (the same contract every other scenario enjoys).
 """
 
 import os
@@ -14,14 +16,14 @@ import shutil
 
 import pytest
 
-from repro.runner.backends import ProcessPoolBackend, SerialBackend
+from repro.runner.backends import ProcessPoolBackend, SerialBackend, WorkItem, execute_item
 from repro.runner.cache import ResultCache
 from repro.runner.engine import resolve_cell, run_sweep
 from repro.runner.params import ParamSpace, ParamSpec, ParamValidationError
-from repro.runner.registry import load_builtin_scenarios
 from repro.runner.spec import RunSpec
-from repro.traffic.format import store_trace_path, write_trace
-from repro.traffic.generators import generate_trace
+from repro.traffic.format import write_trace
+from repro.traffic.generators import TraceSpecError, generate_trace
+from repro.traffic.spec import coerce_trace_spec, open_trace
 
 SPEC = {"generator": "poisson", "params": {"rate_per_s": 60.0, "horizon_s": 1.0}}
 
@@ -73,16 +75,17 @@ class TestTraceParamKind:
         )[2]
         assert before != after
 
-    def test_file_and_digest_spec_share_a_key(self, tmp_path):
+    @pytest.mark.parametrize("shape", ["object", "string"])
+    def test_digest_alone_is_refused_naming_the_file_shape(self, tmp_path, shape):
+        # Nothing resolves a trace from its digest: both spellings of the
+        # old store spec are spec errors that say what to pass instead.
         path = tmp_path / "trace.jsonl"
         digest = write_trace(str(path), generate_trace(SPEC, 5))
-        key_file = resolve_cell(
-            RunSpec("trace_diurnal_load", params={"trace": str(path)})
-        )[2]
-        key_digest = resolve_cell(
-            RunSpec("trace_diurnal_load", params={"trace": digest.id})
-        )[2]
-        assert key_file == key_digest
+        spec = {"digest": digest.id} if shape == "object" else digest.id
+        with pytest.raises(TraceSpecError, match=r'by digest alone.*\{"file": PATH\}'):
+            coerce_trace_spec(spec)
+        with pytest.raises(ParamValidationError, match="by digest alone"):
+            resolve_cell(RunSpec("trace_diurnal_load", params={"trace": spec}))
 
     def test_generator_spec_spelling_cannot_mint_second_key(self):
         spelled = {"generator": "poisson", "params": {"rate_per_s": 60, "horizon_s": 1}}
@@ -90,43 +93,31 @@ class TestTraceParamKind:
         key_b = resolve_cell(RunSpec("trace_diurnal_load", params={"trace": spelled}))[2]
         assert key_a == key_b
 
-    def test_declared_digest_survives_a_missing_file(self):
+    def test_declared_digest_survives_a_missing_file(self, tmp_path):
         # A distributed worker re-coerces the scheduler-shipped spec on a
         # host where the path does not exist: the declared digest is the
-        # content identity and must pass through (open_trace then falls
-        # back to the worker's local store) instead of failing the stat.
-        from repro.traffic.spec import coerce_trace_spec
-        from repro.traffic.generators import TraceSpecError
-
-        digest_id = "sha256:" + "ab" * 32
-        spec = {"file": "/not/on/this/host.jsonl", "digest": digest_id}
-        assert coerce_trace_spec(spec) == {
-            "digest": digest_id, "file": "/not/on/this/host.jsonl",
-        }
+        # content identity and must pass through instead of failing the
+        # stat, so the worker derives the scheduler's key ...
+        path = tmp_path / "trace.jsonl"
+        write_trace(str(path), generate_trace(SPEC, 5))
+        _, shipped, scheduler_key = resolve_cell(
+            RunSpec("trace_diurnal_load", params={"trace": str(path)})
+        )
+        os.unlink(path)
+        assert coerce_trace_spec(shipped["trace"]) == shipped["trace"]
+        _, _, worker_key = resolve_cell(RunSpec("trace_diurnal_load", params=shipped))
+        assert worker_key == scheduler_key
+        # ... and the cell fails with the typed error that names the file
+        # and its digest, not with a ResultKeyMismatch.
+        with pytest.raises(TraceSpecError, match="not found on this host") as excinfo:
+            open_trace(shipped["trace"])
+        assert str(path) in str(excinfo.value)
+        assert shipped["trace"]["digest"] in str(excinfo.value)
+        outcome = execute_item(WorkItem(0, "trace_diurnal_load", shipped, seed=0))
+        assert "TraceSpecError" in outcome.error and "KeyMismatch" not in outcome.error
         # Without a declared digest the stat failure is still an error.
         with pytest.raises(TraceSpecError, match="cannot stat"):
-            coerce_trace_spec({"file": "/not/on/this/host.jsonl"})
-
-    def test_cli_points_store_at_cache_dir(self, tmp_path, monkeypatch, capsys):
-        # `--cache-dir X trace generate --store` then `--cache-dir X run
-        # -p trace=sha256:...` must resolve through X/traces.
-        import repro.runner.cli as cli
-
-        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
-        monkeypatch.setattr(cli, "_trace_store_exported", None)
-        cache_dir = str(tmp_path / "cache")
-        assert cli.main(["--cache-dir", cache_dir, "trace", "generate",
-                         "--generator", "poisson", "-p", "horizon_s=1.0",
-                         "--store"]) == 0
-        stored = os.listdir(os.path.join(cache_dir, "traces"))
-        digest_id = "sha256:" + stored[0].split(".")[0]
-        code = cli.main(["--cache-dir", cache_dir, "run", "trace_diurnal_load",
-                         "-p", f"trace={digest_id}",
-                         "-p", "duration_s=2.0", "-p", "num_servers=2"])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        assert "flows_replayed" in captured.out
-        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+            coerce_trace_spec({"file": str(path)})
 
     def test_cache_view_keeps_result_params_intact(self, tmp_path):
         # The *key* drops the path, but the resolved params (what the
@@ -187,67 +178,3 @@ class TestTraceSweepParity:
         warm = run_sweep([RunSpec("trace_diurnal_load", params=params_moved)],
                          cache=cache, backend=SerialBackend())
         assert warm.hits == 1
-
-
-class TestGcOrphanTraces:
-    def _store_trace(self, cache_dir, seed, *, age_s=0):
-        events = list(generate_trace(SPEC, seed))
-        from repro.traffic.format import events_digest
-        digest = events_digest(iter(events))
-        path = store_trace_path(digest.id, cache_dir)
-        write_trace(path, iter(events))
-        if age_s:
-            import time
-            old = time.time() - age_s
-            os.utime(path, (old, old))
-        return digest, path
-
-    def test_orphans_evicted_referenced_kept(self, tmp_path, monkeypatch):
-        cache_dir = str(tmp_path / "cache")
-        cache = ResultCache(cache_dir)
-        referenced, ref_path = self._store_trace(cache_dir, 1, age_s=7 * 86400)
-        orphan, orphan_path = self._store_trace(cache_dir, 2, age_s=7 * 86400)
-        # A run that references the first trace by digest.  The scenario
-        # resolves digest-only specs through the store, which defaults to
-        # .repro-cache/traces — point it at this cache via the env override.
-        monkeypatch.setenv("REPRO_TRACE_STORE", os.path.join(cache_dir, "traces"))
-        params = dict(FAST, trace=referenced.id)
-        run_sweep([RunSpec("trace_diurnal_load", params=params)],
-                  cache=cache, backend=SerialBackend())
-        stats = cache.gc(registry=load_builtin_scenarios())
-        assert stats.trace_files_examined == 2
-        assert stats.evicted_orphan_traces == 1
-        assert os.path.exists(ref_path)
-        assert not os.path.exists(orphan_path)
-
-    def test_fresh_orphans_survive_the_grace_period(self, tmp_path):
-        # A trace stored moments ago (e.g. `trace generate --store` before
-        # the sweep that will reference it) must not be collected.
-        cache_dir = str(tmp_path / "cache")
-        cache = ResultCache(cache_dir)
-        _, fresh_path = self._store_trace(cache_dir, 4)
-        stats = cache.gc()
-        assert stats.trace_files_examined == 1
-        assert stats.evicted_orphan_traces == 0
-        assert os.path.exists(fresh_path)
-        # An explicit zero grace evicts it.
-        stats = cache.gc(trace_grace_s=0)
-        assert stats.evicted_orphan_traces == 1
-        assert not os.path.exists(fresh_path)
-
-    def test_dry_run_reports_without_deleting(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        cache = ResultCache(cache_dir)
-        _, orphan_path = self._store_trace(cache_dir, 3, age_s=7 * 86400)
-        stats = cache.gc(dry_run=True)
-        assert stats.evicted_orphan_traces == 1
-        assert os.path.exists(orphan_path)
-        assert "1 orphan(s)" in stats.summary()
-        stats = cache.gc()
-        assert not os.path.exists(orphan_path)
-
-    def test_no_store_dir_is_silent(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        stats = cache.gc()
-        assert stats.trace_files_examined == 0
-        assert "stored trace" not in stats.summary()

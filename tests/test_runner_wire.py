@@ -168,6 +168,46 @@ class TestWorkerProtocol:
         assert outcome["payload"] is None
         assert "no_such_scenario" in outcome["error"]
 
+    @staticmethod
+    def _batch(n):
+        return {
+            "type": "work_batch",
+            "items": [
+                {"index": i, "scenario": "ablation_pi_gains",
+                 "params": {"alpha": 5.0, "beta": 10.0 + i}, "seed": 0}
+                for i in range(n)
+            ],
+        }
+
+    def test_reply_that_outgrows_the_bound_is_split_across_frames(self, monkeypatch):
+        # At the real bound a 4-item batch is one reply frame ...
+        code, replies = _drive_worker(self._batch(4), {"type": "shutdown"})
+        (whole,) = replies[1:]
+        assert code == 0 and len(whole["outcomes"]) == 4
+        # ... under a bound the whole reply cannot fit (as REPRO_PROBES=1
+        # outcomes eventually cannot), every outcome still comes home, in
+        # several frames, and the worker lives to see the shutdown.
+        # _drive_worker reads the replies under the same bound.
+        bound = len(encode_message(whole)) * 3 // 4
+        monkeypatch.setattr("repro.runner.wire.MAX_MESSAGE_BYTES", bound)
+        code, replies = _drive_worker(self._batch(4), {"type": "shutdown"})
+        assert code == 0
+        frames = replies[1:]
+        assert len(frames) >= 2 and {f["type"] for f in frames} == {"outcome_batch"}
+        outcomes = [o for f in frames for o in f["outcomes"]]
+        assert [o["index"] for o in outcomes] == [0, 1, 2, 3]
+        assert all(o["error"] is None for o in outcomes)
+        assert [o["payload"] for o in outcomes] == [o["payload"] for o in whole["outcomes"]]
+
+    def test_outcome_too_large_for_any_frame_travels_as_an_error_outcome(self, monkeypatch):
+        monkeypatch.setattr("repro.runner.wire.MAX_MESSAGE_BYTES", 600)
+        code, replies = _drive_worker(self._batch(1), {"type": "ping"}, {"type": "shutdown"})
+        assert code == 0
+        assert [r["type"] for r in replies] == ["hello", "outcome_batch", "pong"]
+        (outcome,) = replies[1]["outcomes"]
+        assert outcome["index"] == 0 and outcome["payload"] is None
+        assert "exceeds MAX_MESSAGE_BYTES" in outcome["error"]
+
     def test_malformed_work_item_reported_not_fatal(self):
         # A skewed scheduler sending an item without index/scenario must
         # get an error frame back, not a dead pipe.

@@ -53,20 +53,11 @@ class TestTraceGenerate:
         events = list(read_trace(str(out)))
         assert events and all(e.kind == "stream" for e in events)
 
-    def test_generate_into_store(self, tmp_path, capsys):
-        cache = tmp_path / "cache"
-        assert main(["--cache-dir", str(cache), "trace", "generate",
-                     "--generator", "poisson", "-p", "horizon_s=1", "--store"]) == 0
-        capsys.readouterr()
-        stored = os.listdir(cache / "traces")
-        assert len(stored) == 1
-        path = cache / "traces" / stored[0]
-        digest = trace_digest(str(path))
-        assert stored[0] == f"{digest.hexdigest}.jsonl.gz"
-
     def test_generate_flag_conflicts(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["trace", "generate", "--generator", "poisson"])  # no --out/--store
+            main(["trace", "generate", "--generator", "poisson"])  # no --out
+        with pytest.raises(SystemExit):
+            main(["trace", "generate", "--generator", "poisson", "--store"])  # gone
         with pytest.raises(SystemExit):
             main(["trace", "generate", "-o", "x.jsonl"])  # no generator
         spec = tmp_path / "s.json"

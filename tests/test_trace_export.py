@@ -30,12 +30,15 @@ CHEAP = RunSpec("fig13_competing_bundles", {"duration_s": 1}, seed=1)
 
 @pytest.fixture(scope="module")
 def probed_result():
-    return execute_run(CHEAP, registry=load_builtin_scenarios())
+    # Series are recorded on request; the default run carries none.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(PROBES_ENV, "1")
+        return execute_run(CHEAP, registry=load_builtin_scenarios())
 
 
 class TestBuildTrace:
     def test_refuses_result_without_probes(self, probed_result, monkeypatch):
-        monkeypatch.setenv(PROBES_ENV, "0")
+        monkeypatch.delenv(PROBES_ENV, raising=False)
         bare = execute_run(CHEAP, registry=load_builtin_scenarios())
         with pytest.raises(ValueError, match="no probe telemetry"):
             build_trace(bare)
@@ -236,7 +239,7 @@ class TestReportTimeseries:
     def test_probeless_records_export_no_rows_with_note(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setenv(PROBES_ENV, "0")
+        monkeypatch.delenv(PROBES_ENV, raising=False)
         bare = execute_run(CHEAP, registry=load_builtin_scenarios())
         cache = ResultCache(tmp_path / "cache")
         cache.put(bare, elapsed_s=0.5)
@@ -252,6 +255,8 @@ class TestReportTimeseries:
         captured = capsys.readouterr()
         assert len(captured.out.strip().split("\n")) == 1  # header only
         assert "no cached run carries probe series" in captured.err
+        # ... and says both ways to get them.
+        assert "REPRO_PROBES=1" in captured.err and "trace-export" in captured.err
 
 
 class TestTimeseriesTable:

@@ -11,9 +11,7 @@ from repro.traffic.format import (
     file_trace_digest,
     parse_digest_id,
     read_trace,
-    store_trace_path,
     trace_digest,
-    trace_store_dir,
     validate_trace,
     write_trace,
 )
@@ -190,16 +188,8 @@ class TestValidate:
 
 
 class TestStore:
-    def test_store_dir_resolution(self, tmp_path, monkeypatch):
-        assert trace_store_dir("cachedir").endswith("cachedir/traces")
-        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "elsewhere"))
-        assert trace_store_dir() == str(tmp_path / "elsewhere")
-        monkeypatch.delenv("REPRO_TRACE_STORE")
-        assert trace_store_dir() == ".repro-cache/traces"
-
-    def test_store_path_and_digest_parsing(self):
+    def test_digest_id_parsing(self):
         digest = "sha256:" + "ab" * 32
-        assert store_trace_path(digest, "c").endswith("ab" * 32 + ".jsonl.gz")
         assert parse_digest_id(digest) == "ab" * 32
         for bad in ("md5:abc", "sha256:xyz", "sha256:" + "a" * 10, "abc"):
             with pytest.raises(TraceFormatError):

@@ -1,22 +1,10 @@
 """Tests for deterministic RNG helpers."""
 
-from repro.util.rng import derive_seed, make_rng, spawn_rngs
+from repro.util.rng import derive_seed, make_rng
 
 
 def test_make_rng_is_deterministic():
     assert make_rng(42).random() == make_rng(42).random()
-
-
-def test_spawn_rngs_independent_streams():
-    rngs = spawn_rngs(7, 3)
-    values = [r.random() for r in rngs]
-    assert len(set(values)) == 3
-
-
-def test_spawn_rngs_reproducible():
-    first = [r.random() for r in spawn_rngs(7, 3)]
-    second = [r.random() for r in spawn_rngs(7, 3)]
-    assert first == second
 
 
 def test_derive_seed_depends_on_label_and_seed():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.windowed import EWMA, MaxFilter, MinFilter, SlidingWindow, TimeWindowedSum
+from repro.util.windowed import EWMA, MaxFilter, MinFilter, SlidingWindow
 
 
 class TestEwma:
@@ -99,65 +99,3 @@ class TestSlidingWindow:
     def test_empty_stats_are_none(self):
         w = SlidingWindow(window=1.0)
         assert w.mean() is None and w.min() is None and w.max() is None
-
-
-class TestTimeWindowedSum:
-    def test_rate_after_full_window(self):
-        s = TimeWindowedSum(window=1.0)
-        s.add(0.0, 500.0)
-        s.add(0.5, 500.0)
-        # A full window has elapsed since the oldest sample: divide by it.
-        assert s.total(1.0) == pytest.approx(1000.0)
-        assert s.rate(1.0) == pytest.approx(1000.0)
-
-    def test_rate_during_warmup_divides_by_elapsed_span(self):
-        # Regression: dividing by the full window before a window's worth of
-        # time elapsed underestimated early rates (500 B over 0.25 s reported
-        # as 500 B/s instead of 2000 B/s).
-        s = TimeWindowedSum(window=1.0)
-        s.add(0.0, 500.0)
-        s.add(0.25, 500.0)
-        assert s.rate(0.25) == pytest.approx(1000.0 / 0.25)
-        assert s.rate(0.5) == pytest.approx(1000.0 / 0.5)
-
-    def test_rate_single_sample_guard(self):
-        # One sample with zero elapsed span carries no rate information; the
-        # full-window divisor is the conservative fallback (not a div-by-zero
-        # or an infinite rate).
-        s = TimeWindowedSum(window=2.0)
-        s.add(1.0, 500.0)
-        assert s.rate(1.0) == pytest.approx(250.0)
-
-    def test_rate_empty_is_zero(self):
-        s = TimeWindowedSum(window=1.0)
-        assert s.rate(5.0) == 0.0
-        s.add(0.0, 500.0)
-        # Everything evicted: back to zero, no stale-span division.
-        assert s.rate(3.0) == 0.0
-
-    def test_rate_after_idle_gap_divides_by_window(self):
-        # Warm-up is measured from the first sample ever, not the oldest
-        # retained one: a burst right after an idle gap must be averaged
-        # over the window, not over the burst's tiny span (which would
-        # report a 10x spike to a controller polling after a pause).
-        s = TimeWindowedSum(window=1.0)
-        s.add(0.0, 500.0)
-        # 2 s of silence evicts everything, then a quick burst.
-        s.add(12.0, 500.0)
-        s.add(12.1, 500.0)
-        assert s.rate(12.1) == pytest.approx(1000.0)
-
-    def test_eviction(self):
-        s = TimeWindowedSum(window=1.0)
-        s.add(0.0, 500.0)
-        s.add(1.5, 100.0)
-        assert s.total(1.5) == pytest.approx(100.0)
-
-    @given(st.lists(st.floats(min_value=0, max_value=1000), min_size=1, max_size=30))
-    def test_sum_never_negative(self, values):
-        s = TimeWindowedSum(window=0.5)
-        t = 0.0
-        for v in values:
-            t += 0.05
-            s.add(t, v)
-            assert s.total(t) >= 0.0

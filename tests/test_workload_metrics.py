@@ -6,21 +6,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.metrics.fct import FctAnalysis, ideal_fct, slowdown
-from repro.metrics.reporting import Table, format_comparison, paper_expectation_note
-from repro.metrics.stats import DistributionSummary, geometric_mean, improvement, jains_fairness, summarize
+from repro.metrics.reporting import Table
+from repro.metrics.stats import DistributionSummary, improvement, summarize
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
 from repro.transport.flow import FlowRecord
 from repro.util.rng import make_rng
 from repro.traffic.generators import arrival_rate_for_load
 from repro.traffic.replay import TraceReplayWorkload
-from repro.workload.flowsize import EmpiricalSizeDistribution, internet_core_cdf, uniform_sizes
+from repro.workload.flowsize import EmpiricalSizeDistribution, internet_core_cdf
 
 
 class TestFlowSizes:
     def test_internet_core_matches_paper_statistics(self):
         cdf = internet_core_cdf()
-        assert cdf.fraction_at_or_below(10_000) == pytest.approx(0.976, abs=0.002)
+        # 97.6% of requests are at most 10 KB.
+        assert cdf.quantile(0.976) == pytest.approx(10_000, rel=0.01)
         # Largest 0.002% of requests are between 5 MB and 100 MB.
         assert cdf.quantile(0.99998) >= 5e6 * 0.9
         assert cdf.quantile(1.0) == pytest.approx(100e6)
@@ -36,11 +37,6 @@ class TestFlowSizes:
     def test_mean_is_finite_and_sensible(self):
         mean = internet_core_cdf().mean()
         assert 1_000 < mean < 100_000
-
-    def test_uniform_sizes(self):
-        rng = random.Random(0)
-        dist = uniform_sizes(5000)
-        assert all(abs(dist.sample(rng) - 5000) <= 1 for _ in range(10))
 
     def test_invalid_cdf_rejected(self):
         with pytest.raises(ValueError):
@@ -156,11 +152,6 @@ class TestStatsAndReporting:
     def test_improvement(self):
         assert improvement(1.76, 1.26) == pytest.approx(0.284, abs=0.001)
 
-    def test_geometric_mean_and_fairness(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert jains_fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)
-        assert jains_fairness([1.0, 0.0, 0.0]) == pytest.approx(1 / 3)
-
     def test_table_rendering(self):
         table = Table(["config", "median"], title="Figure 9")
         table.add_row("status_quo", 1.76)
@@ -172,10 +163,3 @@ class TestStatsAndReporting:
         table = Table(["a", "b"])
         with pytest.raises(ValueError):
             table.add_row("only one")
-
-    def test_format_comparison(self):
-        text = format_comparison("t", {"a": {"median": 1.0, "p99": 2.0}})
-        assert "median" in text and "p99" in text
-
-    def test_expectation_note(self):
-        assert "paper" in paper_expectation_note("28% lower", "30% lower")
