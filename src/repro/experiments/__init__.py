@@ -29,7 +29,7 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.ablations import pi_settle_time
 from repro.experiments.queue_shift import QueueShiftResult, run_queue_shift
-from repro.experiments.estimate_accuracy import EstimateTrace, run_estimate_sweep, run_estimate_trace
+from repro.experiments.estimate_accuracy import EstimateTrace, run_estimate_trace
 from repro.experiments.cross_traffic import (
     PhasedConfig,
     run_elastic_cross_point,
@@ -57,7 +57,6 @@ __all__ = [
     "run_queue_shift",
     "EstimateTrace",
     "run_estimate_trace",
-    "run_estimate_sweep",
     "PhasedConfig",
     "run_phased_cross_traffic",
     "run_short_cross_point",

@@ -16,7 +16,7 @@ the same time grid as Bundler's estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Sequence
+from typing import List
 
 from repro.core import BundlerConfig, install_bundler
 from repro.cc import make_window_cc
@@ -27,7 +27,6 @@ from repro.net.trace import QueueMonitor, RateMonitor, TimeSeries, percentile
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import register_scenario
 from repro.runner.schema import MetricSchema, MetricSpec
-from repro.runner.spec import expand_grid
 from repro.transport.flow import TcpFlow
 from repro.util.units import ms_to_s
 
@@ -132,21 +131,6 @@ def run_estimate_trace(
         estimated_recv_rate=estimated_rate,
         actual_recv_rate=actual_rate,
     )
-
-
-def run_estimate_sweep(
-    rates_mbps: Sequence[float] = (24.0, 48.0),
-    delays_ms: Sequence[float] = (20.0, 50.0, 100.0),
-    **kwargs,
-) -> List[EstimateTrace]:
-    """Run the (rate × delay) sweep used for Figures 5 and 6 (scaled down).
-
-    The cell grid is expanded through the runner's declarative sweep
-    machinery, so this function and ``repro-runner sweep`` agree on what the
-    figure contains.
-    """
-    cells = expand_grid({"bottleneck_mbps": rates_mbps, "rtt_ms": delays_ms})
-    return [run_estimate_trace(**cell, **kwargs) for cell in cells]
 
 
 @register_scenario(

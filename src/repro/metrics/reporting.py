@@ -1,14 +1,32 @@
 """Plain-text reporting.
 
-The benchmark harness prints paper-style rows ("configuration → median
-slowdown / p99 slowdown") so a run can be compared against the published
-numbers at a glance.  :class:`Table` is a tiny fixed-width table formatter
-with no external dependencies.
+:class:`Table` is a tiny fixed-width table formatter with no external
+dependencies — what the CLI prints; :func:`markdown_table` is its Markdown
+sibling, behind the generated ``docs/scenarios.md`` and ``docs/fidelity.md``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
+
+
+def markdown_escape(text: Any) -> str:
+    """``text`` made safe inside a Markdown table cell (``|``, newlines)."""
+    return str(text).replace("|", "\\|").replace("\n", " ")
+
+
+def markdown_row(cells: Sequence[Any]) -> str:
+    """One Markdown table line."""
+    return "| " + " | ".join(markdown_escape(cell) for cell in cells) + " |"
+
+
+def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> List[str]:
+    """A Markdown table as lines — the generated ``docs/*.md`` pages use it."""
+    return [
+        "| " + " | ".join(headers) + " |",
+        "| " + " | ".join("---" for _ in headers) + " |",
+        *(markdown_row(row) for row in rows),
+    ]
 
 
 class Table:

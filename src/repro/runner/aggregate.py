@@ -14,9 +14,10 @@ share a single record and the group has ``n == 1`` (with no spread to
 report).
 
 The layer is exposed three ways: as a library API (:func:`aggregate_results`
-/ :func:`aggregate_outcome`) that the benchmarks assert against, through
-``repro-runner report --aggregate``, and via
-:func:`repro.metrics.reporting.format_aggregate_cells` for rendering.
+/ :func:`aggregate_outcome`), through ``repro-runner report --aggregate``,
+and via :func:`repro.metrics.reporting.format_aggregate_cells` for
+rendering.  :mod:`repro.experiments.claims` judges the paper's claims with
+the same :class:`MetricAggregate` statistics over per-seed ratios.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from repro.util.canonical import canonical_json
 
 #: Two-sided 95% critical values of Student's t distribution by degrees of
 #: freedom.  Sample counts here are tiny (a handful of seeds), where the
-#: normal approximation badly understates the interval; beyond the table the
-#: normal value is close enough.
+#: normal approximation badly understates the interval.
 _T95: Dict[int, float] = {
     1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
     6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
@@ -42,15 +42,17 @@ _T95: Dict[int, float] = {
 
 
 def t95(df: int) -> float:
-    """Two-sided 95% t critical value for ``df`` degrees of freedom."""
+    """Two-sided 95% t critical value for ``df`` degrees of freedom.
+
+    Between and beyond the tabulated rows this is the value of the largest
+    tabulated df not above ``df`` — t shrinks as df grows, so the interval
+    errs wide, never narrow (claim verdicts rest on "interval inside band").
+    """
     if df < 1:
         raise ValueError("degrees of freedom must be >= 1")
     if df in _T95:
         return _T95[df]
-    for bound in (25, 30):
-        if df < bound:
-            return _T95[bound]
-    return 1.96
+    return _T95[max(bound for bound in _T95 if bound < df)]
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ class AggregateCell:
         return all(self.params.get(k) == v for k, v in params.items())
 
 
-def _numeric(value: Any) -> Optional[float]:
+def numeric(value: Any) -> Optional[float]:
     """Coerce a metric value for aggregation: numbers (bools count as 0/1)
     pass through; ``None`` and non-numeric values (strings, lists) do not."""
     if isinstance(value, bool):
@@ -159,9 +161,9 @@ def aggregate_results(results: Iterable[RunResult]) -> List[AggregateCell]:
         samples: Dict[str, List[float]] = {}
         for seed in seeds:
             for name, value in by_seed[seed].metrics.items():
-                numeric = _numeric(value)
-                if numeric is not None:
-                    samples.setdefault(name, []).append(numeric)
+                sample = numeric(value)
+                if sample is not None:
+                    samples.setdefault(name, []).append(sample)
         metrics = {
             name: MetricAggregate.from_samples(values)
             for name, values in samples.items()

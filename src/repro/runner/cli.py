@@ -21,6 +21,11 @@ Subcommands:
     they finish, so an interrupted sweep (Ctrl-C exits 130) resumes the
     same way.  ``--progress`` streams per-cell scheduling events to stderr
     as they happen.
+``fidelity``
+    Judge the paper's claims (:mod:`repro.experiments.claims`) over seeds
+    ``1..N``: one sweep over every figure's cells, with ``sweep``'s
+    execution flags and cache, then a verdict per claim from the mean and
+    95% CI across seeds.  ``--format md`` emits ``docs/fidelity.md``.
 ``report``
     Render cached results; ``--aggregate`` groups by (scenario, params)
     with mean ± 95% CI per metric across seeds.  ``--format`` selects
@@ -73,7 +78,13 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.metrics.reporting import Table, format_aggregate_cells, format_run_results
+from repro.metrics.reporting import (
+    Table,
+    format_aggregate_cells,
+    format_run_results,
+    markdown_escape,
+    markdown_table,
+)
 from repro.runner.aggregate import aggregate_results
 from repro.runner.backends import BACKEND_CHOICES, make_backend
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
@@ -147,20 +158,6 @@ def _parse_grid(pairs: Sequence[str]) -> Dict[str, List[Any]]:
     return grid
 
 
-def _md_escape(text: Any) -> str:
-    return str(text).replace("|", "\\|").replace("\n", " ")
-
-
-def _md_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> List[str]:
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(_md_escape(cell) for cell in row) + " |")
-    return lines
-
-
 def render_scenarios_markdown(registry, *, verbose: bool = False) -> str:
     """The scenario catalogue as Markdown (``list --format md``).
 
@@ -184,15 +181,15 @@ def render_scenarios_markdown(registry, *, verbose: bool = False) -> str:
         index_rows.append(
             (f"`{name}`", scenario.figure or "-", scenario.description or "-")
         )
-    lines.extend(_md_table(["scenario", "paper figure / section", "description"], index_rows))
+    lines.extend(markdown_table(["scenario", "paper figure / section", "description"], index_rows))
     if verbose:
         for name in registry.names():
             scenario = registry.get(name)
             lines.extend(["", f"## `{name}`", ""])
             if scenario.description:
-                lines.extend([_md_escape(scenario.description), ""])
+                lines.extend([markdown_escape(scenario.description), ""])
             lines.extend(
-                _md_table(
+                markdown_table(
                     ["parameter", "type", "default", "description"],
                     scenario.params.describe_rows(),
                 )
@@ -200,7 +197,7 @@ def render_scenarios_markdown(registry, *, verbose: bool = False) -> str:
             if scenario.metrics is not None:
                 lines.append("")
                 lines.extend(
-                    _md_table(
+                    markdown_table(
                         ["metric", "unit", "direction", "description"],
                         scenario.metrics.describe_rows(),
                     )
@@ -297,14 +294,15 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     )
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    registry = load_builtin_scenarios()
-    sweep = _load_sweep_spec(args)
-    specs = sweep.expand()
-    if not specs:
-        raise SystemExit("sweep expanded to zero runs")
+def _execute(args: argparse.Namespace, specs: Sequence[RunSpec], what: str, *, log):
+    """Run ``specs`` under the execution flags ``sweep`` and ``fidelity`` share.
+
+    Prints the one-line header to ``log``; returns the
+    :class:`~repro.runner.engine.SweepOutcome`, or ``None`` when the user
+    interrupted (finished cells are in the cache — the same command resumes).
+    """
     chaos_plan = None
-    if getattr(args, "chaos_plan", None):
+    if args.chaos_plan:
         with open(args.chaos_plan, "r", encoding="utf-8") as fh:
             chaos_plan = json.load(fh)
     # Build the backend up front when a flag only some backends understand
@@ -340,8 +338,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         shown_workers = 1 if args.backend == "serial" else args.workers
     print(
-        f"sweep {sweep.scenario}: {len(specs)} cells on {shown_workers} worker(s) "
-        f"[{args.backend} backend]"
+        f"{what}: {len(specs)} cells on {shown_workers} worker(s) [{args.backend} backend]",
+        file=log,
     )
     on_progress = None
     if args.progress:
@@ -356,7 +354,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  {line}", file=sys.stderr, flush=True)
     cache = ResultCache(args.cache_dir)
     try:
-        outcome = run_sweep(
+        return run_sweep(
             specs,
             workers=args.workers,
             cache=cache,
@@ -370,12 +368,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "are in the cache; rerun the same command to resume",
             file=sys.stderr,
         )
-        return 130
+        return None
     finally:
         if not isinstance(backend, str):
             close = getattr(backend, "close", None)
             if close is not None:
                 close()
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    registry = load_builtin_scenarios()
+    sweep = _load_sweep_spec(args)
+    specs = sweep.expand()
+    if not specs:
+        raise SystemExit("sweep expanded to zero runs")
+    outcome = _execute(args, specs, f"sweep {sweep.scenario}", log=sys.stdout)
+    if outcome is None:
+        return 130
     schema = registry.get(sweep.scenario).metrics if sweep.scenario in registry else None
     print(
         format_run_results(
@@ -383,6 +392,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     )
     print(outcome.summary())
+    return 0
+
+
+def _cmd_fidelity(args: argparse.Namespace) -> int:
+    # Imported here: the claims table pulls in every experiment module, which
+    # no other command's start-up should pay for.
+    from repro.experiments import claims
+
+    n_seeds = claims.N if args.seeds is None else args.seeds
+    claims.validate()
+    outcome = _execute(
+        args, claims.sweep_specs(n_seeds), f"fidelity over seeds 1..{n_seeds}", log=sys.stderr
+    )
+    if outcome is None:
+        return 130
+    print(outcome.summary(), file=sys.stderr)
+    rows = claims.evaluate(outcome.results)
+    if args.format == "md":
+        sys.stdout.write(claims.render_markdown(rows, n_seeds))
+        return 0
+    table = Table(["claim", "statistic", "band", "measured", "verdict"])
+    for row in rows:
+        table.add_row(row.claim.id, row.claim.statistic, row.claim.band, row.measured, row.verdict)
+    print(table.render())
+    print(claims.tally(rows))
     return 0
 
 
@@ -660,6 +694,41 @@ def build_parser() -> argparse.ArgumentParser:
     # subcommand with its own default.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    # Where and how cells execute: shared by every command that runs a sweep.
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument("-w", "--workers", type=int, default=2, help="worker processes")
+    execution.add_argument(
+        "--backend", choices=BACKEND_CHOICES, default="auto",
+        help="execution backend (auto = process pool when --workers > 1)",
+    )
+    execution.add_argument(
+        "--hosts", default=None, metavar="HOST[:SLOTS],...",
+        help="distributed backend only: worker hosts, e.g. localhost:2 or "
+             "nodeA:4,nodeB:4 (remote hosts are reached over ssh; default: "
+             "localhost:<--workers>)",
+    )
+    execution.add_argument(
+        "--progress", action="store_true",
+        help="stream per-cell scheduling events (completions, re-dispatches, "
+             "worker quarantines) to stderr",
+    )
+    execution.add_argument("--no-cache", action="store_true", help="force re-simulation of every cell")
+    execution.add_argument(
+        "--batch-size", type=int, default=None, metavar="N",
+        help="distributed backend: dispatch up to N cells per wire frame "
+             "(amortizes framing on large grids; default: 1)",
+    )
+    execution.add_argument(
+        "--listen", default=None, metavar="[HOST:]PORT",
+        help="distributed backend: accept elastic worker joins on this "
+             "endpoint (port 0 = ephemeral; workers connect with "
+             "'repro-runner workers join')",
+    )
+    execution.add_argument(
+        "--chaos-plan", default=None, metavar="FILE",
+        help="distributed backend (testing): JSON fault plan delivered to "
+             "every worker's wire layer (see repro.testing.chaos)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="list registered scenarios", parents=[common])
@@ -683,7 +752,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--no-cache", action="store_true", help="force re-simulation")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="expand and execute a sweep", parents=[common])
+    p_sweep = sub.add_parser(
+        "sweep", help="expand and execute a sweep", parents=[common, execution]
+    )
     p_sweep.add_argument("--spec", help="JSON sweep-spec file")
     p_sweep.add_argument("--smoke", action="store_true", help="run the built-in 8-cell smoke grid")
     p_sweep.add_argument("--scenario", help="scenario name for an inline sweep")
@@ -696,40 +767,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid axis (repeatable; cartesian product)",
     )
     p_sweep.add_argument("--seeds", default="", help="comma-separated seed list (default: 1)")
-    p_sweep.add_argument("-w", "--workers", type=int, default=2, help="worker processes")
-    p_sweep.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="auto",
-        help="execution backend (auto = process pool when --workers > 1)",
-    )
-    p_sweep.add_argument(
-        "--hosts", default=None, metavar="HOST[:SLOTS],...",
-        help="distributed backend only: worker hosts, e.g. localhost:2 or "
-             "nodeA:4,nodeB:4 (remote hosts are reached over ssh; default: "
-             "localhost:<--workers>)",
-    )
-    p_sweep.add_argument(
-        "--progress", action="store_true",
-        help="stream per-cell scheduling events (completions, re-dispatches, "
-             "worker quarantines) to stderr",
-    )
-    p_sweep.add_argument("--no-cache", action="store_true", help="force re-simulation of every cell")
-    p_sweep.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="distributed backend: dispatch up to N cells per wire frame "
-             "(amortizes framing on large grids; default: 1)",
-    )
-    p_sweep.add_argument(
-        "--listen", default=None, metavar="[HOST:]PORT",
-        help="distributed backend: accept elastic worker joins on this "
-             "endpoint (port 0 = ephemeral; workers connect with "
-             "'repro-runner workers join')",
-    )
-    p_sweep.add_argument(
-        "--chaos-plan", default=None, metavar="FILE",
-        help="distributed backend (testing): JSON fault plan delivered to "
-             "every worker's wire layer (see repro.testing.chaos)",
-    )
     p_sweep.set_defaults(fn=_cmd_sweep)
+
+    p_fidelity = sub.add_parser(
+        "fidelity",
+        help="judge the paper's claims (repro.experiments.claims) over seeds 1..N",
+        parents=[common, execution],
+    )
+    p_fidelity.add_argument(
+        "--seeds", type=int, default=None, metavar="N",
+        help="judge over seeds 1..N (default: the tier-1 count, claims.N)",
+    )
+    p_fidelity.add_argument(
+        "--format", choices=("table", "md"), default="table",
+        help="output format; 'md' is the source of docs/fidelity.md",
+    )
+    p_fidelity.set_defaults(fn=_cmd_fidelity)
 
     p_report = sub.add_parser("report", help="summarize cached results", parents=[common])
     p_report.add_argument("--scenario", help="restrict to one scenario")

@@ -7,9 +7,9 @@ cartesian product is swept (rightmost key varies fastest, like nested
 advance in lock-step, and a list of seeds.  ``expand()`` turns the spec into
 concrete :class:`RunSpec` cells for the engine.
 
-The same expansion helpers back the in-process sweeps in
-:mod:`repro.experiments` (e.g. :func:`repro.experiments.run_estimate_sweep`),
-so "which cells does this figure contain" is defined in exactly one place.
+The cells each paper figure is judged on are such specs too
+(:data:`repro.experiments.claims.GRIDS`), so "which cells does this figure
+contain" is defined in exactly one place.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared helpers for the test and benchmark suites.
+"""Shared helpers for the test suites.
 
 Historically these lived in ``tests/conftest.py`` and ``benchmarks/conftest.py``
 and were imported with ``from conftest import ...`` — which resolves to
@@ -9,18 +9,9 @@ importable package; conftest files should hold fixtures only.
 
 from __future__ import annotations
 
-import os
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.net.packet import Packet, PacketFactory
-
-#: Common scaled-down dimensions used by the benchmark scenarios.
-BENCH_SCALE = {
-    "bottleneck_mbps": 24.0,
-    "rtt_ms": 50.0,
-    "duration_s": 15.0,
-    "seed": 1,
-}
 
 
 def make_packet(
@@ -52,22 +43,3 @@ def make_packet(
         traffic_class=traffic_class,
     )
 
-
-#: Environment variable naming the benchmark results side-file.
-RESULTS_FILE_ENV = "REPRO_RESULTS_FILE"
-
-
-def report(title: str, lines: Iterable[str]) -> None:
-    """Print a paper-vs-measured block that survives pytest's capture.
-
-    Writes straight to stdout (so ``pytest benchmarks/ -s`` shows it) and,
-    when :data:`RESULTS_FILE_ENV` is set — ``benchmarks/conftest.py`` points
-    it at ``benchmarks/results.txt`` — appends to that side-file so results
-    are preserved even without ``-s``.
-    """
-    text = "\n".join([f"\n=== {title} ===", *lines])
-    print(text)
-    path = os.environ.get(RESULTS_FILE_ENV)
-    if path:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(text + "\n")

@@ -1,13 +1,16 @@
 """Documentation checks: links resolve, the generated catalogue is fresh.
 
-CI's docs job runs exactly this file.  Two invariants:
+CI's docs job runs exactly this file.  Three invariants:
 
 * every relative Markdown link (and anchor-less file reference) in
   ``README.md`` and ``docs/*.md`` points at a file that exists;
 * ``docs/scenarios.md`` is byte-identical to what
   ``repro-runner list -v --format md`` renders from the live registry —
   adding or changing a scenario without regenerating the catalogue fails
-  here, not three PRs later.
+  here, not three PRs later;
+* ``docs/fidelity.md`` has one row per claim of
+  ``repro.experiments.claims.CLAIMS``, in table order (what each row *says*
+  is pinned, with simulation, by ``benchmarks/test_claims.py``).
 """
 
 import argparse
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.claims import CLAIMS
 from repro.runner.cli import build_parser, render_scenarios_markdown
 from repro.runner.distributed import DistributedBackend
 from repro.runner.registry import load_builtin_scenarios
@@ -33,7 +37,9 @@ def _doc_files():
 
 
 def test_docs_tree_exists():
-    expected = {"architecture.md", "runner.md", "api.md", "distributed.md", "scenarios.md"}
+    expected = {
+        "architecture.md", "runner.md", "api.md", "distributed.md", "scenarios.md", "fidelity.md",
+    }
     assert expected <= {p.name for p in DOCS.glob("*.md")}
 
 
@@ -68,9 +74,23 @@ def test_scenarios_md_covers_every_scenario():
     assert not missing
 
 
+def test_fidelity_md_has_one_row_per_claim():
+    # No simulation: a claim added, renamed or deleted without regenerating
+    # the page fails here (and in the docs CI job) before any sweep runs.
+    text = (DOCS / "fidelity.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| `([^`]+)` \|", text, flags=re.MULTILINE)
+    assert documented == [claim.id for claim in CLAIMS], (
+        "docs/fidelity.md is stale versus repro.experiments.claims.CLAIMS; regenerate with:\n"
+        "  PYTHONPATH=src python -m repro.runner fidelity --format md > docs/fidelity.md"
+    )
+
+
 def test_readme_mentions_docs_tree():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    for page in ("docs/architecture.md", "docs/runner.md", "docs/distributed.md", "docs/api.md"):
+    for page in (
+        "docs/architecture.md", "docs/runner.md", "docs/distributed.md", "docs/api.md",
+        "docs/fidelity.md",
+    ):
         assert page in readme, f"README no longer links {page}"
 
 

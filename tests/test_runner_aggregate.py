@@ -57,8 +57,13 @@ class TestMetricAggregate:
     def test_t_table(self):
         assert t95(1) == pytest.approx(12.706)
         assert t95(4) == pytest.approx(2.776)
-        assert t95(22) == pytest.approx(2.060)  # next tabulated bound
-        assert t95(1000) == pytest.approx(1.96)
+        # Between and beyond the rows: the largest tabulated df <= the
+        # requested one, i.e. never a narrower interval than the true value
+        # (t(22) = 2.074, t(31) = 2.040).
+        assert t95(22) == pytest.approx(2.086)
+        assert t95(29) == pytest.approx(2.060)
+        assert t95(31) == pytest.approx(2.042)
+        assert t95(1000) == pytest.approx(2.042)
         with pytest.raises(ValueError):
             t95(0)
 

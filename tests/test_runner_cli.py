@@ -387,3 +387,77 @@ class TestProfileCli:
 
         with pytest.raises(ValueError):
             profile_run("fig13_competing_bundles", {"duration_s": 1}, sort="zorp")
+
+
+class TestFidelity:
+    """``fidelity`` end to end over a hand-filled cache — nothing simulates."""
+
+    @pytest.fixture
+    def warm_cache(self, tmp_path):
+        from repro.experiments import claims
+        from repro.runner.cache import ResultCache
+        from repro.runner.engine import effective_seed, resolve_cell
+        from repro.runner.result import RunResult
+
+        # Every metric any claim reads, per scenario; 1.0 satisfies "= 1",
+        # fails "= 0" and makes every ratio 1.
+        wanted = {}
+        for claim in claims.CLAIMS:
+            for side in filter(None, (claim.value, claim.over)):
+                scenario, _ = claims.pick_cell(claim.figure, side[1])
+                wanted.setdefault(scenario, {}).update(
+                    dict.fromkeys(claims._metric_names(side), 1.0)
+                )
+        cache = ResultCache(str(tmp_path / "cache"))
+        for spec in claims.sweep_specs():
+            spec, params, key = resolve_cell(spec)
+            cache.put(RunResult(
+                scenario=spec.scenario, params=params, seed=spec.seed,
+                effective_seed=effective_seed(spec), key=key, metrics=wanted[spec.scenario],
+            ))
+        return cache.root
+
+    def test_md_goes_to_stdout_alone_and_lists_every_claim(self, warm_cache, capsys):
+        from repro.experiments.claims import CLAIMS
+
+        assert main(["--cache-dir", warm_cache, "fidelity", "--format", "md", "--backend", "serial"]) == 0
+        captured = capsys.readouterr()
+        # The page is redirected into docs/fidelity.md: header and summary
+        # lines belong on stderr.
+        assert captured.out.startswith("# Fidelity ledger")
+        assert "123 cells on 1 worker(s) [serial backend]" in captured.err
+        assert "123 served from cache (100% cache hits)" in captured.err
+        assert all(f"| `{claim.id}` |" in captured.out for claim in CLAIMS)
+        assert "| `fig09.fifo_matches_status_quo` | " in captured.out
+        assert "| [0.8, 1.25] | 1 ± 0 (n=3) | reproduces |" in captured.out
+        assert "| = 0 | 1 ± 0 (n=3) | **contradicts** |" in captured.out
+
+    def test_table_is_the_default_format(self, warm_cache, capsys):
+        assert main(["--cache-dir", warm_cache, "fidelity", "--backend", "serial"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].split() == ["claim", "statistic", "band", "measured", "verdict"]
+        assert out.splitlines()[-1].startswith("64 claims: ")
+
+    def test_more_seeds_than_the_cache_holds_would_simulate(self, warm_cache, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "repro.runner.engine.make_backend",
+            lambda name, **_: _ReportsThenFails(0, KeyboardInterrupt()),
+        )
+        assert main(["--cache-dir", warm_cache, "fidelity", "--seeds", "4", "--backend", "serial"]) == 130
+        assert "interrupted: 123 of 158 cells are in the cache" in capsys.readouterr().err
+
+    def test_zero_seeds_is_a_usage_error(self, capsys):
+        assert main(["fidelity", "--seeds", "0"]) == 2
+        assert "error: fidelity needs at least one seed" in capsys.readouterr().err
+
+    def test_sweep_and_fidelity_share_every_execution_flag(self):
+        from repro.runner.cli import build_parser
+
+        [sub] = [a for a in build_parser()._actions if hasattr(a, "choices") and a.choices]
+        flags = {
+            name: {o for action in sub.choices[name]._actions for o in action.option_strings}
+            for name in ("sweep", "fidelity")
+        }
+        shared = {"--workers", "--backend", "--hosts", "--progress", "--no-cache",
+                  "--batch-size", "--listen", "--chaos-plan", "--cache-dir"}
+        assert shared <= flags["sweep"] & flags["fidelity"]
