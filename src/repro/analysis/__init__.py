@@ -38,6 +38,7 @@ from repro.analysis.sanitizer import (
 
 # Importing the rule modules registers their rules with the registry.
 from repro.analysis import determinism as _determinism  # noqa: F401
+from repro.analysis import layering as _layering  # noqa: F401
 from repro.analysis import purity as _purity  # noqa: F401
 from repro.analysis import qdisc_rules as _qdisc_rules  # noqa: F401
 from repro.analysis import scheduler as _scheduler  # noqa: F401

@@ -16,6 +16,7 @@ Rule codes are grouped by contract family::
     RPR020..RPR029  qdisc contract
     RPR030..RPR039  cache purity
     RPR040..RPR049  wire compatibility
+    RPR050..RPR059  import layering
 
 Codes are permanent: a retired rule's code is never reused.
 """

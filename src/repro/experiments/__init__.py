@@ -1,5 +1,12 @@
 """Experiment scenarios reproducing the paper's evaluation.
 
+:mod:`repro.experiments.catalog` declares every built-in runner scenario
+(name, figure, version, knobs, metric schema) as data and names the run
+function by import path; it is all the registry loads.  The modules below
+are the *models* those entries point at — importing one imports the
+simulator, so this package imports none of them until a name is asked for:
+the attributes in ``__all__`` resolve on first access (PEP 562).
+
 :mod:`repro.experiments.scenarios` defines :class:`ScenarioConfig` /
 :func:`run_scenario`, the workhorse used by most figures: the §7.1
 site-to-site setup with a heavy-tailed request workload and a configurable
@@ -20,52 +27,39 @@ The remaining modules build the more specialised scenarios:
   :mod:`repro.traffic` specs; beyond the paper's evaluation.
 """
 
-from repro.experiments.scenarios import (
-    ScenarioConfig,
-    ScenarioResult,
-    policy_metrics,
-    run_scenario,
-    scenario_metrics,
-)
-from repro.experiments.ablations import pi_settle_time
-from repro.experiments.queue_shift import QueueShiftResult, run_queue_shift
-from repro.experiments.estimate_accuracy import EstimateTrace, run_estimate_trace
-from repro.experiments.cross_traffic import (
-    PhasedConfig,
-    run_elastic_cross_point,
-    run_phased_cross_traffic,
-    run_short_cross_point,
-)
-from repro.experiments.competing_bundles import run_competing_bundles
-from repro.experiments.multipath_sweep import run_multipath_point
-from repro.experiments.trace_replay import run_trace_replay
-from repro.experiments.internet_paths import (
-    DEFAULT_REGIONS,
-    median_latency_reduction,
-    run_internet_paths_study,
-    run_region,
-)
+from importlib import import_module
 
-__all__ = [
-    "ScenarioConfig",
-    "ScenarioResult",
-    "run_scenario",
-    "scenario_metrics",
-    "policy_metrics",
-    "pi_settle_time",
-    "QueueShiftResult",
-    "run_queue_shift",
-    "EstimateTrace",
-    "run_estimate_trace",
-    "PhasedConfig",
-    "run_phased_cross_traffic",
-    "run_short_cross_point",
-    "run_elastic_cross_point",
-    "run_competing_bundles",
-    "run_multipath_point",
-    "run_trace_replay",
-    "DEFAULT_REGIONS",
-    "run_region",
-    "run_internet_paths_study",
-    "median_latency_reduction",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ScenarioConfig": "scenarios",
+    "ScenarioResult": "scenarios",
+    "run_scenario": "scenarios",
+    "scenario_metrics": "scenarios",
+    "policy_metrics": "scenarios",
+    "pi_settle_time": "ablations",
+    "QueueShiftResult": "queue_shift",
+    "run_queue_shift": "queue_shift",
+    "EstimateTrace": "estimate_accuracy",
+    "run_estimate_trace": "estimate_accuracy",
+    "PhasedConfig": "cross_traffic",
+    "run_phased_cross_traffic": "cross_traffic",
+    "run_short_cross_point": "cross_traffic",
+    "run_elastic_cross_point": "cross_traffic",
+    "run_competing_bundles": "competing_bundles",
+    "run_multipath_point": "multipath_sweep",
+    "run_trace_replay": "trace_replay",
+    "DEFAULT_REGIONS": "internet_paths",
+    "run_region": "internet_paths",
+    "run_internet_paths_study": "internet_paths",
+    "median_latency_reduction": "internet_paths",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

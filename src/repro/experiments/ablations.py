@@ -13,53 +13,13 @@ them so the claims are regression-checked like any figure:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.core.passthrough import PiQueueController
 from repro.net.simulator import Simulator
-from repro.experiments.scenarios import (
-    BOTTLENECK_MBPS,
-    DURATION_S,
-    NUM_SERVERS,
-    RTT_MS,
-    SCENARIO_METRICS,
-    SCENARIO_PARAMS,
-    SENDBOX_CC,
-    WARMUP_S,
-    ScenarioConfig,
-    run_scenario,
-    scenario_metrics,
-)
-from repro.runner.params import ParamSpec, ParamSpace
-from repro.runner.registry import register_scenario
-from repro.runner.schema import MetricSchema, MetricSpec
+from repro.experiments.scenarios import ScenarioConfig, run_scenario, scenario_metrics
 
 
-@register_scenario(
-    "ablation_epoch_sampling",
-    figure="Ablation / §4.5",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Epoch sampling period: quarter-RTT spacing vs sparser sampling",
-    params=ParamSpace(
-        ParamSpec("epoch_rtt_fraction", kind="float", default=0.25, unit="fraction",
-                  minimum=0.01, maximum=4.0,
-                  description="epoch sampling period as a fraction of the RTT"),
-        BOTTLENECK_MBPS,
-        RTT_MS,
-        ParamSpec("load_fraction", kind="float", default=0.875, unit="fraction",
-                  minimum=0.05, maximum=1.45,
-                  description="offered load as a fraction of the bottleneck rate"),
-        replace(DURATION_S, default=10.0),
-        WARMUP_S,
-        NUM_SERVERS,
-        SCENARIO_PARAMS.get("max_requests"),
-        SENDBOX_CC,
-    ),
-    metrics=SCENARIO_METRICS,
-)
 def _epoch_sampling_scenario(*, seed: int, epoch_rtt_fraction: float, **params):
     config = ScenarioConfig(
         mode="bundler_sfq",
@@ -121,40 +81,6 @@ def pi_settle_time(
     return settle
 
 
-def _check_strictly_positive(value: float) -> None:
-    # PiQueueController rejects alpha == 0; an inclusive minimum cannot
-    # express "strictly positive", so the knob table must.
-    if value <= 0.0:
-        raise ValueError("must be strictly positive")
-
-
-@register_scenario(
-    "ablation_pi_gains",
-    figure="Ablation / §5",
-    description="Pass-through PI controller gains: fluid-model settle time to the target queue",
-    params=ParamSpace(
-        ParamSpec("alpha", kind="float", default=10.0, unit="gain",
-                  validator=_check_strictly_positive,
-                  description="PI proportional gain (strictly positive)"),
-        ParamSpec("beta", kind="float", default=10.0, unit="gain", minimum=0.0,
-                  description="PI integral gain"),
-        ParamSpec("target_queue_s", kind="float", default=0.010, unit="s", minimum=0.0001,
-                  description="target standing-queue delay"),
-        ParamSpec("tolerance_s", kind="float", default=0.002, unit="s", minimum=0.0001,
-                  description="settle tolerance around the target"),
-        ParamSpec("arrival_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-                  description="constant fluid arrival rate"),
-        ParamSpec("horizon_s", kind="float", default=40.0, unit="s", minimum=1.0,
-                  description="simulation horizon"),
-    ),
-    metrics=MetricSchema(
-        MetricSpec("settle_time_s", unit="s", direction="lower", nullable=True,
-                   description="first time the queue stays within tolerance (None = never)"),
-        MetricSpec("settled", kind="bool", direction="higher",
-                   description="whether the controller settled within the horizon"),
-    ),
-    seed_sensitive=False,
-)
 def _pi_gains_scenario(
     *,
     seed: int,

@@ -9,18 +9,14 @@ the same workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.core import BundlerConfig, install_bundler
-from repro.experiments.scenarios import BOTTLENECK_MBPS, DURATION_S, RTT_MS, SENDBOX_CC
 from repro.metrics.fct import FctAnalysis
 from repro.net.simulator import Simulator
 from repro.net.topology import build_competing_bundles
 from repro.net.trace import QueueMonitor
-from repro.runner.params import ParamSpec, ParamSpace
-from repro.runner.registry import register_scenario
-from repro.runner.schema import MetricSchema, MetricSpec
 from repro.traffic.replay import TraceReplayWorkload
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import mbps_to_bps, ms_to_s
@@ -108,45 +104,6 @@ def run_competing_bundles(
     )
 
 
-def _check_load_split(split) -> None:
-    if not split:
-        raise ValueError("load_split needs at least one bundle share")
-    if any(share <= 0.0 for share in split):
-        raise ValueError("every load_split share must be positive")
-
-
-@register_scenario(
-    "fig13_competing_bundles",
-    figure="Figure 13 / §7.4",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Multiple bundles sharing one bottleneck at a given load split",
-    params=ParamSpace(
-        ParamSpec("load_split", kind="list[float]", default=[0.5, 0.5], unit="fraction",
-                  validator=_check_load_split,
-                  description="per-bundle share of the total offered load"),
-        ParamSpec("total_load_fraction", kind="float", default=0.875, unit="fraction",
-                  minimum=0.05, maximum=1.45,
-                  description="total offered load as a fraction of the bottleneck rate"),
-        replace(BOTTLENECK_MBPS, description="shared bottleneck rate"),
-        RTT_MS,
-        DURATION_S,
-        ParamSpec("with_bundler", kind="bool", default=True,
-                  description="install a Bundler pair per bundle"),
-        SENDBOX_CC,
-    ),
-    metrics=MetricSchema(
-        MetricSpec("bottleneck_mean_queue_delay_ms", unit="ms", direction="lower",
-                   description="mean queueing delay at the shared bottleneck"),
-        MetricSpec("bottleneck_drops", unit="packets", direction="lower",
-                   description="packets dropped at the shared bottleneck"),
-        MetricSpec("bundle*_median_slowdown", unit="ratio", direction="lower", nullable=True,
-                   description="per-bundle median FCT slowdown (one column per bundle)"),
-        MetricSpec("bundle*_completed", unit="count", direction="higher",
-                   description="per-bundle completed flows (one column per bundle)"),
-    ),
-)
 def _competing_bundles_scenario(*, seed: int, **params):
     result = run_competing_bundles(seed=seed, **params)
     metrics: Dict[str, object] = {

@@ -18,24 +18,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.controller import BundlerMode
-from repro.experiments.scenarios import (
-    BOTTLENECK_MBPS,
-    DURATION_S,
-    NUM_SERVERS,
-    RTT_MS,
-    SENDBOX_CC,
-    WARMUP_S,
-    build_site,
-)
+from repro.experiments.scenarios import build_site
 from repro.metrics.fct import FctAnalysis, filter_by_time
 from repro.net.trace import QueueMonitor, TimeSeries
-from repro.runner.params import ParamSpec, ParamSpace
-from repro.runner.registry import register_scenario
-from repro.runner.schema import MetricSchema, MetricSpec
 from repro.traffic.replay import TraceReplayWorkload
 from repro.traffic.sources import BackloggedFlows
 from repro.transport.flow import FlowRecord
@@ -312,46 +301,8 @@ def run_elastic_cross_point(
 
 
 # ---------------------------------------------------------------------------
-# Runner scenario registrations.
+# Runner scenario bodies (declared in repro.experiments.catalog).
 
-_BUNDLE_LOAD = ParamSpec(
-    "bundle_load_fraction", kind="float", default=0.6, unit="fraction", minimum=0.05, maximum=1.45,
-    description="bundle offered load as a fraction of the bottleneck rate")
-_MODE = ParamSpec("mode", kind="str", default="bundler", choices=("status_quo", "bundler"),
-                  description="whether the bundle runs under Bundler")
-
-@register_scenario(
-    "fig10_phased_cross_traffic",
-    figure="Figure 10 / §7.3",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Three cross-traffic phases; Bundler yields during buffer-filling phases",
-    params=ParamSpace(
-        BOTTLENECK_MBPS,
-        RTT_MS,
-        ParamSpec("phase_duration_s", kind="float", default=20.0, unit="s", minimum=1.0,
-                  description="duration of each of the three cross-traffic phases"),
-        _BUNDLE_LOAD,
-        ParamSpec("cross_bulk_flows", kind="int", default=1, unit="count", minimum=0,
-                  description="backlogged cross flows during the buffer-filling phase"),
-        ParamSpec("cross_load_fraction", kind="float", default=0.3, unit="fraction",
-                  minimum=0.0, maximum=1.45,
-                  description="request cross-traffic load during the non-buffer-filling phase"),
-        ParamSpec("with_bundler", kind="bool", default=True,
-                  description="install the Bundler pair"),
-        SENDBOX_CC,
-        replace(NUM_SERVERS, default=6),
-    ),
-    metrics=MetricSchema(
-        MetricSpec("pass_through_seconds", unit="s", direction="info",
-                   description="time the controller spent yielding in pass-through mode"),
-        MetricSpec("phase*_median_slowdown", unit="ratio", direction="lower", nullable=True,
-                   description="per-phase median FCT slowdown (one column per phase)"),
-        MetricSpec("phase*_queue_delay_ms", unit="ms", direction="lower",
-                   description="per-phase mean bottleneck queueing delay"),
-    ),
-)
 def _phased_scenario(*, seed: int, **params):
     result = run_phased_cross_traffic(PhasedConfig(seed=seed, **params))
     metrics = {"pass_through_seconds": result.pass_through_seconds}
@@ -362,35 +313,6 @@ def _phased_scenario(*, seed: int, **params):
     return metrics
 
 
-@register_scenario(
-    "fig11_short_cross_traffic",
-    figure="Figure 11 / §7.3",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Bundle FCTs under increasing short-flow cross-traffic load",
-    params=ParamSpace(
-        _MODE,
-        ParamSpec("cross_load_fraction", kind="float", default=0.25, unit="fraction",
-                  minimum=0.0, maximum=1.45,
-                  description="short-flow cross-traffic load as a fraction of the bottleneck"),
-        BOTTLENECK_MBPS,
-        RTT_MS,
-        replace(_BUNDLE_LOAD, default=0.5),
-        DURATION_S,
-        SENDBOX_CC,
-    ),
-    metrics=MetricSchema(
-        MetricSpec("cross_load_mbps", unit="Mbit/s", direction="info",
-                   description="offered cross-traffic load"),
-        MetricSpec("median_slowdown", unit="ratio", direction="lower", nullable=True,
-                   description="bundle median FCT slowdown"),
-        MetricSpec("p99_slowdown", unit="ratio", direction="lower", nullable=True,
-                   description="bundle 99th-percentile FCT slowdown"),
-        MetricSpec("completed", unit="count", direction="higher",
-                   description="bundle flows that completed"),
-    ),
-)
 def _short_cross_scenario(*, seed: int, **params):
     point = run_short_cross_point(seed=seed, **params)
     return {
@@ -401,38 +323,6 @@ def _short_cross_scenario(*, seed: int, **params):
     }
 
 
-@register_scenario(
-    "fig12_elastic_cross",
-    figure="Figure 12 / §7.3",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Bundle throughput share against persistent buffer-filling cross flows",
-    params=ParamSpace(
-        _MODE,
-        ParamSpec("competing_flows", kind="int", default=5, unit="count", minimum=0,
-                  description="persistent buffer-filling cross flows"),
-        BOTTLENECK_MBPS,
-        RTT_MS,
-        ParamSpec("bundle_flows", kind="int", default=5, unit="count", minimum=1,
-                  description="backlogged flows inside the bundle"),
-        replace(DURATION_S, default=30.0, description="run duration"),
-        replace(WARMUP_S, default=5.0,
-                description="leading interval excluded from throughput accounting"),
-        SENDBOX_CC,
-    ),
-    metrics=MetricSchema(
-        MetricSpec("bundle_throughput_mbps", unit="Mbit/s", direction="higher",
-                   description="steady-state bundle throughput"),
-        MetricSpec("cross_throughput_mbps", unit="Mbit/s", direction="info",
-                   description="steady-state cross-traffic throughput"),
-        MetricSpec("fair_share_mbps", unit="Mbit/s", direction="info",
-                   description="the bundle's max-min fair share"),
-        MetricSpec("throughput_vs_fair_share", unit="ratio", direction="higher",
-                   description="bundle throughput over its fair share"),
-    ),
-    seed_sensitive=False,
-)
 def _elastic_cross_scenario(*, seed: int, **params):
     # Backlogged-flow duel: no request arrivals, so the seed is unused.
     point = run_elastic_cross_point(**params)

@@ -15,18 +15,14 @@ the same time grid as Bundler's estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List
 
 from repro.core import BundlerConfig, install_bundler
 from repro.cc import make_window_cc
-from repro.experiments.scenarios import BOTTLENECK_MBPS, DURATION_S, RTT_MS, SENDBOX_CC
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
 from repro.net.trace import QueueMonitor, RateMonitor, TimeSeries, percentile
-from repro.runner.params import ParamSpec, ParamSpace
-from repro.runner.registry import register_scenario
-from repro.runner.schema import MetricSchema, MetricSpec
 from repro.transport.flow import TcpFlow
 from repro.util.units import ms_to_s
 
@@ -133,39 +129,6 @@ def run_estimate_trace(
     )
 
 
-@register_scenario(
-    "fig05_fig06_estimates",
-    figure="Figures 5-6 / §7.1",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Accuracy of Bundler's epoch-based RTT and receive-rate estimates",
-    params=ParamSpace(
-        BOTTLENECK_MBPS,
-        RTT_MS,
-        replace(DURATION_S, default=20.0, description="run duration"),
-        ParamSpec("num_flows", kind="int", default=4, unit="count", minimum=1,
-                  description="long-lived flows in the bundle"),
-        ParamSpec("sample_interval_s", kind="float", default=0.1, unit="s", minimum=0.001,
-                  description="ground-truth sampling interval"),
-        SENDBOX_CC,
-    ),
-    metrics=MetricSchema(
-        MetricSpec("rtt_error_p80_ms", unit="ms", direction="lower", nullable=True,
-                   description="80th-percentile absolute RTT estimate error"),
-        MetricSpec("rtt_error_median_ms", unit="ms", direction="lower", nullable=True,
-                   description="median absolute RTT estimate error"),
-        MetricSpec("rate_error_p80_mbps", unit="Mbit/s", direction="lower", nullable=True,
-                   description="80th-percentile absolute receive-rate estimate error"),
-        MetricSpec("rate_error_median_mbps", unit="Mbit/s", direction="lower", nullable=True,
-                   description="median absolute receive-rate estimate error"),
-        MetricSpec("rtt_samples", unit="count", direction="info",
-                   description="RTT estimate samples compared"),
-        MetricSpec("rate_samples", unit="count", direction="info",
-                   description="rate estimate samples compared"),
-    ),
-    seed_sensitive=False,
-)
 def _estimates_scenario(*, seed: int, **params):
     # Long-lived flows only — deterministic, so the seed is unused.
     trace = run_estimate_trace(**params)

@@ -18,17 +18,13 @@ bulk, no Bundler) and Bundler (probes + bulk, Bundler with SFQ).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core import BundlerConfig, install_bundler
-from repro.experiments.scenarios import DURATION_S, SENDBOX_CC
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
 from repro.net.trace import percentile
-from repro.runner.params import ParamSpec, ParamSpace
-from repro.runner.registry import register_scenario
-from repro.runner.schema import MetricSchema, MetricSpec
 from repro.runner.spec import expand_grid
 from repro.traffic.sources import BackloggedFlows, ClosedLoopProbes
 from repro.util.units import mbps_to_bps
@@ -148,44 +144,6 @@ def run_internet_paths_study(
     ]
 
 
-@register_scenario(
-    "fig16_internet_paths",
-    figure="Figure 16 / §8",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Emulated WAN region: probe RTTs under base / status-quo / Bundler",
-    params=ParamSpace(
-        ParamSpec("region", kind="str", default="belgium",
-                  description="emulated WAN region (one of the paper's five, or any "
-                              "name with base_rtt_ms set explicitly)"),
-        ParamSpec("base_rtt_ms", kind="float", default=None, unit="ms", minimum=1.0,
-                  nullable=True,
-                  description="region base RTT (None = look the region up in DEFAULT_REGIONS)"),
-        ParamSpec("configuration", kind="str", default="bundler",
-                  choices=("base", "status_quo", "bundler"),
-                  description="path configuration under test"),
-        ParamSpec("egress_limit_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-                  description="site egress rate limit"),
-        replace(DURATION_S, default=20.0, description="run duration"),
-        ParamSpec("num_probes", kind="int", default=10, unit="count", minimum=1,
-                  description="closed-loop request/response probes"),
-        ParamSpec("num_bulk_flows", kind="int", default=5, unit="count", minimum=0,
-                  description="backlogged bulk flows sharing the egress"),
-        SENDBOX_CC,
-    ),
-    metrics=MetricSchema(
-        MetricSpec("median_probe_rtt_ms", unit="ms", direction="lower",
-                   description="median probe round-trip time"),
-        MetricSpec("p99_probe_rtt_ms", unit="ms", direction="lower",
-                   description="99th-percentile probe round-trip time"),
-        MetricSpec("bulk_throughput_mbps", unit="Mbit/s", direction="higher",
-                   description="aggregate bulk-flow throughput"),
-        MetricSpec("probe_count", unit="count", direction="info",
-                   description="probe round trips measured"),
-    ),
-    seed_sensitive=False,
-)
 def _internet_paths_scenario(*, seed: int, region: str, base_rtt_ms, **params):
     # Probes and backlogged bulk flows are deterministic; seed unused.
     if base_rtt_ms is None:

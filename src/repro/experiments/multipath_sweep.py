@@ -11,17 +11,13 @@ threshold robust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core import BundlerConfig, install_bundler
 from repro.core.controller import BundlerMode
-from repro.experiments.scenarios import BOTTLENECK_MBPS, DURATION_S, RTT_MS
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
-from repro.runner.params import ParamSpec, ParamSpace
-from repro.runner.registry import register_scenario
-from repro.runner.schema import MetricSchema, MetricSpec
 from repro.traffic.replay import TraceReplayWorkload
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import mbps_to_bps
@@ -108,38 +104,6 @@ def run_multipath_point(
     )
 
 
-@register_scenario(
-    "fig07_multipath",
-    figure="Figure 7 / §7.6",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Out-of-order epoch measurements under imbalanced multipath routing",
-    params=ParamSpace(
-        ParamSpec("num_paths", kind="int", default=1, unit="count", minimum=1,
-                  description="parallel WAN paths between the sites"),
-        replace(BOTTLENECK_MBPS, description="per-path bottleneck rate"),
-        RTT_MS,
-        DURATION_S,
-        ParamSpec("load_fraction", kind="float", default=0.7, unit="fraction",
-                  minimum=0.05, maximum=1.45,
-                  description="offered load as a fraction of the bottleneck rate"),
-        ParamSpec("path_split_mode", kind="str", default="packet", choices=("packet", "flow"),
-                  description="ECMP split granularity across the paths"),
-        ParamSpec("delay_spread", kind="float", default=2.0, unit="ratio", minimum=1.0,
-                  description="delay multiplier between the fastest and slowest path"),
-        ParamSpec("enable_multipath_detection", kind="bool", default=True,
-                  description="enable the out-of-order multipath detector"),
-    ),
-    metrics=MetricSchema(
-        MetricSpec("out_of_order_fraction", unit="fraction", direction="info",
-                   description="epoch measurements arriving out of order"),
-        MetricSpec("detector_triggered", kind="bool", direction="info",
-                   description="whether the multipath detector fired"),
-        MetricSpec("final_mode", kind="str", direction="info",
-                   description="controller mode at the end of the run"),
-    ),
-)
 def _multipath_scenario(*, seed: int, **params):
     point = run_multipath_point(seed=seed, **params)
     return {

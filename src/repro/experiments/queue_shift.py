@@ -9,24 +9,14 @@ is empty; with Bundler the picture inverts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import BundlerConfig, install_bundler
 from repro.cc import make_window_cc
-from repro.experiments.scenarios import (
-    BOTTLENECK_MBPS,
-    DURATION_S,
-    ENDHOST_CC,
-    RTT_MS,
-    SENDBOX_CC,
-)
 from repro.net.simulator import Simulator
 from repro.net.topology import build_site_to_site
 from repro.net.trace import QueueMonitor, TimeSeries
-from repro.runner.params import ParamSpec, ParamSpace
-from repro.runner.registry import register_scenario
-from repro.runner.schema import MetricSchema, MetricSpec
 from repro.transport.flow import TcpFlow
 
 
@@ -101,34 +91,6 @@ def run_queue_shift(
     )
 
 
-@register_scenario(
-    "fig02_queue_shift",
-    figure="Figure 2",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Bundler moves the standing queue from the bottleneck to the sendbox",
-    params=ParamSpace(
-        ParamSpec("with_bundler", kind="bool", default=True,
-                  description="install the Bundler pair at the site edges"),
-        BOTTLENECK_MBPS,
-        RTT_MS,
-        replace(DURATION_S, default=30.0, description="run duration"),
-        ParamSpec("num_flows", kind="int", default=2, unit="count", minimum=1,
-                  description="long-lived bulk flows"),
-        ENDHOST_CC,
-        SENDBOX_CC,
-    ),
-    metrics=MetricSchema(
-        MetricSpec("mean_bottleneck_delay_ms", unit="ms", direction="lower",
-                   description="mean queueing delay at the bottleneck"),
-        MetricSpec("mean_sendbox_delay_ms", unit="ms", direction="info",
-                   description="mean queueing delay at the sendbox (where the queue should move)"),
-        MetricSpec("bottleneck_drops", unit="packets", direction="lower",
-                   description="packets dropped at the bottleneck"),
-    ),
-    seed_sensitive=False,
-)
 def _queue_shift_scenario(*, seed: int, **params):
     # The experiment is fully deterministic (long-lived flows, no request
     # arrivals), so the derived seed is accepted but unused.

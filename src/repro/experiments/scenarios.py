@@ -30,31 +30,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import BundlerConfig, BundlerPair, install_bundler
 from repro.cc import make_window_cc
+from repro.experiments.catalog import ALL_MODES, BUNDLER_MODES
 from repro.metrics.fct import FctAnalysis
 from repro.net.simulator import Simulator
 from repro.net.topology import SiteToSite, build_site_to_site
 from repro.qdisc.sfq import SfqQdisc
-from repro.runner.params import ParamSpec, ParamSpace
-from repro.runner.registry import register_scenario
-from repro.runner.schema import MetricSchema, MetricSpec
 from repro.traffic.replay import TraceReplayWorkload
 from repro.transport.flow import FlowRecord
 from repro.transport.proxy import idealized_proxy_window, proxy_buffer_packets
 from repro.util.rng import derive_seed, make_rng
 from repro.util.units import mbps_to_bps, ms_to_s
 from repro.workload.flowsize import EmpiricalSizeDistribution
-
-#: Modes that install a Bundler pair, mapped to the sendbox scheduler they use.
-BUNDLER_MODES: Dict[str, str] = {
-    "bundler_sfq": "sfq",
-    "bundler_fifo": "fifo",
-    "bundler_fq_codel": "fq_codel",
-    "bundler_prio": "prio",
-    "bundler_drr": "drr",
-    "proxy": "sfq",
-}
-
-ALL_MODES = ("status_quo", "in_network_sfq", *BUNDLER_MODES.keys())
 
 
 @dataclass
@@ -237,7 +223,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
 
 # ---------------------------------------------------------------------------
-# Runner scenario registrations.
+# Runner scenario bodies (declared in repro.experiments.catalog).
 
 def slowdown_columns(analysis: FctAnalysis) -> Dict[str, Optional[float]]:
     """Median/p99 slowdown overall and per Figure 9 size bucket.
@@ -274,139 +260,9 @@ def scenario_metrics(result: ScenarioResult) -> Dict[str, object]:
     }
 
 
-def _check_load_fraction(value: float) -> None:
-    if not 0.0 < value < 1.5:
-        raise ValueError("load_fraction should be a sensible fraction of the bottleneck")
-
-
-#: The site knobs every scenario module shares, declared once: a registration
-#: references the constant, or ``dataclasses.replace(SPEC, default=...)`` where
-#: its family's default differs, so e.g. a new sendbox CC is added in one place.
-BOTTLENECK_MBPS = ParamSpec(
-    "bottleneck_mbps", kind="float", default=24.0, unit="Mbit/s", minimum=1.0,
-    description="bottleneck link rate")
-RTT_MS = ParamSpec(
-    "rtt_ms", kind="float", default=50.0, unit="ms", minimum=1.0,
-    description="base round-trip time of the site-to-site path")
-DURATION_S = ParamSpec(
-    "duration_s", kind="float", default=15.0, unit="s", minimum=1.0,
-    description="workload duration")
-WARMUP_S = ParamSpec(
-    "warmup_s", kind="float", default=2.0, unit="s", minimum=0.0,
-    description="leading interval excluded from FCT analysis")
-NUM_SERVERS = ParamSpec(
-    "num_servers", kind="int", default=8, unit="count", minimum=1,
-    description="request-serving endhosts behind the sendbox")
-ENDHOST_CC = ParamSpec(
-    "endhost_cc", kind="str", default="cubic",
-    choices=("cubic", "reno", "vegas", "bbr", "constant"),
-    description="endhost window congestion controller")
-SENDBOX_CC = ParamSpec(
-    "sendbox_cc", kind="str", default="copa",
-    choices=("copa", "basic_delay", "bbr", "constant"),
-    description="bundle-level rate congestion controller")
-
-#: Typed knob set of the §7.1 workload scenario family (Figures 9/14/15,
-#: §7.2 policies, §7.4 table).  Individual registrations derive from this
-#: via :meth:`ParamSpace.with_defaults`.
-SCENARIO_PARAMS = ParamSpace(
-    ParamSpec("mode", kind="str", default="bundler_sfq", choices=ALL_MODES,
-              description="who controls queueing, and with which scheduler"),
-    BOTTLENECK_MBPS,
-    RTT_MS,
-    ParamSpec("load_fraction", kind="float", default=0.875, unit="fraction",
-              validator=_check_load_fraction,
-              description="offered load as a fraction of the bottleneck rate"),
-    DURATION_S,
-    WARMUP_S,
-    NUM_SERVERS,
-    ParamSpec("num_clients", kind="int", default=1, unit="count", minimum=1,
-              description="request-issuing endhosts behind the receivebox"),
-    ParamSpec("max_requests", kind="int", default=None, unit="count", minimum=1, nullable=True,
-              description="request cap (None = run to duration)"),
-    ENDHOST_CC,
-    SENDBOX_CC,
-    ParamSpec("enable_nimbus", kind="bool", default=True,
-              description="enable Nimbus cross-traffic elasticity detection"),
-)
-
-#: Schema of :func:`scenario_metrics` — what every family member reports.
-SCENARIO_METRICS = MetricSchema(
-    MetricSpec("requests_issued", unit="count", direction="info",
-               description="requests the workload issued"),
-    MetricSpec("completed", unit="count", direction="higher",
-               description="post-warm-up flows that completed"),
-    MetricSpec("completion_fraction", unit="fraction", direction="higher",
-               description="completed / issued"),
-    MetricSpec("median_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="median FCT slowdown vs the ideal FCT"),
-    MetricSpec("p99_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="99th-percentile FCT slowdown"),
-    MetricSpec("small_median_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="median slowdown of <=10KB flows"),
-    MetricSpec("mid_median_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="median slowdown of 10KB-1MB flows"),
-    MetricSpec("large_median_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="median slowdown of >1MB flows"),
-    MetricSpec("small_p99_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="99th-percentile slowdown of <=10KB flows"),
-    MetricSpec("bottleneck_drops", unit="packets", direction="lower",
-               description="packets dropped at the bottleneck"),
-    MetricSpec("sendbox_drops", unit="packets", direction="info",
-               description="packets dropped at the sendbox (where drops should move)"),
-    MetricSpec("out_of_order_fraction", unit="fraction", direction="lower", nullable=True,
-               description="epoch measurements arriving out of order (None without Bundler)"),
-)
-
-
 def _run_registered_scenario(*, seed: int, **params) -> Dict[str, object]:
     config = ScenarioConfig(seed=seed, **params)
     return scenario_metrics(run_scenario(config))
-
-
-register_scenario(
-    "fig09_slowdown",
-    figure="Figure 9 / §7.2",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="FCT slowdown distribution of the §7.1 workload under a given mode",
-    params=SCENARIO_PARAMS,
-    metrics=SCENARIO_METRICS,
-)(_run_registered_scenario)
-
-register_scenario(
-    "fig14_sendbox_cc",
-    figure="Figure 14 / §7.2",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Sendbox congestion-control choice (Copa / BasicDelay / BBR) on the §7.1 workload",
-    params=SCENARIO_PARAMS.with_defaults(duration_s=12.0),
-    metrics=SCENARIO_METRICS,
-)(_run_registered_scenario)
-
-register_scenario(
-    "fig15_proxy",
-    figure="Figure 15 / §7.5",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Idealized TCP-terminating proxy emulation vs plain Bundler",
-    params=SCENARIO_PARAMS.with_defaults(mode="proxy", load_fraction=0.8, duration_s=12.0),
-    metrics=SCENARIO_METRICS,
-)(_run_registered_scenario)
-
-register_scenario(
-    "sec74_endhost_cc",
-    figure="§7.4 (table)",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Bundler's gains across endhost congestion controllers (Cubic / Reno / BBR)",
-    params=SCENARIO_PARAMS.with_defaults(duration_s=10.0),
-    metrics=SCENARIO_METRICS,
-)(_run_registered_scenario)
 
 
 def policy_metrics(result: ScenarioResult) -> Dict[str, object]:
@@ -433,47 +289,6 @@ def policy_metrics(result: ScenarioResult) -> Dict[str, object]:
     }
 
 
-#: Schema of :func:`policy_metrics` — the §7.2 scheduling-policy claims.
-POLICY_METRICS = MetricSchema(
-    MetricSpec("completed", unit="count", direction="higher",
-               description="post-warm-up flows that completed"),
-    MetricSpec("median_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="median FCT slowdown"),
-    MetricSpec("short_median_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="median slowdown of latency-sensitive short flows"),
-    MetricSpec("high_class_median_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="median slowdown of the favored priority class"),
-    MetricSpec("low_class_median_slowdown", unit="ratio", direction="info", nullable=True,
-               description="median slowdown of the deprioritized class"),
-)
-
-
 def _run_policy_scenario(*, seed: int, **params) -> Dict[str, object]:
     config = ScenarioConfig(seed=seed, **params)
     return policy_metrics(run_scenario(config))
-
-
-register_scenario(
-    "sec72_fq_codel",
-    figure="§7.2 (text)",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="FQ-CoDel at the sendbox: short-flow latency versus the Status Quo FIFO",
-    params=SCENARIO_PARAMS.with_defaults(mode="bundler_fq_codel", duration_s=12.0),
-    metrics=POLICY_METRICS,
-)(_run_policy_scenario)
-
-register_scenario(
-    "sec72_priority",
-    figure="§7.2 (text)",
-    description="Strict priority at the sendbox: the favored class beats the deprioritized one",
-    params=SCENARIO_PARAMS.with_defaults(mode="bundler_prio", duration_s=12.0),
-    metrics=POLICY_METRICS,
-    # v2: flows now carry their priority class from the first packet; the
-    # pre-trace implementation let each flow's initial window out as class
-    # 0 before re-classifying it.
-    # v3: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=3,
-)(_run_policy_scenario)

@@ -26,27 +26,11 @@ Registered scenarios:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict
 
-from repro.experiments.scenarios import (
-    BOTTLENECK_MBPS,
-    DURATION_S,
-    ENDHOST_CC,
-    NUM_SERVERS,
-    RTT_MS,
-    SCENARIO_METRICS,
-    SCENARIO_PARAMS,
-    SENDBOX_CC,
-    WARMUP_S,
-    build_site,
-    endhost_cc_factory,
-    slowdown_columns,
-)
+from repro.experiments.catalog import TRACE_REPLAY_METRICS
+from repro.experiments.scenarios import build_site, endhost_cc_factory, slowdown_columns
 from repro.metrics.fct import FctAnalysis
-from repro.runner.params import ParamSpec, ParamSpace
-from repro.runner.registry import register_scenario
-from repro.runner.schema import MetricSchema, MetricSpec
 from repro.traffic.replay import TraceReplayWorkload
 from repro.traffic.spec import open_trace
 from repro.util.rng import derive_seed
@@ -133,121 +117,3 @@ def run_trace_replay(
         "bottleneck_drops": sum(l.packets_dropped for l in topo.bottleneck_links),
         "sendbox_drops": topo.sendbox_link.packets_dropped,
     }
-
-
-#: Shared knob set of the trace-replay family.  Each registration swaps the
-#: ``trace`` default (and topology knobs) via :meth:`ParamSpace.with_defaults`.
-TRACE_REPLAY_PARAMS = ParamSpace(
-    ParamSpec("trace", kind="trace",
-              default={"generator": "diurnal"},
-              description="trace spec: generator or file path "
-                          "(files are digest-addressed in cache keys)"),
-    SCENARIO_PARAMS.get("mode"),
-    replace(BOTTLENECK_MBPS, default=12.0),
-    replace(RTT_MS, default=40.0),
-    replace(DURATION_S, default=8.0,
-            description="replay horizon fed to the FCT analysis and drain"),
-    replace(WARMUP_S, default=1.0),
-    replace(NUM_SERVERS, default=4, description="bundled endhosts behind the sendbox"),
-    ParamSpec("num_clients", kind="int", default=1, unit="count", minimum=1,
-              description="receiving endhosts behind the receivebox"),
-    ParamSpec("num_cross_pairs", kind="int", default=0, unit="count", minimum=0,
-              description="cross-traffic host pairs beyond the sendbox "
-                          "(required by traces with 'cross' events)"),
-    ENDHOST_CC,
-    SENDBOX_CC,
-    SCENARIO_PARAMS.get("enable_nimbus"),
-)
-
-#: What every trace-replay scenario reports (bundle flows only — cross
-#: traffic is load, not the measured workload).
-TRACE_REPLAY_METRICS = MetricSchema(
-    MetricSpec("flows_replayed", unit="count", direction="info",
-               description="flow events issued from the trace"),
-    MetricSpec("streams_replayed", unit="count", direction="info",
-               description="paced-stream events issued from the trace"),
-    MetricSpec("completed", unit="count", direction="higher",
-               description="post-warm-up bundle flows that completed"),
-    MetricSpec("completion_fraction", unit="fraction", direction="higher",
-               description="completed bundle flows / issued bundle flows"),
-    MetricSpec("median_slowdown", unit="ratio", direction="lower", nullable=True,
-               description="median FCT slowdown of bundle flows"),
-    # Same columns, same meaning as the §7.1 family's.
-    *(SCENARIO_METRICS.spec_for(name) for name in (
-        "p99_slowdown", "small_median_slowdown", "large_median_slowdown",
-        "bottleneck_drops", "sendbox_drops",
-    )),
-)
-
-
-register_scenario(
-    "trace_diurnal_load",
-    figure="beyond the paper (workload family)",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Diurnal (Markov-modulated) request load replayed through the site",
-    params=TRACE_REPLAY_PARAMS.with_defaults(
-        trace={"generator": "diurnal", "params": {
-            # ~7.5 Mbit/s mean offered load against the 12 Mbit/s default
-            # bottleneck; the 1.7x peak phase briefly exceeds capacity.
-            "base_rate_per_s": 300.0,
-            "period_s": 4.0,
-            "profile": [0.4, 1.0, 1.7, 1.0],
-            "horizon_s": 8.0,
-            "num_src": 4,
-        }},
-    ),
-    metrics=TRACE_REPLAY_METRICS,
-)(run_trace_replay)
-
-register_scenario(
-    "trace_flash_crowd",
-    figure="beyond the paper (workload family)",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Flash-crowd arrival ramp: baseline to a multiple of the baseline and back",
-    params=TRACE_REPLAY_PARAMS.with_defaults(
-        trace={"generator": "flash_crowd", "params": {
-            # ~3.7 Mbit/s baseline; the 4x crowd peaks at ~125% of the
-            # 12 Mbit/s default bottleneck for the hold interval.
-            "base_rate_per_s": 150.0,
-            "peak_multiplier": 4.0,
-            "start_s": 2.0,
-            "ramp_s": 1.0,
-            "hold_s": 2.0,
-            "decay_s": 1.0,
-            "horizon_s": 8.0,
-            "num_src": 4,
-        }},
-    ),
-    metrics=TRACE_REPLAY_METRICS,
-)(run_trace_replay)
-
-register_scenario(
-    "trace_bursty_cross",
-    figure="beyond the paper (workload family)",
-    # v2: every() timers compute drift-free tick times (origin + k*interval),
-    # shifting control-epoch instants by accumulated float error.
-    version=2,
-    description="Request workload with adversarial on/off paced cross-traffic bursts",
-    params=TRACE_REPLAY_PARAMS.with_defaults(
-        trace={"generator": "mix", "params": {"components": [
-            {"generator": "requests", "params": {
-                "offered_load_bps": 7_000_000.0,
-                "horizon_s": 8.0,
-                "num_src": 4,
-            }},
-            {"generator": "onoff", "params": {
-                "rate_bps": 5_000_000.0,
-                "mean_on_s": 0.4,
-                "mean_off_s": 0.6,
-                "horizon_s": 8.0,
-                "group": "cross",
-            }},
-        ]}},
-        num_cross_pairs=1,
-    ),
-    metrics=TRACE_REPLAY_METRICS,
-)(run_trace_replay)

@@ -14,7 +14,7 @@ Built-in backends:
 * :class:`SerialBackend` — in-process, one cell at a time.  The only
   backend that can execute against a custom (non-built-in) registry.
 * :class:`ProcessPoolBackend` — the :mod:`multiprocessing` pool.  Workers
-  re-import the experiment modules to rebuild the registry, so it only
+  re-import the built-in catalogue to rebuild the registry, so it only
   handles built-in scenarios; the engine falls back to serial otherwise.
 * :class:`~repro.runner.distributed.DistributedBackend` — cross-host
   dispatch over a :class:`~repro.runner.distributed.WorkerTransport`
@@ -43,7 +43,6 @@ points at the caller's ``run_sweep(on_progress=...)`` callback, fed with
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import sys
@@ -135,8 +134,9 @@ class ExecutionBackend(Protocol):
     scheduling, concurrency, or host.  ``name`` identifies the backend in
     CLI flags and telemetry; ``workers`` is its concurrency (1 for serial);
     ``needs_builtin_registry`` tells the engine whether the backend can only
-    resolve scenario names by re-importing :mod:`repro.experiments` (true
-    for anything that leaves the calling process).
+    resolve scenario names by re-importing the built-in catalogue,
+    :mod:`repro.experiments.catalog` (true for anything that leaves the
+    calling process).
     """
 
     name: str
@@ -255,7 +255,7 @@ class ProcessPoolBackend:
     """Run cells on a :mod:`multiprocessing` worker pool.
 
     The pool ships :class:`WorkItem` records across the process boundary;
-    each worker re-imports the experiment modules (via :func:`_pool_init`)
+    each worker re-imports the built-in catalogue (via :func:`_pool_init`)
     to resolve scenario names, so only built-in scenarios are reachable.
     Batches of zero or one pending cell skip the pool entirely — spawning
     costs more than the work.
@@ -279,6 +279,10 @@ class ProcessPoolBackend:
         pool_size = min(self.workers, len(items))
         if pool_size <= 1:
             return SerialBackend().execute(items, registry=registry, on_outcome=on_outcome)
+        # Imported where the pool starts: every sweep imports this module
+        # for the backend types, and one served from the cache starts none.
+        import multiprocessing
+
         ctx = multiprocessing.get_context()
         # Spawn-start children must be able to import this module *before*
         # the initializer runs (the initializer itself is unpickled), so the

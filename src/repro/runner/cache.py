@@ -63,6 +63,9 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     writes: int = 0
+    #: Record files :meth:`ResultCache.iter_results` could not read (truncated,
+    #: not JSON, not a record) and therefore left out of what it yielded.
+    unreadable: int = 0
 
     @property
     def lookups(self) -> int:
@@ -153,6 +156,12 @@ class ResultCache:
             # overwrite it.
             self.stats.misses += 1
             return None
+        if result.key != key:
+            # The file is named for this cell but holds another's record
+            # (copied, renamed, half-restored cache): the name is not the
+            # identity.  A miss, so the rerun overwrites it.
+            self.stats.misses += 1
+            return None
         self.stats.hits += 1
         return result
 
@@ -217,16 +226,22 @@ class ResultCache:
         return len(self._record_names())
 
     def iter_results(self) -> Iterator[RunResult]:
-        """All readable records in the cache (unordered)."""
+        """All readable records in the cache (unordered).
+
+        A record that cannot be read is skipped and counted in
+        ``stats.unreadable``.
+        """
         for name in self._record_names():
             try:
                 with open(os.path.join(self.root, name), "r", encoding="utf-8") as fh:
                     record = json.load(fh)
-                yield RunResult.from_payload(
+                result = RunResult.from_payload(
                     record["result"], telemetry=record.get("telemetry")
                 )
             except (OSError, ValueError, KeyError):
+                self.stats.unreadable += 1
                 continue
+            yield result
 
     # -- manifest index ----------------------------------------------------
 

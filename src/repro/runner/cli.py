@@ -32,7 +32,8 @@ Subcommands:
     human tables (default), or schema-annotated long-format ``csv`` /
     ``jsonl`` ready for pandas with no hand-editing; ``--timeseries``
     exports each run's in-simulation probe series (queue backlog,
-    utilization, cwnd, rates) one retained sample per row.
+    utilization, cwnd, rates) one retained sample per row.  Record files
+    that cannot be read are left out and counted on stderr.
 ``trace-export``
     Run one cell fresh with probes forced on and write a Chrome/Perfetto
     ``trace_event`` JSON (counter tracks, drop/epoch instants, flow
@@ -58,9 +59,10 @@ Subcommands:
 ``lint``
     The AST-based invariant linter (see ``docs/static-analysis.md``):
     checks the determinism, scheduler-discipline, qdisc-contract,
-    cache-purity and wire-compatibility rules (``RPR0xx``) over the given
-    paths, exiting non-zero on unsuppressed findings.  Delegates to
-    ``repro.analysis`` — ``python -m repro.analysis`` is the same tool.
+    cache-purity, wire-compatibility and import-layering rules
+    (``RPR0xx``) over the given paths, exiting non-zero on unsuppressed
+    findings.  Delegates to ``repro.analysis`` — ``python -m
+    repro.analysis`` is the same tool.
 
 Parameter values given as ``-p key=value`` / ``-g key=v1,v2`` are parsed
 as JSON-ish literals and then *coerced through the scenario's typed
@@ -89,7 +91,6 @@ from repro.runner.aggregate import aggregate_results
 from repro.runner.backends import BACKEND_CHOICES, make_backend
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.engine import run_sweep
-from repro.runner.export import EXPORT_FORMATS, export_aggregates, export_runs
 from repro.runner.registry import load_builtin_scenarios
 from repro.runner.spec import RunSpec, SweepSpec
 
@@ -396,8 +397,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
-    # Imported here: the claims table pulls in every experiment module, which
-    # no other command's start-up should pay for.
+    # Imported here: only this command reads the claims table.
     from repro.experiments import claims
 
     n_seeds = claims.N if args.seeds is None else args.seeds
@@ -426,6 +426,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # exports and schema-ordered columns in tables.
     registry = load_builtin_scenarios()
     grouped = cache.by_scenario()
+    if cache.stats.unreadable:
+        print(
+            f"skipped {cache.stats.unreadable} unreadable record(s) under {cache.root!r}",
+            file=sys.stderr,
+        )
     if args.scenario:
         grouped = {k: v for k, v in grouped.items() if k == args.scenario}
     if not grouped:
@@ -450,6 +455,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         sys.stdout.write(table.to_csv() if args.format == "csv" else table.to_jsonl())
         return 0
     if args.format in ("csv", "jsonl"):
+        # Imported here: the long-format exporters (and csv) serve these
+        # two formats only; the tables below never touch them.
+        from repro.runner.export import export_aggregates, export_runs
+
         results = [r for name in sorted(grouped) for r in grouped[name]]
         if args.aggregate:
             text = export_aggregates(aggregate_results(results), args.format, registry=registry)
@@ -791,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="group by (scenario, params) and print mean ± 95%% CI across seeds",
     )
     p_report.add_argument(
-        "--format", choices=EXPORT_FORMATS, default="table",
+        "--format", choices=("table", "csv", "jsonl"), default="table",
         help="output format: human tables, or long-format csv/jsonl with "
              "schema unit/direction columns (plot-ready)",
     )

@@ -39,7 +39,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import obs
 from repro.runner.backends import (
     ExecutionBackend,
     ProgressEvent,
@@ -217,6 +216,10 @@ def execute_run(spec: RunSpec, *, registry: Optional[ScenarioRegistry] = None) -
     :class:`~repro.runner.schema.MetricSchema` (when it has one), so a
     scenario that drifts from its schema fails at the point of production.
     """
+    # Imported here: only a cell that executes is observed, and a sweep
+    # served from the cache executes none.
+    from repro import obs
+
     registry = registry if registry is not None else load_builtin_scenarios()
     scenario = registry.get(spec.scenario)
     spec, params, key = resolve_cell(spec, registry=registry)
@@ -261,7 +264,7 @@ def _resolve_backend(
     outcome reports unless the fallback actually executed cells;
     ``serial_fallback`` records that a custom registry forced serial
     execution (pool workers resolve scenario names by re-importing the
-    experiment modules, which can only reconstruct the built-in registry).
+    built-in catalogue, which can only reconstruct the built-in registry).
     """
     if isinstance(backend, str):
         backend = make_backend(backend, workers=workers)
@@ -300,7 +303,7 @@ def run_sweep(
 
     A custom ``registry`` runs serially regardless of the backend request:
     backends that leave the process resolve scenario names by re-importing
-    the experiment modules, which can only reconstruct the built-in
+    the built-in catalogue, which can only reconstruct the built-in
     registry.
     """
     if workers < 1:

@@ -158,8 +158,13 @@ class ParamSpec:
             )
         # Coerce the default through the spec's own rules so a typo'd
         # declaration (out-of-choices default, wrong type) fails at
-        # registration, not on every later resolve.
-        if self.default is not None:
+        # registration, not on every later resolve.  A trace default is
+        # only canonicalized: coercing it imports the traffic subsystem,
+        # which declaring a scenario must not, and ``resolve`` coerces it
+        # like any override.
+        if self.kind == "trace":
+            object.__setattr__(self, "default", canonicalize(self.default))
+        elif self.default is not None:
             object.__setattr__(self, "default", self.coerce(self.default))
 
     def coerce(self, value: Any) -> Any:
@@ -299,8 +304,8 @@ class ParamSpace:
         specs = []
         for spec in self:
             if spec.name in overrides:
-                value = overrides[spec.name]
-                spec = replace(spec, default=None if value is None else spec.coerce(value))
+                # replace() re-runs __post_init__, which coerces the default.
+                spec = replace(spec, default=overrides[spec.name])
             specs.append(spec)
         return ParamSpace(*specs)
 

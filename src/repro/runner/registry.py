@@ -2,10 +2,13 @@
 
 A *scenario* is a named, parameterized experiment factory: a plain function
 that takes a ``seed`` plus keyword parameters and returns a flat dict of
-JSON-serializable metrics.  Experiment modules register their scenarios with
-the :func:`register_scenario` decorator at import time, so importing
-:mod:`repro.experiments` populates the registry with every figure of the
-paper's evaluation.
+JSON-serializable metrics.  User and test code registers one with the
+:func:`register_scenario` decorator; the built-in scenarios — every figure
+of the paper's evaluation — are declared in
+:mod:`repro.experiments.catalog`, which names each run function by its
+import path and loads it at the first executed cell, so
+:func:`load_builtin_scenarios` populates the registry without importing
+the simulator.
 
 Registration is *typed*: each scenario declares a
 :class:`~repro.runner.params.ParamSpace` describing its knobs (type,
@@ -18,8 +21,8 @@ renders a self-describing knob table.
 
 The registry deliberately stores only picklable data (names, specs,
 descriptions) next to the factory callables; the worker pool ships scenario
-*names* across process boundaries and each worker re-imports the experiment
-modules to resolve them.
+*names* across process boundaries and each worker re-imports the catalogue
+to resolve them.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ class ScenarioRegistry:
         return len(self._scenarios)
 
 
-#: The process-wide registry that :mod:`repro.experiments` populates.
+#: The process-wide registry that :mod:`repro.experiments.catalog` populates.
 REGISTRY = ScenarioRegistry()
 
 #: Module-level convenience decorator bound to :data:`REGISTRY`.
@@ -151,7 +154,7 @@ register_scenario = REGISTRY.register
 
 
 def load_builtin_scenarios() -> ScenarioRegistry:
-    """Import the experiment modules so their scenarios register themselves."""
-    import repro.experiments  # noqa: F401  (import-for-side-effect)
+    """Import the catalogue of built-in scenarios (declarations only)."""
+    import repro.experiments.catalog  # noqa: F401  (import-for-side-effect)
 
     return REGISTRY

@@ -19,7 +19,7 @@ Either way the conversation is the length-prefixed JSON protocol of
 
 * on every connection it sends ``{"type": "hello", "protocol": ...,
   "pid": ..., "host": ..., "python": ..., "scenarios": N}`` after
-  re-importing :mod:`repro.experiments` (the registry travels as *code*,
+  re-importing :mod:`repro.experiments.catalog` (the registry travels as *code*,
   never as pickled state);
 * the scheduler replies ``{"type": "welcome", "protocol": ..., "worker":
   site}``, optionally carrying a ``chaos`` fault plan

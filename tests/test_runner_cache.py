@@ -61,6 +61,24 @@ class TestResultCache:
         assert cache.get(result.key) is None
         assert list(cache.iter_results()) == []
 
+    def test_record_named_for_another_cell_is_a_miss_and_is_overwritten(self, tmp_path):
+        # A copied / renamed / half-restored cache: <keyA>.json holds cell B.
+        cache = ResultCache(str(tmp_path / "cache"))
+        cell_a, cell_b = _result(seed=1), _result(seed=2)
+        os.replace(cache.put(cell_b), cache._path(cell_a.key))
+        assert cache.get(cell_a.key) is None  # the file name is not the identity
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        cache.put(cell_a)  # what the rerun does
+        assert cache.get(cell_a.key) == cell_a
+
+    def test_unreadable_records_are_counted_not_silently_dropped(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        paths = [cache.put(_result(seed=s)) for s in (1, 2, 3)]
+        with open(paths[1], "r+") as fh:
+            fh.truncate(40)
+        assert len(list(cache.iter_results())) == 2
+        assert cache.stats.unreadable == 1
+
     def test_put_stores_elapsed_in_envelope_not_result(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         result = _result()

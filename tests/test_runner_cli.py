@@ -339,6 +339,33 @@ class TestReportFormats:
         assert all(row["scenario"] == "ablation_pi_gains" for row in rows)
         assert {row["metric"] for row in rows} == {"settle_time_s", "settled"}
 
+    def test_report_format_choices_are_the_export_formats(self):
+        # cli spells the choices out so that naming them does not import
+        # the exporters; this keeps the two from drifting.
+        from repro.runner.cli import build_parser
+        from repro.runner.export import EXPORT_FORMATS
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "--format", "yaml"])
+        for fmt in EXPORT_FORMATS:
+            assert build_parser().parse_args(["report", "--format", fmt]).format == fmt
+
+    @pytest.mark.parametrize("flags", [[], ["--aggregate"]])
+    def test_unreadable_records_are_reported_on_stderr(self, tmp_path, capsys, flags):
+        import os
+
+        cache_dir = self._seed_cache(tmp_path)
+        capsys.readouterr()
+        assert main(["--cache-dir", cache_dir, "report", *flags]) == 0
+        clean = capsys.readouterr()
+        assert clean.err == ""
+        with open(os.path.join(cache_dir, "0" * 64 + ".json"), "w") as fh:
+            fh.write('{"result": {"scenario": "ablation_pi_')  # truncated
+        assert main(["--cache-dir", cache_dir, "report", *flags]) == 0
+        broken = capsys.readouterr()
+        assert broken.out == clean.out  # stdout and exit code unchanged
+        assert broken.err == f"skipped 1 unreadable record(s) under {cache_dir!r}\n"
+
     def test_table_format_is_default(self, tmp_path, capsys):
         cache_dir = self._seed_cache(tmp_path)
         capsys.readouterr()
