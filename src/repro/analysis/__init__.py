@@ -18,8 +18,9 @@ those contracts machine-checked:
   :class:`~repro.net.link.Link` and qdisc instances to assert conservation
   invariants at runtime — per-link packet conservation, declared backlog ==
   actual queue sum at every enqueue/dequeue, the batched-``advance()``
-  contract, cancel-token hygiene — and fails loudly with the offending
-  component's path.
+  contract, cancel-token hygiene, and that a closed TCP flow's port only
+  ever sees packets its sender would have ignored — and fails loudly with
+  the offending component's path.
 
 The linter never imports the code it checks (pure ``ast``), so it is safe
 to run on a broken tree; the sanitizer never changes event order, RNG

@@ -24,6 +24,13 @@ instruments the live object graph:
 * **cancel-token hygiene** — a :class:`CancelToken` whose ``cancelled``
   flag was reset after :meth:`~CancelToken.cancel` (token reuse), or an
   event firing twice, is reported.
+* **flow end of life** — a TCP sender that closes
+  (:meth:`Simulator.close_flow`) must have an empty scoreboard, no armed
+  retransmission timer and every byte acknowledged; it leaves a tombstone
+  ``(host, port) -> final snd_una``, and any packet later delivered to
+  that port must be one the live sender would have ignored (an ACK of its
+  own flow at or below ``snd_una``).  That is the argument that releasing
+  the port moves no result byte, checked on every packet.
 
 Everything is instance-level instrumentation: no class in ``net/`` or
 ``qdisc/`` changes behavior, event *order* is untouched (wrappers neither
@@ -161,6 +168,9 @@ class Sanitizer:
         self._qdisc_seen: Dict[int, set] = {}  # id(link) -> {id(qdisc), ...}
         self._nodes_seen: set = set()
         self._link_classes: Dict[type, type] = {}
+        # (id(host), port) of each closed sender -> (flow id, final snd_una).
+        self._closed_ports: Dict[tuple, tuple] = {}
+        self.late_packets = 0
 
     # -- attachment --------------------------------------------------------
 
@@ -170,6 +180,7 @@ class Sanitizer:
         self._wrap_scheduler(sim)
         self._wrap_advance(sim)
         self._wrap_observe_link(sim)
+        self._wrap_close_flow(sim)
 
     # -- scheduler: cancel-token hygiene -----------------------------------
 
@@ -256,6 +267,56 @@ class Sanitizer:
             self._instrument_link(link)
 
         sim.observe_link = sanitized_observe_link
+
+    # -- flow end of life ---------------------------------------------------
+
+    def _wrap_close_flow(self, sim: Any) -> None:
+        real_close = sim.close_flow
+
+        def sanitized_close_flow(sender: Any) -> None:
+            self.checks_performed += 1
+            unfinished = []
+            if sender._segments:
+                unfinished.append(f"{len(sender._segments)} segment(s) on the scoreboard")
+            if sender._rto_timer is not None:
+                unfinished.append("its retransmission timer armed")
+            if sender.size_bytes is None or sender.snd_una < sender.size_bytes:
+                unfinished.append(
+                    f"snd_una={sender.snd_una} short of size_bytes={sender.size_bytes}"
+                )
+            if unfinished:
+                self.violations += 1
+                raise SanitizerViolation(
+                    f"flow {sender.flow_id} (port {sender.port} on "
+                    f"{sender.host.name}): closed with " + ", ".join(unfinished)
+                    + " — a sender may only close once every byte is acknowledged"
+                )
+            self._closed_ports[id(sender.host), sender.port] = (
+                sender.flow_id, sender.snd_una
+            )
+            real_close(sender)
+
+        sim.close_flow = sanitized_close_flow
+
+    def _check_late_packet(self, node: Any, packet: Any, closed: tuple) -> None:
+        """``packet`` reached the port of a closed sender: it must be inert."""
+        flow_id, snd_una = closed
+        self.late_packets += 1
+        self.checks_performed += 1
+        if not packet.is_ack:
+            problem = "a data packet"
+        elif packet.flow_id != flow_id:
+            problem = f"an ACK of flow {packet.flow_id}"
+        elif (packet.payload or {}).get("ack", 0) > snd_una:
+            problem = f"an ACK of {packet.payload['ack']} beyond snd_una={snd_una}"
+        else:
+            return
+        self.violations += 1
+        raise SanitizerViolation(
+            f"flow {flow_id} (port {packet.dst_port} on {node.name}): {problem} "
+            "arrived after the sender closed — the live sender would have "
+            "acted on it, so closing changed the run"
+        )
 
     def _instrument_link(self, link: Any) -> None:
         if id(link) in self._link_records:
@@ -367,6 +428,10 @@ class Sanitizer:
                         f"but only {record.dequeued} were dequeued — a packet "
                         "was delivered twice or bypassed the qdisc"
                     )
+            if self._closed_ports and packet.dst == node.address:
+                closed = self._closed_ports.get((id(node), packet.dst_port))
+                if closed is not None:
+                    self._check_late_packet(node, packet, closed)
             return real_receive(packet, link)
 
         node.receive = sanitized_receive
@@ -413,6 +478,8 @@ class Sanitizer:
             "simulators": len(self.simulators),
             "links": len(self._link_records),
             "checks_performed": self.checks_performed,
+            "flows_closed": len(self._closed_ports),
+            "late_packets": self.late_packets,
         }
 
 

@@ -60,6 +60,11 @@ class BundleMeasurement:
 class WindowCongestionControl:
     """Interface for endhost (per-connection) congestion control."""
 
+    # One controller exists per flow in flight; a subclass that declares
+    # its own ``__slots__`` (Cubic, the default) gets instances without a
+    # ``__dict__``, one that does not is unaffected.
+    __slots__ = ()
+
     #: Maximum segment size used for window arithmetic, in bytes.
     mss: int = 1500
 

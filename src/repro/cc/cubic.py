@@ -20,6 +20,11 @@ from repro.cc.base import WindowCongestionControl
 class CubicCC(WindowCongestionControl):
     """CUBIC window growth with fast convergence."""
 
+    __slots__ = (
+        "mss", "c", "beta", "fast_convergence", "_cwnd", "_ssthresh", "_w_max",
+        "_k", "_epoch_start", "_tcp_cwnd", "in_recovery_until", "__weakref__",
+    )
+
     def __init__(
         self,
         mss: int = 1500,

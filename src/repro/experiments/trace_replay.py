@@ -86,11 +86,7 @@ def run_trace_replay(
     # Run past the replay horizon so flows started near the end can drain.
     sim.run(until=duration_s + 5.0)
 
-    bundle_records = [
-        flow.record()
-        for flow in workload.flows
-        if flow.sender.host in topo.servers
-    ]
+    bundle_records = workload.records(include_incomplete=True, group="bundle")
     analysis = FctAnalysis.from_records(
         bundle_records,
         rtt_s=ms_to_s(rtt_ms),

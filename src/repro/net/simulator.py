@@ -35,10 +35,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from time import perf_counter
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.collect import current_collector
-from repro.obs.stats import SimStats
+from repro.obs.stats import ClosedFlowTotals, SimStats
 
 
 class CancelToken:
@@ -126,9 +126,13 @@ class Simulator:
         self.stats = SimStats()
         # Components register here so the observability layer can fold
         # their existing counters into a run snapshot *after* the run —
-        # nothing is counted per packet on their behalf.
+        # nothing is counted per packet on their behalf.  Links and bundles
+        # live as long as the simulation; flows do not, so theirs is a
+        # registry of the *open* ones (an insertion-ordered dict used as a
+        # set) plus the totals of those that closed (see close_flow).
         self.observed_links: List[Any] = []
-        self.observed_flows: List[Any] = []
+        self.open_flows: Dict[Any, None] = {}
+        self.closed_flows = ClosedFlowTotals()
         self.observed_bundles: List[Any] = []
         #: In-simulation probe set (:mod:`repro.obs.probe`), installed by
         #: the telemetry collector when ``REPRO_PROBES`` is enabled.  Pure
@@ -195,9 +199,19 @@ class Simulator:
 
     def observe_flow(self, flow) -> None:
         """Register a transport endpoint (TCP sender, paced UDP stream)."""
-        self.observed_flows.append(flow)
+        self.open_flows[flow] = None
         if self.probe is not None:
             self.probe.on_flow(flow)
+
+    def close_flow(self, sender) -> None:
+        """Retire a completed TCP sender from the flow registry.
+
+        Its counters move into :attr:`closed_flows` so run telemetry reads
+        the same totals; nothing here keeps the sender alive afterwards
+        (the probe layer holds the first few it was shown, by design).
+        """
+        del self.open_flows[sender]
+        self.closed_flows.fold(sender)
 
     def observe_bundle(self, sendbox) -> None:
         """Register a Bundler sendbox for epoch accounting."""

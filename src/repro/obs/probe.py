@@ -256,6 +256,8 @@ class ProbeSet:
         if len(self._flows) >= MAX_FLOWS:
             self.truncated["flows"] += 1
             return
+        # Holding the sender is what keeps it sampled after it closes (a
+        # closed TCP sender is otherwise freed; its scalars stay readable).
         self._flows.append(flow)
 
     def on_bundle(self, sendbox) -> None:

@@ -82,6 +82,30 @@ class SimStats:
         }
 
 
+class ClosedFlowTotals:
+    """What closed TCP senders counted, kept after the senders are gone.
+
+    A completed :class:`~repro.transport.tcp.TcpSender` leaves the
+    simulator's flow registry (``Simulator.close_flow``) and is freed; its
+    counters are added here first so :func:`simulator_counters` reports
+    the same totals as if every sender had been kept.
+    """
+
+    __slots__ = ("senders", "packets_sent", "retransmissions", "timeouts")
+
+    def __init__(self) -> None:
+        self.senders = 0
+        self.packets_sent = 0
+        self.retransmissions = 0
+        self.timeouts = 0
+
+    def fold(self, sender) -> None:
+        self.senders += 1
+        self.packets_sent += sender.packets_sent
+        self.retransmissions += sender.retransmissions
+        self.timeouts += sender.timeouts
+
+
 def qdisc_class_counters(links) -> Dict[str, Dict[str, int]]:
     """Enqueue/dequeue/drop totals grouped by qdisc class across ``links``.
 
@@ -120,10 +144,13 @@ def simulator_counters(sim) -> Dict[str, Any]:
 
     Reads the simulator's :class:`SimStats` plus the counters of every
     component registered via ``observe_link`` / ``observe_flow`` /
-    ``observe_bundle`` — all passive reads, nothing on the hot path.
+    ``observe_bundle`` — all passive reads, nothing on the hot path.  The
+    ``transports`` entry totals closed and open flows alike: closed TCP
+    senders were folded into ``sim.closed_flows`` as they left the registry.
     """
     links = sim.observed_links
-    flows = sim.observed_flows
+    flows = sim.open_flows
+    closed = sim.closed_flows
     bundles = sim.observed_bundles
     counters: Dict[str, Any] = dict(sim.stats.as_dict())
     counters["qdiscs"] = qdisc_class_counters(links)
@@ -136,10 +163,10 @@ def simulator_counters(sim) -> Dict[str, Any]:
     tcp = [f for f in flows if hasattr(f, "retransmissions")]
     udp = [f for f in flows if not hasattr(f, "retransmissions")]
     counters["transports"] = {
-        "tcp_senders": len(tcp),
-        "tcp_packets_sent": sum(f.packets_sent for f in tcp),
-        "retransmits": sum(f.retransmissions for f in tcp),
-        "timeouts": sum(f.timeouts for f in tcp),
+        "tcp_senders": closed.senders + len(tcp),
+        "tcp_packets_sent": closed.packets_sent + sum(f.packets_sent for f in tcp),
+        "retransmits": closed.retransmissions + sum(f.retransmissions for f in tcp),
+        "timeouts": closed.timeouts + sum(f.timeouts for f in tcp),
         "udp_streams": len(udp),
         "udp_packets_sent": sum(getattr(f, "packets_sent", 0) for f in udp),
     }

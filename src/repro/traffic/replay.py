@@ -9,6 +9,15 @@ million-flow trace holds O(1) events in memory and, just as importantly,
 a live generator's RNG draws happen at fixed points of the event loop
 (cached results depend on that interleaving).
 
+Flows follow the same rule.  A flow that *closes* (its sender has the last
+ACK, see :mod:`repro.transport.flow`) is swapped, in this workload's
+lists, for its :class:`~repro.transport.flow.FlowRecord`, which frees its
+sender, scoreboard and congestion controller on the spot.  What a finished
+flow leaves behind is that record and its receiver (still registered, to
+re-ACK duplicates) — a few hundred bytes — so a replay's memory is the
+flows *in flight* plus one small record per flow issued, not a live
+transport stack per flow ever issued.
+
 This module is the one place that decides how an offered load becomes
 flows: a trace goes to the constructor, the §7.1 request load (Poisson
 arrivals drawn from the caller's live RNG) to
@@ -24,7 +33,7 @@ site still replays on a narrow one.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cc import make_window_cc
 from repro.net.node import Host
@@ -84,9 +93,15 @@ class TraceReplayWorkload:
         self._start_time = 0.0
         self._last_time: Optional[float] = None
 
-        self.flows: List[TcpFlow] = []
+        # One slot per flow in issue order and one per flow whose receiver
+        # has every byte, in that order; a slot holds the live flow until it
+        # closes and its final record from then on.  ``_open`` maps each
+        # live flow to its two slot indices.
+        self._issued: List[Union[TcpFlow, FlowRecord]] = []
+        self._completed: List[Union[TcpFlow, FlowRecord]] = []
+        self._open: Dict[TcpFlow, Tuple[int, Optional[int]]] = {}
+        self._cross_flow_ids: Set[int] = set()
         self.streams: List[PacedUdpStream] = []
-        self.completed_records: List[FlowRecord] = []
 
     @classmethod
     def poisson_requests(
@@ -216,8 +231,12 @@ class TraceReplayWorkload:
                 mss=self.mss,
                 traffic_class=traffic_class,
                 on_complete=self._flow_done,
+                on_close=self._flow_closed,
             )
-            self.flows.append(flow)
+            self._open[flow] = (len(self._issued), None)
+            self._issued.append(flow)
+            if event.group == "cross":
+                self._cross_flow_ids.add(flow.flow_id)
             flow.start()
         else:
             stream = PacedUdpStream(
@@ -233,20 +252,49 @@ class TraceReplayWorkload:
             stream.start(duration=event.duration_s)
 
     def _flow_done(self, flow: TcpFlow) -> None:
-        self.completed_records.append(flow.record())
+        self._open[flow] = (self._open[flow][0], len(self._completed))
+        self._completed.append(flow)
+
+    def _flow_closed(self, flow: TcpFlow) -> None:
+        issued_at, completed_at = self._open.pop(flow)
+        record = flow.record()
+        self._issued[issued_at] = record
+        if completed_at is not None:
+            self._completed[completed_at] = record
 
     # -- results ----------------------------------------------------------
 
     @property
+    def flows(self) -> List[TcpFlow]:
+        """The flows still open (issued, not yet closed), in issue order."""
+        return list(self._open)
+
+    @property
     def flows_issued(self) -> int:
-        return len(self.flows)
+        return len(self._issued)
 
     @property
     def streams_started(self) -> int:
         return len(self.streams)
 
-    def records(self, include_incomplete: bool = False) -> List[FlowRecord]:
-        """Flow records (completed only by default)."""
-        if not include_incomplete:
-            return list(self.completed_records)
-        return [flow.record() for flow in self.flows]
+    def records(
+        self, include_incomplete: bool = False, group: Optional[str] = None
+    ) -> List[FlowRecord]:
+        """One record per flow: the completed ones in completion order by
+        default, every flow issued in issue order with ``include_incomplete``.
+
+        ``group`` (``"bundle"`` or ``"cross"``) keeps that trace group's
+        flows only.  A closed flow is served its one final record; a flow
+        still open is snapshotted as it stands.
+        """
+        slots = self._issued if include_incomplete else self._completed
+        records = [
+            slot if type(slot) is FlowRecord else slot.record() for slot in slots
+        ]
+        if group is None:
+            return records
+        if group not in ("bundle", "cross"):
+            raise ValueError(f"unknown trace group {group!r} (bundle or cross)")
+        cross = self._cross_flow_ids
+        keep_cross = group == "cross"
+        return [r for r in records if (r.flow_id in cross) == keep_cross]

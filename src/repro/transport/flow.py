@@ -5,7 +5,15 @@ client"), not in raw senders and receivers.  :class:`TcpFlow` allocates the
 flow id and port, wires a :class:`~repro.transport.tcp.TcpSender` on the
 source host to a :class:`~repro.transport.tcp.TcpReceiver` on the
 destination host, and produces a :class:`FlowRecord` suitable for
-flow-completion-time analysis when the receiver has all the bytes.
+flow-completion-time analysis.
+
+A flow *closes* when its sender has every byte acknowledged (the receiver
+completed a one-way delay earlier): the flow takes its one final
+:class:`FlowRecord` — what :meth:`TcpFlow.record` returns from then on —
+and tells ``on_close``.  By then the sender and receiver have dropped their
+callbacks into the flow, so a holder that swaps the flow for its record
+(:class:`~repro.traffic.replay.TraceReplayWorkload` does) frees flow,
+sender, scoreboard and controller by reference counting alone.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ def next_port(sim: Simulator) -> int:
     return sim.next_port()
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """Outcome of one flow, as used by the FCT/slowdown analysis."""
 
@@ -59,7 +67,17 @@ class FlowRecord:
 
 
 class TcpFlow:
-    """A single TCP transfer from ``src_host`` to ``dst_host``."""
+    """A single TCP transfer from ``src_host`` to ``dst_host``.
+
+    ``on_complete(flow)`` fires when the receiver has all the bytes,
+    ``on_close(flow)`` when the sender knows it (the last ACK is in) and
+    the flow's final record exists.
+    """
+
+    __slots__ = (
+        "sim", "size_bytes", "traffic_class", "flow_id", "port", "on_complete",
+        "on_close", "start_time", "receiver", "sender", "_record", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -73,6 +91,7 @@ class TcpFlow:
         mss: int = 1500,
         traffic_class: int = 0,
         on_complete: Optional[Callable[["TcpFlow"], None]] = None,
+        on_close: Optional[Callable[["TcpFlow"], None]] = None,
     ) -> None:
         self.sim = sim
         self.size_bytes = size_bytes
@@ -80,7 +99,9 @@ class TcpFlow:
         self.flow_id = next_flow_id(sim)
         self.port = next_port(sim)
         self.on_complete = on_complete
+        self.on_close = on_close
         self.start_time: Optional[float] = None
+        self._record: Optional[FlowRecord] = None
 
         self.receiver = TcpReceiver(
             sim,
@@ -103,6 +124,7 @@ class TcpFlow:
             cc=cc,
             mss=mss,
             traffic_class=traffic_class,
+            on_complete=self._sender_done,
         )
 
     def start(self, delay: float = 0.0) -> "TcpFlow":
@@ -122,8 +144,20 @@ class TcpFlow:
         self.sender.stop()
 
     def _receiver_done(self, now: float) -> None:
-        if self.on_complete is not None:
-            self.on_complete(self)
+        on_complete, self.on_complete = self.on_complete, None
+        if on_complete is not None:
+            on_complete(self)
+
+    def _sender_done(self, now: float) -> None:
+        self._record = self._snapshot()
+        on_close, self.on_close = self.on_close, None
+        if on_close is not None:
+            on_close(self)
+
+    @property
+    def closed(self) -> bool:
+        """Has the sender completed (so :meth:`record` is final)?"""
+        return self._record is not None
 
     @property
     def completed(self) -> bool:
@@ -148,7 +182,11 @@ class TcpFlow:
         return self.size_bytes * 8.0 / fct
 
     def record(self) -> FlowRecord:
-        """Snapshot this flow as a :class:`FlowRecord`."""
+        """This flow as a :class:`FlowRecord`: the final one once the flow
+        has closed, a snapshot of the flow so far before that."""
+        return self._record if self._record is not None else self._snapshot()
+
+    def _snapshot(self) -> FlowRecord:
         return FlowRecord(
             flow_id=self.flow_id,
             size_bytes=self.size_bytes if self.size_bytes is not None else self.sender.snd_una,

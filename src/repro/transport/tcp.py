@@ -15,6 +15,19 @@ This is a deliberately compact but behaviourally faithful TCP model:
   exponential backoff) acts as the last-resort recovery mechanism;
 * retransmitted segments are excluded from RTT sampling (Karn's rule).
 
+A flow has an end of life.  When the sender has every byte acknowledged it
+*closes*: it releases its port, leaves the simulator's flow registry (its
+counters folded into the registry's totals) and drops its completion
+callback, so nothing but a caller's own reference keeps it — or its
+scoreboard and congestion controller — alive.  Every packet that can still
+reach that port is one the completed sender ignored anyway (``ack <=
+snd_una`` on an empty scoreboard).  The *receiver* stays registered for the
+rest of the simulation: it re-ACKs duplicate data, and those ACKs are link
+packets.  Since receivers therefore accumulate, one per flow ever issued,
+every class here declares ``__slots__`` and allocates its rarely used
+containers on first use.  See "Flow lifetime and memory" in
+``docs/simcore.md``.
+
 Segments are modelled as whole packets of up to ``mss`` payload bytes;
 header overhead is not modelled separately (the evaluation's quantities are
 all relative, so a constant per-packet overhead would cancel out).
@@ -56,6 +69,10 @@ MAX_SACK_BLOCKS = 256
 
 _RANGE_END = itemgetter(1)
 
+#: The block memo of a sender that has applied no SACK block list (yet, or
+#: since its last timeout) — one shared constant, not an object per sender.
+_NO_BLOCKS: FrozenSet[Tuple[int, int]] = frozenset()
+
 
 def _touching(ranges: Sequence[Sequence[int]], start: int, end: int) -> Tuple[int, int]:
     """``(i, j)`` such that ``ranges[i:j]`` overlap or touch ``[start, end)``.
@@ -70,7 +87,7 @@ def _touching(ranges: Sequence[Sequence[int]], start: int, end: int) -> Tuple[in
     return i, j
 
 
-@dataclass
+@dataclass(slots=True)
 class _SegmentState:
     """Sender-side bookkeeping for one transmitted, not-yet-acked segment."""
 
@@ -84,6 +101,17 @@ class _SegmentState:
 
 class TcpSender:
     """Sending side of a TCP-like connection with SACK loss recovery."""
+
+    __slots__ = (
+        "sim", "host", "factory", "flow_id", "port", "dst_address", "dst_port",
+        "size_bytes", "cc", "mss", "traffic_class", "on_complete",
+        "snd_nxt", "snd_una", "completed", "started", "start_time",
+        "complete_time", "retransmissions", "timeouts", "packets_sent",
+        "_segments", "_pipe", "_hs", "_retx_seqs", "_retx_order", "_sack_floor",
+        "_sacked_ranges", "_sack_applied", "_lost_heap", "_has_lost",
+        "_has_sacked", "_srtt", "_rttvar", "_rto", "_rto_timer",
+        "_recovery_until", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -145,16 +173,16 @@ class TcpSender:
         #               ACK only applies the blocks it adds
         #   _retx_order outstanding retransmissions' seqs in send order, so
         #               the time rule stops at the first one still young
-        # The last two are allocated on first use: most flows never see a
-        # SACK block or a retransmission.
+        # ``_retx_seqs`` and ``_retx_order`` are allocated on first use: most
+        # flows never retransmit.
         self._segments: Dict[int, _SegmentState] = {}
         self._pipe = 0
         self._hs: Optional[int] = None
-        self._retx_seqs: set = set()
+        self._retx_seqs: Optional[set] = None
         self._retx_order: Optional[Deque[int]] = None
         self._sack_floor = 0
         self._sacked_ranges: List[List[int]] = []
-        self._sack_applied: FrozenSet[Tuple[int, int]] = frozenset()
+        self._sack_applied = _NO_BLOCKS
         self._lost_heap: List[int] = []
         self._has_lost = False
         self._has_sacked = False
@@ -178,7 +206,11 @@ class TcpSender:
         self._try_send()
 
     def stop(self) -> None:
-        """Stop a backlogged (unbounded) flow and release its port."""
+        """Stop a backlogged (unbounded) flow and release its port.
+
+        With nothing outstanding the sender completes, and closes, here;
+        otherwise it stays in the flow registry, deaf, with its counters.
+        """
         self.size_bytes = self.snd_nxt
         self._finish_if_done()
         self._cancel_rto()
@@ -293,13 +325,14 @@ class TcpSender:
     def _retransmit_segment(self, state: _SegmentState) -> None:
         state.lost = False  # back in flight; may be marked lost again later
         self._pipe += state.size
+        order = self._retx_order
+        if order is None:
+            order = self._retx_order = deque()
+            self._retx_seqs = set()
         if not state.retransmitted:
             state.retransmitted = True
             self._retx_seqs.add(state.seq)
         state.sent_time = self.sim.now
-        order = self._retx_order
-        if order is None:
-            order = self._retx_order = deque()
         order.append(state.seq)
         self.retransmissions += 1
         self.packets_sent += 1
@@ -536,12 +569,12 @@ class TcpSender:
         # valid min-heap, so the scoreboard's key order seeds the lost heap.
         self._pipe = 0
         self._hs = None
-        self._retx_seqs.clear()
-        if self._retx_order:
+        if self._retx_order is not None:
+            self._retx_seqs.clear()
             self._retx_order.clear()
         self._sack_floor = self.snd_nxt
         self._sacked_ranges = []
-        self._sack_applied = frozenset()
+        self._sack_applied = _NO_BLOCKS
         self._lost_heap = list(self._segments)
         self._has_lost = bool(self._segments)
         self._has_sacked = False
@@ -559,12 +592,30 @@ class TcpSender:
             self.completed = True
             self.complete_time = self.sim.now
             self._cancel_rto()
-            if self.on_complete is not None:
-                self.on_complete(self.sim.now)
+            # Close (see the module docstring).  The scalar state — window,
+            # ``snd_una``, times, counters — stays readable for whoever
+            # still holds the sender (the probe layer holds its first few).
+            self.host.deregister_agent(self.port)
+            self.sim.close_flow(self)
+            on_complete, self.on_complete = self.on_complete, None
+            if on_complete is not None:
+                on_complete(self.sim.now)
 
 
 class TcpReceiver:
-    """Receiving side: cumulative ACKs with SACK blocks for out-of-order data."""
+    """Receiving side: cumulative ACKs with SACK blocks for out-of-order data.
+
+    Registered on its port for the rest of the simulation (a duplicate
+    segment arriving after completion is still ACKed), so this is the
+    object a finished flow leaves behind: slotted, and with no container
+    until data arrives out of order.
+    """
+
+    __slots__ = (
+        "sim", "host", "factory", "flow_id", "port", "expected_bytes",
+        "on_complete", "rcv_nxt", "bytes_received", "packets_received",
+        "complete_time", "completed", "_ranges",
+    )
 
     def __init__(
         self,
@@ -591,8 +642,9 @@ class TcpReceiver:
         self.complete_time: Optional[float] = None
         self.completed = False
         # Out-of-order data: sorted, disjoint, non-adjacent [start, end)
-        # ranges, stored as the very tuples the SACK blocks are.
-        self._ranges: List[Tuple[int, int]] = []
+        # ranges, stored as the very tuples the SACK blocks are.  ``None``
+        # until the first out-of-order arrival.
+        self._ranges: Optional[List[Tuple[int, int]]] = None
 
         host.register_agent(port, self)
 
@@ -605,7 +657,10 @@ class TcpReceiver:
         # so comparing against the last range alone is sufficient.
         ranges = self._ranges
         if not ranges:
-            ranges.append((start, end))
+            if ranges is None:
+                self._ranges = [(start, end)]
+            else:
+                ranges.append((start, end))
             return
         last_lo, last_hi = ranges[-1]
         if start > last_hi:
@@ -634,7 +689,8 @@ class TcpReceiver:
         Past ``MAX_SACK_BLOCKS`` ranges the *lowest* ones are reported (the
         ones next to the cumulative ACK point), not the newest.
         """
-        return self._ranges[:MAX_SACK_BLOCKS]
+        ranges = self._ranges
+        return ranges[:MAX_SACK_BLOCKS] if ranges else []
 
     # -- datapath -------------------------------------------------------------------
 
@@ -676,5 +732,7 @@ class TcpReceiver:
         if self.rcv_nxt >= self.expected_bytes:
             self.completed = True
             self.complete_time = self.sim.now
-            if self.on_complete is not None:
-                self.on_complete(self.sim.now)
+            # One-shot: the receiver outlives the flow and must not pin it.
+            on_complete, self.on_complete = self.on_complete, None
+            if on_complete is not None:
+                on_complete(self.sim.now)

@@ -36,6 +36,20 @@ def _record_tuples(workload):
     ]
 
 
+class _IssueLog(TraceReplayWorkload):
+    """Notes each flow's sending host as it is issued: a closed flow is a
+    record, which does not say where the flow ran."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.issued_from = []
+
+    def _issue_event(self, event):
+        super()._issue_event(event)
+        if event.kind == "flow":
+            self.issued_from.append(self.flows[-1].sender.host.name)
+
+
 class TestReplayBasics:
     def test_flow_events_become_completed_flows(self):
         sim, topo = _topo()
@@ -43,7 +57,7 @@ class TestReplayBasics:
             TraceEvent(time_s=0.1 * i, kind="flow", size_bytes=5_000, src=i, dst=0)
             for i in range(10)
         ]
-        workload = TraceReplayWorkload(
+        workload = _IssueLog(
             sim, topo.packet_factory, topo.servers, topo.clients, events=events
         ).start()
         sim.run(until=5.0)
@@ -51,9 +65,10 @@ class TestReplayBasics:
         records = workload.records()
         assert len(records) == 10
         assert all(r.completed for r in records)
+        # Every flow has closed: the workload holds ten records, no flow.
+        assert workload.flows == []
         # src indices map modulo the server pool.
-        hosts = {flow.sender.host.name for flow in workload.flows}
-        assert hosts == {"server0", "server1"}
+        assert workload.issued_from == ["server0", "server1"] * 5
 
     def test_stream_events_drive_paced_udp(self):
         sim, topo = _topo(num_cross_pairs=1)
@@ -118,8 +133,8 @@ class TestReplayBasics:
             classify=lambda size: 0 if size <= 100_000 else 1,
         ).start()
         sim.run(until=3.0)
-        classes = sorted(flow.traffic_class for flow in workload.flows)
-        assert classes == [0, 1]
+        records = workload.records(include_incomplete=True)
+        assert sorted(r.traffic_class for r in records) == [0, 1]
 
     def test_start_twice_rejected(self):
         sim, topo = _topo()
@@ -155,7 +170,7 @@ class TestGenerateThenReplayEquivalence:
 
     def test_constructor_returns_the_replay_engine_itself(self):
         # No wrapper type: callers hold the TraceReplayWorkload and read
-        # flows_issued / records() / flows off the real object.
+        # flows_issued / records() / flows (the open ones) off the real object.
         sim, topo = _topo()
         workload = TraceReplayWorkload.poisson_requests(
             sim, topo.packet_factory, topo.servers, topo.clients,
@@ -185,9 +200,10 @@ class TestGenerateThenReplayEquivalence:
         direct = self._direct()
         expected = list(self._events())
         assert direct.flows_issued == len(expected)
-        for flow, event in zip(direct.flows, expected, strict=True):
-            assert flow.size_bytes == event.size_bytes
-            assert flow.start_time == pytest.approx(event.time_s, abs=1e-12)
+        issued = direct.records(include_incomplete=True)
+        for record, event in zip(issued, expected, strict=True):
+            assert record.size_bytes == event.size_bytes
+            assert record.start_time == pytest.approx(event.time_s, abs=1e-12)
 
     def test_nonzero_start_offsets_whole_trace(self):
         sim, topo = _topo()

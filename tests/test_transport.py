@@ -86,7 +86,9 @@ class TestTcpFlow:
             assert sender._hs == max(
                 (s.seq + s.size for s in segs if s.sacked), default=None
             )
-            assert sender._retx_seqs == {s.seq for s in segs if s.retransmitted}
+            assert (sender._retx_seqs or set()) == {
+                s.seq for s in segs if s.retransmitted
+            }
             assert list(sender._segments) == sorted(sender._segments)
             # Below the exemption floor every segment is in a state the
             # SACK loss rule skips, forever.
@@ -104,8 +106,11 @@ class TestTcpFlow:
                 assert covered == s.sacked
             checked += 1
 
-        sender.on_packet = checking_on_packet
+        # The sender is slotted, so the check wraps it where the host looks
+        # it up; closing the flow releases the port, wrapper and all.
+        a._agents[flow.port] = SimpleNamespace(on_packet=checking_on_packet)
         sim.run(until=30.0)
+        assert flow.port not in a._agents
         assert flow.completed and sender.retransmissions > 0
         assert checked > 100  # the invariants were exercised under real loss
 
@@ -172,6 +177,10 @@ class _BruteScoreboard:
     (every SACK block tested against every segment, the time rule and the
     SACK rule run over the whole scoreboard, no watermark, floor or memo), and
     compares itself with the sender after every ACK and every timeout.
+
+    The sender is slotted, so the oracle listens by moving the instance to
+    a subclass of :class:`TcpSender` (same layout, no slots of its own)
+    whose overrides call it and then the real method.
     """
 
     def __init__(self, sender, drop_acks=0.0, seed=0):
@@ -180,58 +189,53 @@ class _BruteScoreboard:
         self.checked = 0
         self.acks_dropped = 0
         rng = random.Random(seed)
-        real_new = sender._transmit_new
-        real_retx = sender._retransmit_segment
-        real_rto = sender._on_rto
-        real_detect = sender._detect_losses
-        real_on_packet = sender.on_packet
+        oracle = self
         pending = {}
 
-        def transmit_new(seq, size):
-            self.segs[seq] = SimpleNamespace(
-                size=size, sent_time=sender.sim.now,
-                retransmitted=False, sacked=False, lost=False)
-            real_new(seq, size)
+        class Observed(TcpSender):
+            __slots__ = ()
 
-        def retransmit_segment(state):
-            seg = self.segs[state.seq]
-            assert seg.lost and not seg.sacked
-            seg.lost = False
-            seg.retransmitted = True
-            seg.sent_time = sender.sim.now
-            real_retx(state)
+            def _transmit_new(self, seq, size):
+                oracle.segs[seq] = SimpleNamespace(
+                    size=size, sent_time=sender.sim.now,
+                    retransmitted=False, sacked=False, lost=False)
+                super()._transmit_new(seq, size)
 
-        def on_rto():
-            if not sender.completed and sender.inflight_bytes > 0:
-                for seg in self.segs.values():
-                    seg.sacked = seg.retransmitted = False
-                    seg.lost = True
-            real_rto()
-            self.check()
+            def _retransmit_segment(self, state):
+                seg = oracle.segs[state.seq]
+                assert seg.lost and not seg.sacked
+                seg.lost = False
+                seg.retransmitted = True
+                seg.sent_time = sender.sim.now
+                super()._retransmit_segment(state)
 
-        def detect_losses():
-            # The sender has taken the cumulative ACK and its RTT sample and
-            # not yet transmitted anything: the point at which the reference
-            # processes the same ACK.
-            expected = self.on_ack(pending["ack"], pending["sack"],
-                                   sender.sim.now, sender.srtt)
-            found = real_detect()
-            assert found == expected
-            return found
+            def _on_rto(self):
+                if not sender.completed and sender.inflight_bytes > 0:
+                    for seg in oracle.segs.values():
+                        seg.sacked = seg.retransmitted = False
+                        seg.lost = True
+                super()._on_rto()
+                oracle.check()
 
-        def on_packet(packet, now):
-            if rng.random() < drop_acks:
-                self.acks_dropped += 1  # lost on the reverse path
-                return
-            pending.update(packet.payload)
-            real_on_packet(packet, now)
-            self.check()
+            def _detect_losses(self):
+                # The sender has taken the cumulative ACK and its RTT sample
+                # and not yet transmitted anything: the point at which the
+                # reference processes the same ACK.
+                expected = oracle.on_ack(pending["ack"], pending["sack"],
+                                         sender.sim.now, sender.srtt)
+                found = super()._detect_losses()
+                assert found == expected
+                return found
 
-        sender._transmit_new = transmit_new
-        sender._retransmit_segment = retransmit_segment
-        sender._on_rto = on_rto
-        sender._detect_losses = detect_losses
-        sender.on_packet = on_packet
+            def on_packet(self, packet, now):
+                if rng.random() < drop_acks:
+                    oracle.acks_dropped += 1  # lost on the reverse path
+                    return
+                pending.update(packet.payload)
+                super().on_packet(packet, now)
+                oracle.check()
+
+        sender.__class__ = Observed
 
     def on_ack(self, ack, blocks, now, srtt):
         segs = self.segs
@@ -322,8 +326,8 @@ class TestAckPathIsIncremental:
         # Queue overflow alone is repaired by SACK recovery; a forward-path
         # blackout longer than the RTO forces timeouts as well.
         deliver = flow.receiver.on_packet
-        flow.receiver.on_packet = (
-            lambda packet, now: None if 0.5 <= now < 1.0 else deliver(packet, now))
+        b._agents[flow.port] = SimpleNamespace(on_packet=(
+            lambda packet, now: None if 0.5 <= now < 1.0 else deliver(packet, now)))
         flow.start()
         sim.run(until=120.0)
         assert flow.completed
@@ -428,10 +432,10 @@ class TestAckPathIsIncremental:
         sim.run(until=5.0)
         sender = flow.sender
         assert flow.completed and sender.retransmissions == 0
-        assert sender._retx_order is None
+        assert sender._retx_order is None and sender._retx_seqs is None
         assert not sender._sack_applied
         assert sender._sacked_ranges == [] and sender._lost_heap == []
-        assert flow.receiver._ranges == []
+        assert flow.receiver._ranges is None
 
     @pytest.mark.parametrize("seed", range(5))
     def test_receiver_ranges_match_the_rebuild_oracle(self, seed):
