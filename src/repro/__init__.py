@@ -7,9 +7,9 @@ evaluate it:
   (links, routers, ECMP, tracing) standing in for the paper's mahimahi
   emulation and real WAN paths.
 * :mod:`repro.qdisc` — queueing disciplines (FIFO, SFQ, CoDel, FQ-CoDel,
-  DRR, strict priority, RED, and the token-bucket sendbox datapath).
+  DRR, strict priority, and the token-bucket sendbox datapath).
 * :mod:`repro.cc` — congestion control: endhost window algorithms (Cubic,
-  Reno, BBR, Vegas) and bundle-level rate algorithms (Copa, Nimbus
+  Reno, BBR) and bundle-level rate algorithms (Copa, Nimbus
   BasicDelay, BBR), plus Nimbus elasticity detection.
 * :mod:`repro.transport` — TCP-like reliable flows, paced UDP streams and
   closed-loop latency probes.

@@ -31,7 +31,7 @@ WIRE_FRAMES = ("WorkItem", "WorkOutcome")
 FRAMES_MODULE = "runner/backends.py"
 VERSION_MODULE = "runner/wire.py"
 #: Modules whose ``{"type": ...}`` dict literals define the message kinds.
-MESSAGE_MODULES = ("runner/worker.py", "runner/distributed.py", "runner/doctor.py")
+MESSAGE_MODULES = ("runner/worker.py", "runner/distributed.py")
 
 DEFAULT_SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "wire_snapshot.json")
 

@@ -2,8 +2,8 @@
 
 Two interfaces live here (defined in :mod:`repro.cc.base`):
 
-* **Window controllers** drive endhost TCP flows (Cubic, Reno, BBR, Vegas,
-  and the constant-window controller used to emulate an idealized TCP
+* **Window controllers** drive endhost TCP flows (Cubic, Reno, BBR, and
+  the constant-window controller used to emulate an idealized TCP
   proxy).  Bundler leaves these untouched — they keep probing for bandwidth
   exactly as they would without a Bundler on path (§4.1).
 * **Rate controllers** drive the bundle's inner control loop at the sendbox
@@ -24,7 +24,6 @@ from repro.cc.base import (
 )
 from repro.cc.reno import RenoCC
 from repro.cc.cubic import CubicCC
-from repro.cc.vegas import VegasCC
 from repro.cc.bbr import BbrRateControl, BbrWindowCC
 from repro.cc.copa import CopaRateControl
 from repro.cc.basic_delay import BasicDelayRateControl
@@ -34,7 +33,6 @@ from repro.cc.constant import ConstantWindowCC, ConstantRateControl
 WINDOW_CC_REGISTRY = {
     "reno": RenoCC,
     "cubic": CubicCC,
-    "vegas": VegasCC,
     "bbr": BbrWindowCC,
     "constant": ConstantWindowCC,
 }
@@ -75,7 +73,6 @@ __all__ = [
     "WindowCongestionControl",
     "RenoCC",
     "CubicCC",
-    "VegasCC",
     "BbrRateControl",
     "BbrWindowCC",
     "CopaRateControl",

@@ -110,7 +110,7 @@ NUM_SERVERS = ParamSpec(
     description="request-serving endhosts behind the sendbox")
 ENDHOST_CC = ParamSpec(
     "endhost_cc", kind="str", default="cubic",
-    choices=("cubic", "reno", "vegas", "bbr", "constant"),
+    choices=("cubic", "reno", "bbr", "constant"),
     description="endhost window congestion controller")
 SENDBOX_CC = ParamSpec(
     "sendbox_cc", kind="str", default="copa",

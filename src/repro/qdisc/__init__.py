@@ -11,7 +11,6 @@ prototype relies on, driven by simulated time instead of the kernel clock:
   :class:`~repro.qdisc.fq_codel.FqCoDelQdisc` — CoDel AQM and FQ-CoDel.
 * :class:`~repro.qdisc.drr.DrrQdisc` — deficit round robin.
 * :class:`~repro.qdisc.prio.PrioQdisc` — strict priority classes.
-* :class:`~repro.qdisc.red.RedQdisc` — Random Early Detection.
 * :class:`~repro.qdisc.tbf.TokenBucketQdisc` — token-bucket shaper with a
   pluggable inner qdisc; the patched-TBF sendbox datapath of §6.1.
 """
@@ -23,7 +22,6 @@ from repro.qdisc.codel import CoDelQdisc
 from repro.qdisc.fq_codel import FqCoDelQdisc
 from repro.qdisc.drr import DrrQdisc
 from repro.qdisc.prio import PrioQdisc
-from repro.qdisc.red import RedQdisc
 from repro.qdisc.tbf import TokenBucketQdisc
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "FqCoDelQdisc",
     "DrrQdisc",
     "PrioQdisc",
-    "RedQdisc",
     "TokenBucketQdisc",
 ]
 
@@ -46,7 +43,6 @@ QDISC_REGISTRY = {
     "fq_codel": FqCoDelQdisc,
     "drr": DrrQdisc,
     "prio": PrioQdisc,
-    "red": RedQdisc,
 }
 
 

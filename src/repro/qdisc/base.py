@@ -74,7 +74,7 @@ class Qdisc:
         dequeue is stateful the contract is deliberately weaker — the
         *candidate* at the head of the currently scheduled queue:
 
-        * AQMs (CoDel, RED) may still drop the candidate at dequeue time;
+        * AQMs (CoDel) may still drop the candidate at dequeue time;
         * DRR/FQ-CoDel may rotate to another class once deficits are
           charged;
         * a shaper (TBF) reports its staged/inner head even when no tokens

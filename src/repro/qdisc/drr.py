@@ -91,8 +91,9 @@ class DrrQdisc(Qdisc):
                 self._active.popleft()
             return head
         # Degenerate case: a packet larger than any accumulated deficit with a
-        # tiny quantum.  Serve the head of the first active queue to preserve
-        # work conservation.
+        # tiny quantum.  Serve the head of the first active queue, uncharged,
+        # to preserve work conservation (tests/test_qdisc_reference.py states
+        # the contract and holds this class to it).
         while self._active:
             key = self._active[0]
             queue = self._classes[key].queue

@@ -39,7 +39,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional
@@ -131,6 +130,8 @@ class ResultCache:
 
     def _write_json_atomic(self, path: str, payload: Mapping[str, Any]) -> None:
         """Temp file + rename, so a crash never leaves a half-written file."""
+        import tempfile  # writers only: readers (list, report, a warm sweep) never load it
+
         os.makedirs(self.root, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
@@ -355,6 +356,8 @@ class ResultCache:
           is not evidence of staleness.
         * ``max_age_s`` — records whose ``created_at`` (file mtime for
           pre-manifest records) is older than this many seconds are evicted.
+          A negative (or NaN) age is a :class:`ValueError`, raised before any
+          file is touched: every record is older than a negative age.
 
         Alongside the records, ``*.tmp`` files in the cache root older than
         :data:`TMP_GRACE_S` are swept: a writer killed between creating its
@@ -364,6 +367,8 @@ class ResultCache:
         written by other processes are seen, and rewritten after eviction.
         With ``dry_run`` nothing is deleted; the stats report what would be.
         """
+        if max_age_s is not None and not max_age_s >= 0:
+            raise ValueError(f"max_age_s must be >= 0, got {max_age_s!r}")
         now = now if now is not None else time.time()  # repro: noqa[RPR030] -- gc age policy compares envelope created_at stamps; never touches cached payloads
         entries = self.rebuild_manifest()
         stats = GcStats(examined=len(entries))

@@ -50,9 +50,11 @@ Subcommands:
     materializing it, ``validate`` checks record schema and
     time-ordering, exiting non-zero on a bad file.
 ``workers``
-    Distributed-fleet helpers: ``doctor --hosts ...`` probes every host's
-    transport (hello handshake, ping round-trip, python/scenario report)
-    before a long sweep, exiting non-zero on unhealthy hosts.
+    Distributed-fleet helpers: ``doctor --hosts ...`` runs one pinned
+    calibration cell on every host through the sweep's own scheduler
+    (hello handshake, python/scenario report, events/s) before a long
+    sweep, exiting non-zero on unhealthy hosts; ``join`` adds this
+    machine to a listening sweep's pool.
 ``profile``
     Run one scenario cell fresh under ``cProfile`` and print the top-N
     functions by cumulative time; ``--out`` dumps raw pstats data.
@@ -286,7 +288,12 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
             return SweepSpec.from_dict(json.load(fh))
     if not args.scenario:
         raise SystemExit("sweep needs --smoke, --spec FILE, or --scenario NAME")
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [1]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [1]
+    except ValueError:
+        raise ValueError(
+            f"--seeds: expected comma-separated integers, got {args.seeds!r}"
+        ) from None
     return SweepSpec(
         scenario=args.scenario,
         base=_parse_params(args.param),
@@ -612,37 +619,37 @@ def _cmd_trace_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_workers_doctor(args: argparse.Namespace) -> int:
-    from repro.runner.doctor import probe_hosts
+    from repro.runner.distributed import check_hosts
 
-    if not args.hosts:
-        raise SystemExit("workers doctor needs --hosts HOST[:SLOTS],...")
-    report = probe_hosts(
+    rows = check_hosts(
         args.hosts,
         hello_timeout_s=args.hello_timeout,
-        ping_timeout_s=args.ping_timeout,
-        calibrate=not args.no_calibrate,
         calibrate_timeout_s=args.calibrate_timeout,
     )
     table = Table(
-        ["host", "slots", "status", "python", "scenarios", "hello", "ping", "events/s"],
+        ["host", "slots", "status", "python", "scenarios", "hello", "events/s"],
         title="workers doctor",
     )
-    for health in report.hosts:
+    for row in rows:
+        hello_s, rate = row.get("hello_s"), row.get("events_per_sec")
         table.add_row(
-            health.host,
-            health.slots,
-            "ok" if health.healthy else f"UNHEALTHY [{health.failure}]",
-            health.python or "-",
-            health.scenarios if health.scenarios is not None else "-",
-            f"{health.hello_s:.2f}s" if health.hello_s is not None else "-",
-            f"{health.ping_rtt_s * 1000.0:.1f}ms" if health.ping_rtt_s is not None else "-",
-            f"{health.events_per_sec:,.0f}" if health.events_per_sec is not None else "-",
+            row["host"],
+            row["slots"],
+            f"UNHEALTHY [{row['check']}]" if row["check"] else "ok",
+            row.get("python") or "-",
+            row.get("scenarios") or "-",
+            f"{hello_s:.2f}s" if hello_s is not None else "-",
+            f"{rate:,.0f}" if rate else "-",
         )
     print(table.render())
-    for health in report.unhealthy_hosts:
-        print(f"{health.host}: {health.error}", file=sys.stderr)
-    print(report.summary())
-    return 0 if report.healthy else 1
+    unfit = [row for row in rows if row["check"]]
+    for row in unfit:
+        print(f"{row['host']}: {row['error']}", file=sys.stderr)
+    if unfit:
+        print(f"{len(unfit)} of {len(rows)} host(s) unhealthy")
+        return 1
+    print(f"all {len(rows)} host(s) healthy")
+    return 0
 
 
 def _cmd_workers_join(args: argparse.Namespace) -> int:
@@ -679,9 +686,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
+    max_age_s = args.max_age_days * 86400.0 if args.max_age_days is not None else None
+    if max_age_s is not None and not max_age_s >= 0:
+        raise ValueError("--max-age-days must be >= 0")
     cache = ResultCache(args.cache_dir)
     registry = None if args.keep_stale_versions else load_builtin_scenarios()
-    max_age_s = args.max_age_days * 86400.0 if args.max_age_days is not None else None
     stats = cache.gc(registry=registry, max_age_s=max_age_s, dry_run=args.dry_run)
     prefix = "gc (dry run): " if args.dry_run else "gc: "
     print(f"{prefix}{stats.summary()} in {cache.root!r}")
@@ -879,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     workers_sub = p_workers.add_subparsers(dest="workers_command", required=True)
     p_doctor = workers_sub.add_parser(
         "doctor",
-        help="probe --hosts health (handshake, ping, python) before a sweep",
+        help="run one calibration cell on every --hosts entry before a sweep",
         parents=[common],
     )
     p_doctor.add_argument(
@@ -889,15 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_doctor.add_argument(
         "--hello-timeout", type=float, default=30.0, metavar="SECONDS",
         help="max wait for a worker's hello handshake (default: 30)",
-    )
-    p_doctor.add_argument(
-        "--ping-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="max wait for a ping round-trip (default: 10)",
-    )
-    p_doctor.add_argument(
-        "--no-calibrate", action="store_true",
-        help="skip the per-host calibration cell (the events/s column "
-             "measuring each host's simulator throughput)",
     )
     p_doctor.add_argument(
         "--calibrate-timeout", type=float, default=60.0, metavar="SECONDS",

@@ -360,6 +360,8 @@ class _WorkerHandle:
         self.completed = 0
         self.batches = 0
         self.retired_reason = ""
+        #: What the worker's hello said about it, for ``worker_stats``.
+        self.hello_facts: Dict[str, Any] = {}
         self._inbox = inbox
         self._writer: Optional[BinaryIO] = None
         self._sock: Optional[socket.socket] = None
@@ -390,6 +392,16 @@ class _WorkerHandle:
                 self._inbox.put((self, {"type": "_eof"}))
                 return
             self._inbox.put((self, message))
+
+    def note_hello(self, hello: Mapping[str, Any], hello_s: float) -> None:
+        """Keep the hello's environment report and how long it took to come."""
+        self.hello_facts = {
+            "python": hello.get("python"),
+            "pid": hello.get("pid"),
+            "reported_host": hello.get("host"),
+            "scenarios": hello.get("scenarios"),
+            "hello_s": round(hello_s, 3),
+        }
 
     @property
     def is_socket(self) -> bool:
@@ -582,6 +594,65 @@ class DistributedBackend:
             scheduler.close()
 
 
+#: The cell ``workers doctor`` runs on every host: about a second on
+#: commodity hardware, tens of thousands of simulator events through real
+#: bundler + qdisc machinery, so its telemetry events/sec is a meaningful
+#: throughput proxy.  Pinned, so the numbers compare across a fleet.
+CALIBRATION_ITEM = WorkItem(
+    index=0, scenario="fig13_competing_bundles", params={"duration_s": 2}, seed=1
+)
+
+
+def check_hosts(
+    hosts: Union[str, Sequence[HostSpec]],
+    transport: Optional[WorkerTransport] = None,
+    *,
+    hello_timeout_s: float = 30.0,
+    calibrate_timeout_s: float = 60.0,
+) -> List[Dict[str, Any]]:
+    """``workers doctor``: run :data:`CALIBRATION_ITEM` on every host as a sweep would.
+
+    Each host gets its own one-slot backend (hosts are checked in
+    parallel; one worker per host, since slots share its environment) on
+    the transport a sweep over ``hosts`` would pick.  Returns one row per
+    host, in ``hosts`` order: the worker's ``worker_stats`` entry plus
+    ``slots``, ``events_per_sec`` and, for an unfit host, the ``check``
+    that failed (``launch``, ``hello`` or ``calibrate``) and the
+    scheduler's own ``error`` for it.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # only the doctor needs it
+
+    fleet = DistributedBackend(hosts, transport)  # a sweep's host parsing and transport choice
+
+    def check(spec: HostSpec) -> Dict[str, Any]:
+        backend = DistributedBackend(
+            [HostSpec(spec.host)],
+            fleet.transport,
+            heartbeat_s=0.0,  # no beats, so worker_timeout_s is the cell's deadline
+            worker_timeout_s=calibrate_timeout_s,
+            hello_timeout_s=hello_timeout_s,
+            max_attempts=1,
+        )
+        row: Dict[str, Any] = {"slots": spec.slots, "check": "", "error": ""}
+        try:
+            (outcome,) = backend.execute([CALIBRATION_ITEM])
+        except RuntimeError as exc:  # the transport could not start a process
+            return {**row, "host": spec.host, "check": "launch", "error": str(exc)}
+        (worker,) = backend.telemetry()["workers"].values()
+        row.update(worker)
+        error = worker.get("quarantine_reason") or outcome.error
+        if error:
+            row["check"] = "calibrate" if worker["dispatched"] else "hello"
+            row["error"] = str(error).strip().splitlines()[-1]
+        elif isinstance(outcome.telemetry, dict):
+            # Absent under REPRO_OBS=0: the host is fit, just unmeasured.
+            row["events_per_sec"] = outcome.telemetry.get("events_per_sec")
+        return row
+
+    with ThreadPoolExecutor(max_workers=len(fleet.hosts)) as pool:
+        return list(pool.map(check, fleet.hosts))
+
+
 class _Scheduler:
     """One :meth:`DistributedBackend.execute` call's mutable state."""
 
@@ -667,6 +738,7 @@ class _Scheduler:
 
     def _join_handshake(self, conn: socket.socket) -> None:
         """Off-thread: read a joiner's hello, then hand it to the main loop."""
+        accepted = time.monotonic()
         try:
             conn.settimeout(self.backend.hello_timeout_s)
             reader = conn.makefile("rb")
@@ -686,7 +758,8 @@ class _Scheduler:
             return
         self.inbox.put(
             (None, {"type": "_join", "hello": hello, "sock": conn,
-                    "reader": reader, "writer": writer})
+                    "reader": reader, "writer": writer,
+                    "hello_s": time.monotonic() - accepted})
         )
 
     def close(self) -> None:
@@ -720,6 +793,7 @@ class _Scheduler:
             "dispatched": w.dispatched,
             "completed": w.completed,
             "last_seen_age_s": round(now - w.last_seen, 3),
+            **w.hello_facts,
             **({"batches": w.batches} if w.batches else {}),
             **(
                 {"quarantine_reason": w.retired_reason}
@@ -889,6 +963,7 @@ class _Scheduler:
         worker_id = f"{host_name}/{site}"
         worker = _WorkerHandle(worker_id, HostSpec(host=host_name), self.inbox, site=site)
         worker.attach_socket(sock, reader, writer)
+        worker.note_hello(hello, message["hello_s"])
         worker.enter("idle")
         self.workers.append(worker)
         self.joined += 1
@@ -916,13 +991,14 @@ class _Scheduler:
         elif kind == "_wire_error":
             self._connection_lost(worker, f"wire error: {message.get('error')}")
         elif kind == "hello":
+            worker.note_hello(message, worker.last_seen - worker.launched_at)
             refusal = _hello_refusal(message)
             if refusal:
                 self._retire(worker, "quarantined", refusal)
             elif worker.state == "starting":
                 worker.enter("idle")
                 self._welcome(worker)
-        elif kind == "heartbeat" or kind == "pong":
+        elif kind == "heartbeat":
             pass  # last_seen already updated
         elif kind == "outcome_batch":
             for raw in message.get("outcomes") or []:
@@ -1042,7 +1118,7 @@ class _Scheduler:
                 if now - worker.launched_at > self.backend.hello_timeout_s:
                     self._retire(
                         worker, "quarantined",
-                        f"no hello within {self.backend.hello_timeout_s:.0f}s",
+                        f"no hello within {self.backend.hello_timeout_s:g}s",
                     )
             elif worker.state == "busy":
                 if now - worker.last_seen > self.backend.worker_timeout_s:

@@ -46,7 +46,8 @@ from typing import Any, BinaryIO, Dict, Optional
 #: workers to persist outcomes in.  All three fields were optional in both
 #: directions, so v3 peers from older checkouts interoperate: a ``lease``
 #: such a worker presents is ignored and it joins as a new pool member.
-PROTOCOL_VERSION = 3
+#: v4: ``ping`` / ``pong`` left the vocabulary with their only sender.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame's JSON payload; its job is to turn a corrupt or
 #: misaligned length prefix into an immediate WireError instead of a

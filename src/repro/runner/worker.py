@@ -44,10 +44,9 @@ Either way the conversation is the length-prefixed JSON protocol of
 * while a cell or batch runs, a daemon thread emits ``{"type":
   "heartbeat"}`` every ``--heartbeat-s`` seconds so the scheduler can
   tell "slow cell" from "hung worker";
-* ``{"type": "ping"}`` gets ``{"type": "pong"}``; ``{"type": "shutdown"}``
-  (or EOF) ends the process; a worker departing on its own terms sends
-  ``{"type": "leave"}`` first so the scheduler retires it at once
-  instead of waiting to notice the closed connection.
+* ``{"type": "shutdown"}`` (or EOF) ends the process; a worker departing
+  on its own terms sends ``{"type": "leave"}`` first so the scheduler
+  retires it at once instead of waiting to notice the closed connection.
 
 stdout carries *only* wire frames: ``sys.stdout`` is rebound to stderr for
 the worker's lifetime, so a scenario that prints cannot corrupt the frame
@@ -202,13 +201,13 @@ def serve(
         served += 1
         return outcome
 
+    # Everything after the protocol is this worker's environment report; the
+    # scheduler keeps it in worker_stats (`workers doctor` prints it).
     hello: Dict[str, Any] = {
         "type": "hello",
         "protocol": PROTOCOL_VERSION,
         "pid": os.getpid(),
         "host": socket.gethostname(),
-        # Additive field (old schedulers ignore it): lets `workers
-        # doctor` report each host's interpreter at a glance.
         "python": platform.python_version(),
         "scenarios": len(registry),
     }
@@ -238,9 +237,6 @@ def serve(
                 return 0
             if kind == "welcome":
                 _handle_welcome(message, state)
-                continue
-            if kind == "ping":
-                send({"type": "pong"})
                 continue
             if kind != "work_batch":
                 send({"type": "error", "error": f"unknown message type {kind!r}"})

@@ -17,8 +17,8 @@ How a plan reaches a worker:
   (:class:`~repro.runner.distributed.DistributedBackend` ``chaos=``);
 * **environment** — :data:`CHAOS_PLAN_ENV` holds the plan JSON (or
   ``@/path/to/plan.json``) and :data:`CHAOS_SITE_ENV` the site label;
-  ``repro.runner.worker`` activates it before the hello.  This is how the
-  CI chaos job injects faults through the ordinary CLI.
+  ``repro.runner.worker`` activates it before the hello, which makes it
+  the delivery for faults on the hello itself (a slow or mute host).
 
 Determinism contract: a rule fires as a function of ``(plan seed, site,
 rule index, per-rule matching-frame counter)`` only.  Frame counters tick

@@ -14,41 +14,8 @@ This subpackage holds small, dependency-free building blocks:
   used by the sweep runner's result cache.
 * :mod:`repro.util.env` — the one parser behind the ``REPRO_*`` on/off
   switches.
+
+This package re-exports nothing: code imports the submodule it needs, so
+reading a cache record (:mod:`repro.util.canonical`) never loads the
+windowed filters.
 """
-
-from repro.util.units import (
-    BYTES_PER_PACKET,
-    bits_to_bytes,
-    bytes_to_bits,
-    mbps_to_bps,
-    bps_to_mbps,
-    ms_to_s,
-    s_to_ms,
-)
-from repro.util.windowed import (
-    EWMA,
-    MaxFilter,
-    MinFilter,
-    SlidingWindow,
-)
-from repro.util.rng import derive_seed, make_rng
-from repro.util.canonical import canonical_json, canonicalize, stable_digest
-
-__all__ = [
-    "BYTES_PER_PACKET",
-    "bits_to_bytes",
-    "bytes_to_bits",
-    "mbps_to_bps",
-    "bps_to_mbps",
-    "ms_to_s",
-    "s_to_ms",
-    "EWMA",
-    "MaxFilter",
-    "MinFilter",
-    "SlidingWindow",
-    "derive_seed",
-    "make_rng",
-    "canonical_json",
-    "canonicalize",
-    "stable_digest",
-]

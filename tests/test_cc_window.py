@@ -7,7 +7,6 @@ from repro.cc.bbr import BbrWindowCC
 from repro.cc.constant import ConstantWindowCC
 from repro.cc.cubic import CubicCC
 from repro.cc.reno import RenoCC
-from repro.cc.vegas import VegasCC
 
 MSS = 1500
 
@@ -97,30 +96,6 @@ class TestCubic:
         assert cc.cwnd_bytes >= 2 * MSS
 
 
-class TestVegas:
-    def test_base_rtt_tracking(self):
-        cc = VegasCC()
-        cc.on_ack(0.0, MSS, 0.1)
-        cc.on_ack(0.1, MSS, 0.05)
-        assert cc.base_rtt == pytest.approx(0.05)
-
-    def test_backs_off_when_queueing_grows(self):
-        cc = VegasCC(initial_cwnd_segments=50)
-        cc._ssthresh = 0  # force congestion avoidance
-        cc.on_ack(0.0, MSS, 0.05)
-        before = cc.cwnd_bytes
-        # Large RTT inflation -> diff above beta -> decrease once per RTT.
-        cc.on_ack(1.0, MSS, 0.2)
-        cc.on_ack(2.0, MSS, 0.2)
-        assert cc.cwnd_bytes < before
-
-    def test_loss_reduces_window(self):
-        cc = VegasCC(initial_cwnd_segments=20)
-        before = cc.cwnd_bytes
-        cc.on_loss(0.0)
-        assert cc.cwnd_bytes < before
-
-
 class TestBbrWindow:
     def test_startup_then_probe_bw(self):
         cc = BbrWindowCC()
@@ -159,7 +134,7 @@ class TestConstantWindow:
 
 
 def test_registry_constructs_all_window_ccs():
-    for name in ("reno", "cubic", "vegas", "bbr", "constant"):
+    for name in ("reno", "cubic", "bbr", "constant"):
         cc = make_window_cc(name)
         assert cc.cwnd_bytes > 0
     with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from repro.qdisc.drr import DrrQdisc
 from repro.qdisc.fifo import FifoQdisc
 from repro.qdisc.fq_codel import FqCoDelQdisc
 from repro.qdisc.prio import PrioQdisc
-from repro.qdisc.red import RedQdisc
 from repro.qdisc.sfq import SfqQdisc
 from repro.qdisc.tbf import TokenBucketQdisc
 
@@ -209,22 +208,6 @@ class TestPrio:
         q.enqueue(_flow_packet(factory, 2, traffic_class=1), 0.0)
         assert q.enqueue(_flow_packet(factory, 3, traffic_class=0), 0.0)
         assert q.band_backlog(0) == 1
-
-
-class TestRed:
-    def test_accepts_below_min_threshold(self):
-        q = RedQdisc(min_threshold_bytes=30_000, max_threshold_bytes=90_000)
-        factory = PacketFactory()
-        assert all(q.enqueue(_flow_packet(factory, 1, seq=i), 0.0) for i in range(5))
-        assert q.early_drops == 0
-
-    def test_early_drops_under_sustained_load(self):
-        q = RedQdisc(min_threshold_bytes=3_000, max_threshold_bytes=9_000,
-                     max_drop_probability=1.0, ewma_weight=0.5, limit_packets=10_000)
-        factory = PacketFactory()
-        for i in range(200):
-            q.enqueue(_flow_packet(factory, 1, seq=i), 0.0)
-        assert q.early_drops > 0
 
 
 class TestTbf:

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.runner.cache import MANIFEST_NAME, ResultCache
 from repro.runner.params import ParamSpec, ParamSpace
 from repro.runner.registry import ScenarioRegistry
@@ -246,6 +248,20 @@ class TestGc:
         evict = cache.gc(max_age_s=3600.0, now=now + 7200.0)
         assert evict.evicted_age == 1
         assert len(cache) == 0
+
+    @pytest.mark.parametrize("max_age_s", [-1.0, float("nan")])
+    def test_negative_max_age_is_refused_before_any_file_is_touched(self, tmp_path, max_age_s):
+        # now - created > max_age_s holds for every record when the age is
+        # negative: the call would empty the cache.
+        root = tmp_path / "cache"
+        cache = ResultCache(str(root))
+        result = _result(version=2)
+        cache.put(result)
+        os.unlink(root / MANIFEST_NAME)  # gc's first act is to rebuild it
+        with pytest.raises(ValueError, match="max_age_s must be >= 0"):
+            cache.gc(max_age_s=max_age_s)
+        assert sorted(os.listdir(root)) == [f"{result.key}.json"]
+        assert ResultCache(str(root)).get(result.key) is not None
 
     def test_dry_run_deletes_nothing(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))

@@ -23,8 +23,10 @@ Two layers of coverage:
 
 The pinned plans are committed under ``tests/fixtures/chaos/`` and must
 stay byte-identical to the :data:`repro.testing.chaos.PLANS` builders —
-CI feeds the *files* through ``REPRO_CHAOS_PLAN=@...``, so drift between
-the two would quietly change what CI tests.
+CI feeds the *files* through ``sweep --chaos-plan FILE``, so drift between
+the two would quietly change what CI tests.  (``REPRO_CHAOS_PLAN`` is the
+other delivery, for faults that must fire before a welcome exists, such as
+a delayed ``hello``; ``tests/test_runner_doctor.py`` uses it.)
 """
 
 import io
@@ -118,10 +120,10 @@ class TestFaultSession:
 
     def test_recv_drop(self):
         session = FaultPlan(rules=(
-            FaultRule(action="drop", point="recv", message_type="pong", nth=1),
+            FaultRule(action="drop", point="recv", message_type="heartbeat", nth=1),
         )).session()
-        assert session.on_recv({"type": "pong"}) is False
-        assert session.on_recv({"type": "pong"}) is True
+        assert session.on_recv({"type": "heartbeat"}) is False
+        assert session.on_recv({"type": "heartbeat"}) is True
 
     def test_probabilistic_decisions_are_seeded(self):
         plan = FaultPlan(seed=42, rules=(

@@ -164,6 +164,16 @@ class TestCommands:
         assert "1 evicted (1 stale version, 0 expired), 2 kept" in out
         assert len(cache.rebuild_manifest()) == 2
 
+    def test_gc_negative_max_age_is_refused_and_evicts_nothing(self, tmp_path, capsys):
+        cache_dir = str(tmp_path / "cache")
+        assert main(["--cache-dir", cache_dir, "run", "ablation_pi_gains"]) == 0
+        capsys.readouterr()
+        assert main(["--cache-dir", cache_dir, "gc", "--max-age-days", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --max-age-days must be >= 0\n" and captured.out == ""
+        assert main(["--cache-dir", cache_dir, "gc", "--max-age-days", "0.5"]) == 0
+        assert "1 record(s) examined: 0 evicted" in capsys.readouterr().out
+
     def test_gc_empty_cache(self, tmp_path, capsys):
         assert main(["--cache-dir", str(tmp_path / "empty"), "gc"]) == 0
         assert "0 record(s) examined" in capsys.readouterr().out
@@ -473,9 +483,20 @@ class TestFidelity:
         assert main(["--cache-dir", warm_cache, "fidelity", "--seeds", "4", "--backend", "serial"]) == 130
         assert "interrupted: 123 of 158 cells are in the cache" in capsys.readouterr().err
 
-    def test_zero_seeds_is_a_usage_error(self, capsys):
-        assert main(["fidelity", "--seeds", "0"]) == 2
-        assert "error: fidelity needs at least one seed" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fidelity", "--seeds", "0"], "fidelity needs at least one seed"),
+            (["sweep", "--scenario", "ablation_pi_gains", "--seeds", "1,,2"],
+             "--seeds: expected comma-separated integers, got '1,,2'"),
+            (["sweep", "--scenario", "ablation_pi_gains", "--seeds", "a"],
+             "--seeds: expected comma-separated integers, got 'a'"),
+            (["gc", "--max-age-days", "nan"], "--max-age-days must be >= 0"),
+        ],
+    )
+    def test_bad_argument_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        assert main(["--cache-dir", str(tmp_path / "c"), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_sweep_and_fidelity_share_every_execution_flag(self):
         from repro.runner.cli import build_parser

@@ -17,9 +17,13 @@ Worker crashes are injected as :mod:`repro.testing.chaos` fault plans,
 delivered in-band via ``chaos=``.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.runner.backends import make_backend
+from repro.runner.backends import WorkItem, inherited_pythonpath, make_backend
 from repro.runner.cache import ResultCache
 from repro.runner.distributed import (
     DistributedBackend,
@@ -30,6 +34,7 @@ from repro.runner.distributed import (
 )
 from repro.runner.engine import run_sweep
 from repro.runner.spec import SweepSpec
+from repro.runner.wire import PROTOCOL_VERSION
 from repro.testing.chaos import FaultPlan, FaultRule
 
 pytestmark = pytest.mark.distributed
@@ -174,6 +179,37 @@ class TestDistributedParity:
         assert stats["transport"] == "local-subprocess"
         assert sum(w["completed"] for w in stats["workers"].values()) == 4
         assert stats["quarantined"] == 0
+        # Each launched worker's hello is kept: what it was, how long it took.
+        for worker in stats["workers"].values():
+            assert worker["python"] == ".".join(map(str, sys.version_info[:3]))
+            assert worker["scenarios"] >= 19
+            assert worker["pid"] > 0 and worker["reported_host"]
+            assert 0 < worker["hello_s"] < 30
+        assert len({w["pid"] for w in stats["workers"].values()}) == 2
+
+    def test_joined_worker_hello_lands_in_worker_stats(self, tmp_path):
+        backend = DistributedBackend((), listen=True, poll_s=0.02, join_grace_s=30)
+        host, port = backend.endpoint
+        joiner = subprocess.Popen(
+            [sys.executable, "-m", "repro.runner.worker", "--connect", f"{host}:{port}"],
+            env=dict(os.environ, PYTHONPATH=inherited_pythonpath()),
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            outcome = run_sweep(
+                _grid_specs(), cache=ResultCache(str(tmp_path / "c")), backend=backend
+            )
+            assert joiner.wait(timeout=30) == 0  # shut down by the scheduler
+        finally:
+            backend.close()
+            joiner.kill()
+            joiner.wait(timeout=30)
+        (worker,) = outcome.worker_stats["workers"].values()
+        assert worker["completed"] == 4
+        assert worker["pid"] == joiner.pid
+        assert worker["python"].count(".") == 2 and worker["scenarios"] >= 19
+        assert worker["host"] == worker["reported_host"]
+        assert 0 <= worker["hello_s"] < 30
 
     def test_progress_events_cover_every_cell(self, tmp_path):
         events = []
@@ -187,6 +223,68 @@ class TestDistributedParity:
         assert len(completed) == 4
         assert completed[-1].done == completed[-1].total == 4
         assert all(e.scenario == "ablation_pi_gains" for e in completed)
+
+
+#: A process that frames one hello for a protocol nobody speaks, then waits.
+_STRANGER = (
+    "import json, struct, sys\n"
+    "body = json.dumps({'type': 'hello', 'protocol': %d, 'pid': 1, 'host': 'stranger',\n"
+    "                   'python': '0.0.0', 'scenarios': 0}).encode()\n"
+    "sys.stdout.buffer.write(struct.pack('>I', len(body)) + body)\n"
+    "sys.stdout.buffer.flush()\n"
+    "sys.stdin.buffer.read()\n"
+) % (PROTOCOL_VERSION + 1)
+
+
+class _ScriptTransport:
+    """Launches ``python -c script`` where a worker should be."""
+
+    name = "script"
+
+    def __init__(self, script):
+        self.script = script
+
+    def launch(self, host, *, heartbeat_s):
+        return subprocess.Popen(
+            [sys.executable, "-c", self.script],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+
+
+class TestHandshakeDeadlines:
+    """The hello checks a real sweep depends on (``workers doctor`` prints
+    the same quarantine reasons; ``tests/test_runner_doctor.py``)."""
+
+    @pytest.mark.parametrize(
+        "script, reason, said_hello",
+        [
+            pytest.param("import sys; sys.stdin.buffer.read()",
+                         "no hello within 1s", False, id="mute"),
+            pytest.param("import sys; sys.exit(7)", "exited (code 7)", False, id="dead"),
+            pytest.param(
+                _STRANGER,
+                f"protocol mismatch (worker {PROTOCOL_VERSION + 1}, "
+                f"scheduler {PROTOCOL_VERSION})",
+                True, id="stranger",
+            ),
+        ],
+    )
+    def test_worker_that_fails_the_handshake_is_quarantined(self, script, reason, said_hello):
+        backend = _backend("localhost:1", _ScriptTransport(script), hello_timeout_s=1.0)
+        (outcome,) = backend.execute(
+            [WorkItem(index=0, scenario="ablation_pi_gains", params={}, seed=1)]
+        )
+        # Never handed work; the cell comes home as an error, not a hang.
+        assert outcome.payload is None and "no live workers remain" in outcome.error
+        stats = backend.telemetry()
+        assert (stats["quarantined"], stats["gave_up"]) == (1, 1)
+        (worker,) = stats["workers"].values()
+        assert worker["state"] == "quarantined" and worker["dispatched"] == 0
+        assert worker["quarantine_reason"] == reason
+        # A refused hello is still on file; a worker that never spoke has none.
+        assert ("hello_s" in worker) == said_hello
+        if said_hello:
+            assert (worker["python"], worker["reported_host"]) == ("0.0.0", "stranger")
 
 
 class TestFaultTolerance:

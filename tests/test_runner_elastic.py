@@ -93,11 +93,7 @@ class ScriptedWorker:
             kind = message.get("type")
             if kind == "work_batch":
                 return message["items"]
-            if kind == "ping":
-                self.send({"type": "pong"})
-            elif kind in ("heartbeat",):
-                continue
-            else:
+            if kind != "heartbeat":
                 raise AssertionError(f"unexpected frame while awaiting work: {message!r}")
 
     def reply(self, items):
@@ -116,8 +112,6 @@ class ScriptedWorker:
             kind = message.get("type")
             if kind == "work_batch":
                 self.reply(message["items"])
-            elif kind == "ping":
-                self.send({"type": "pong"})
             elif kind == "shutdown":
                 return
             # welcome re-sends, heartbeats: ignore

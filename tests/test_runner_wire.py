@@ -131,10 +131,6 @@ class TestWorkerProtocol:
         assert code == 0
         assert [r["type"] for r in replies] == ["hello"]
 
-    def test_ping_pong(self):
-        code, replies = _drive_worker({"type": "ping"}, {"type": "shutdown"})
-        assert [r["type"] for r in replies] == ["hello", "pong"]
-
     def test_work_produces_validated_outcome(self):
         code, replies = _drive_worker(
             {
@@ -201,9 +197,10 @@ class TestWorkerProtocol:
 
     def test_outcome_too_large_for_any_frame_travels_as_an_error_outcome(self, monkeypatch):
         monkeypatch.setattr("repro.runner.wire.MAX_MESSAGE_BYTES", 600)
-        code, replies = _drive_worker(self._batch(1), {"type": "ping"}, {"type": "shutdown"})
+        code, replies = _drive_worker(self._batch(1), self._batch(0), {"type": "shutdown"})
         assert code == 0
-        assert [r["type"] for r in replies] == ["hello", "outcome_batch", "pong"]
+        assert [r["type"] for r in replies] == ["hello", "outcome_batch", "outcome_batch"]
+        assert replies[2]["outcomes"] == []  # still serving afterwards
         (outcome,) = replies[1]["outcomes"]
         assert outcome["index"] == 0 and outcome["payload"] is None
         assert "exceeds MAX_MESSAGE_BYTES" in outcome["error"]
@@ -213,28 +210,30 @@ class TestWorkerProtocol:
         # get an error frame back, not a dead pipe.
         code, replies = _drive_worker(
             {"type": "work_batch", "items": [{}]},
-            {"type": "ping"},
+            self._batch(0),
             {"type": "shutdown"},
         )
         assert code == 0
         assert replies[1]["type"] == "error"
         assert "malformed work item" in replies[1]["error"]
         assert replies[2] == {"type": "outcome_batch", "outcomes": []}
-        assert replies[3]["type"] == "pong"  # still serving afterwards
+        assert replies[3] == replies[2]  # still serving afterwards
 
-    def test_v2_single_cell_work_frame_gets_typed_error(self):
-        # "work" left the vocabulary in v3: a v2 scheduler's single-cell
-        # frame is answered with an error frame, never a crash or a hang,
-        # and the worker keeps serving.
+    def test_retired_frame_types_get_typed_errors(self):
+        # "work" left the vocabulary in v3 and "ping" in v4: an older
+        # scheduler's frame is answered with an error frame, never a crash
+        # or a hang, and the worker keeps serving.
         code, replies = _drive_worker(
             {"type": "work",
              "item": {"index": 0, "scenario": "ablation_pi_gains", "params": {}, "seed": 1}},
             {"type": "ping"},
+            self._batch(0),
             {"type": "shutdown"},
         )
         assert code == 0
-        assert [r["type"] for r in replies] == ["hello", "error", "pong"]
+        assert [r["type"] for r in replies] == ["hello", "error", "error", "outcome_batch"]
         assert "unknown message type 'work'" in replies[1]["error"]
+        assert "unknown message type 'ping'" in replies[2]["error"]
 
     def test_unknown_message_type_reported_not_fatal(self):
         code, replies = _drive_worker({"type": "dance"}, {"type": "shutdown"})

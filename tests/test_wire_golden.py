@@ -120,7 +120,6 @@ class TestGoldenConversations:
     def test_hello_welcome(self):
         scheduler = [
             {"type": "welcome", "protocol": PROTOCOL_VERSION, "worker": 0},
-            {"type": "ping"},
             {"type": "shutdown"},
         ]
         _check("hello_welcome", scheduler, _converse(scheduler))
